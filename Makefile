@@ -33,11 +33,12 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# The full merge gate, mirrored by .github/workflows/ci.yml.
+# The full merge gate. .github/workflows/ci.yml runs the same checks,
+# each once, as its own named step. The full ppeplint run includes
+# perfcheck, so lint-perf is not repeated here.
 ci: fmt-check
 	$(GO) vet ./...
 	$(GO) run ./cmd/ppeplint -gcflags-cache $(GCFLAGS_CACHE)
-	$(MAKE) lint-perf
 	$(GO) test -race ./...
 	$(MAKE) smoke
 	$(MAKE) smoke-cache

@@ -163,8 +163,6 @@ func (s segTrace) integrate(a, b float64, vals []float64) float64 {
 // predicts each segment's cycle count at fTo from the fFrom trace, and
 // returns the per-segment absolute relative errors versus the measured
 // fTo cycles.
-//
-//ppep:allow unitcheck instruction counts and relative errors are dimensionless
 func SegmentErrors(from, to *trace.Trace, core int, fFrom, fTo units.GigaHertz, segInst float64) ([]float64, error) {
 	if segInst <= 0 {
 		return nil, fmt.Errorf("cpimodel: non-positive segment size")

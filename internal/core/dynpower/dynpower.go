@@ -31,7 +31,7 @@ type Model struct {
 	// (event/second), i.e. joules per event.
 	W [arch.NumPowerEvents]units.JoulesPerEvent
 	// Alpha is the voltage-scaling exponent.
-	Alpha float64 //ppep:allow unitcheck dimensionless process exponent of the (V/V5)^α scale
+	Alpha float64
 	// VRef is the training voltage (V5).
 	VRef units.Volts
 }
@@ -46,8 +46,6 @@ func (m *Model) scale(v units.Volts) float64 {
 
 // EstimateRates returns the dynamic power for chip-wide summed event
 // rates (events/second) with all cores at voltage v.
-//
-//ppep:allow unitcheck EventVec-denominated per-second rates stay raw float64
 func (m *Model) EstimateRates(rates [arch.NumPowerEvents]float64, v units.Volts) units.Watts {
 	s := m.scale(v)
 	var w float64
@@ -71,7 +69,7 @@ func (m *Model) EstimateCore(ev arch.EventVec, v units.Volts) units.Watts {
 // rail voltage, and the measured dynamic power (measured chip power minus
 // the idle model's estimate).
 type Sample struct {
-	Rates   [arch.NumPowerEvents]float64 //ppep:allow unitcheck EventVec-denominated per-second rates stay raw float64
+	Rates   [arch.NumPowerEvents]float64 // EventVec-denominated per-second rates stay raw float64
 	Voltage units.Volts
 	DynW    units.Watts
 }

@@ -47,7 +47,7 @@ type GreenGovernors struct {
 	// events and temperature are deliberately absent — the design gap
 	// the paper identifies. Units fold the 1e9 cycles/GHz factor so
 	// that P_dyn = Ceff·V²·f(GHz).
-	C [NumGGFeatures]float64 //ppep:allow unitcheck folded effective-capacitance coefficients (cycles/GHz factor baked in)
+	C [NumGGFeatures]float64
 }
 
 // ceffFeatures extracts the Green Governors activity features: the model
@@ -138,8 +138,6 @@ func TrainGG(staticW map[arch.VFState]units.Watts, traces []*trace.Trace, tbl ar
 // trace, given an estimator of the current interval's chip power. It
 // returns one absolute relative error per interval pair — the Figure 6
 // metric.
-//
-//ppep:allow unitcheck relative errors are dimensionless
 func NextIntervalErrors(tr *trace.Trace, estimate func(trace.Interval) units.Watts) []float64 {
 	var errs []float64
 	for i := 0; i+1 < len(tr.Intervals); i++ {

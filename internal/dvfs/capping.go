@@ -47,7 +47,7 @@ type PPEPCapper struct {
 	Target CapSchedule
 	// MarginFrac backs the effective budget off the cap to absorb
 	// prediction error and sensor noise (default 4% when zero).
-	MarginFrac float64 //ppep:allow unitcheck dimensionless backoff fraction
+	MarginFrac float64
 	// Uniform restricts the controller to a single chip-wide state (the
 	// real FX's shared voltage rail) instead of per-CU assignments —
 	// the ablation counterpart of the Section V-B per-CU assumption.
@@ -179,7 +179,7 @@ type IterativeCapper struct {
 	Target CapSchedule
 	// UpHysteresis is the fraction of the cap below which the controller
 	// tries stepping back up (default 0.92 when zero).
-	UpHysteresis float64 //ppep:allow unitcheck dimensionless hysteresis fraction
+	UpHysteresis float64
 	// OneCUPerStep makes each interval adjust a single CU by one state —
 	// the finest-grained reactive search, and the configuration whose
 	// convergence the paper's 2.8 s settling time reflects. When false,
@@ -256,7 +256,7 @@ func (c *IterativeCapper) Decide(chip *fxsim.Chip, iv trace.Interval) {
 type CapMetrics struct {
 	// Adherence is the fraction of intervals whose measured power was
 	// within the budget (with a small tolerance for sensor noise).
-	Adherence float64 //ppep:allow unitcheck dimensionless compliance fraction
+	Adherence float64
 	// MeanSettleS is the average time from a budget drop to the first
 	// compliant interval.
 	MeanSettleS units.Seconds

@@ -70,13 +70,13 @@ func argmin(pts []EDPoint, key func(EDPoint) float64) arch.VFState {
 // hypothetical low NB state.
 type NBAssumptions struct {
 	// IdleDropFrac is the NB idle power reduction at NB-low (paper: 0.40).
-	IdleDropFrac float64 //ppep:allow unitcheck dimensionless reduction fraction
+	IdleDropFrac float64
 	// DynDropFrac is the NB dynamic energy-per-operation reduction
 	// (paper: 0.36, the V² factor of a 20% voltage drop).
-	DynDropFrac float64 //ppep:allow unitcheck dimensionless reduction fraction
+	DynDropFrac float64
 	// LLInflate is the leading-load cycle inflation at NB-low
 	// (paper: 1.5).
-	LLInflate float64 //ppep:allow unitcheck dimensionless inflation factor
+	LLInflate float64
 }
 
 // PaperNBAssumptions returns the paper's exact Section V-C2 values.
@@ -165,8 +165,6 @@ func ipsWithLLInflation(m *core.Models, iv trace.Interval, s arch.VFState, infla
 // BestEnergySaving returns the energy saving of the NB-scaled best point
 // versus the NB-high best point (Figure 11a's per-mode metric): both
 // sides may choose their core VF freely; only the NB capability differs.
-//
-//ppep:allow unitcheck saving is a dimensionless fraction of baseline energy
 func BestEnergySaving(points []NBPoint) float64 {
 	bestHi := units.JoulesPerInst(math.Inf(1))
 	bestLo := units.JoulesPerInst(math.Inf(1))
@@ -194,8 +192,6 @@ func BestEnergySaving(points []NBPoint) float64 {
 // similar energy (Figure 11b): the baseline is core-VF1 with NB high; the
 // candidate is the fastest point (any NB state) whose energy does not
 // exceed the baseline's by more than slack (e.g. 0.05 = 5%).
-//
-//ppep:allow unitcheck slack and speedup are dimensionless ratios
 func BestSpeedupAtEnergy(points []NBPoint, slack float64) float64 {
 	var base *NBPoint
 	for i := range points {

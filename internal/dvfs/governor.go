@@ -13,7 +13,7 @@ type GovStep struct {
 	TimeS        units.Seconds
 	VF           arch.VFState
 	MeasW        units.Watts
-	Instructions float64 //ppep:allow unitcheck instruction counts are dimensionless
+	Instructions float64 // instruction counts are dimensionless
 }
 
 // recorder is the shared bookkeeping of the governors below.
@@ -40,8 +40,6 @@ func EnergyJ(hist []GovStep, intervalS units.Seconds) units.Joules {
 }
 
 // Instructions sums retired instructions over a history.
-//
-//ppep:allow unitcheck instruction counts are dimensionless
 func Instructions(hist []GovStep) float64 {
 	var n float64
 	for _, st := range hist {
@@ -72,7 +70,7 @@ func (g *StaticGovernor) Decide(chip *fxsim.Chip, iv trace.Interval) {
 type OnDemandGovernor struct {
 	// UpThreshold and DownThreshold bound the utilization band
 	// (defaults 0.80 / 0.30 when zero).
-	UpThreshold, DownThreshold float64 //ppep:allow unitcheck dimensionless utilization thresholds
+	UpThreshold, DownThreshold float64
 	recorder
 }
 

@@ -15,6 +15,7 @@ import (
 	"ppep/internal/core/energy"
 	"ppep/internal/core/pgidle"
 	"ppep/internal/fxsim"
+	"ppep/internal/pool"
 	"ppep/internal/simcache"
 	"ppep/internal/trace"
 	"ppep/internal/units"
@@ -176,47 +177,6 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forEachJob runs fn(i) for every i in [0,n) on a bounded pool:
-// min(workers, n) goroutines drain an index channel, so at most
-// `workers` jobs are in flight and no goroutine is created before it has
-// work to do. Every campaign phase shares this shape; determinism comes
-// from each job writing only its own index of a pre-sized result slice
-// and deriving any randomness from the job's identity, never from
-// scheduling order.
-func forEachJob(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-}
-
 // truncate keeps at most n runs (n == 0 keeps all).
 func truncate(runs []workload.Run, n int) []workload.Run {
 	if n <= 0 || n >= len(runs) {
@@ -324,7 +284,7 @@ func (c *Campaign) collectIdle(seedName string, mkCfg func() fxsim.Config) error
 	states := c.Table.States()
 	trs := make([]*trace.Trace, len(states))
 	errs := make([]error, len(states))
-	forEachJob(len(states), c.opts.workers(), func(i int) {
+	pool.ForEachJob(len(states), c.opts.workers(), func(i int) {
 		vf := states[i]
 		cfg := mkCfg()
 		cfg.SensorSeed = seedOf(seedName, vf)
@@ -361,7 +321,7 @@ func (c *Campaign) collect(runs []workload.Run, mkCfg func() fxsim.Config) error
 	}
 	results := make([]core.RunTrace, len(jobs))
 	errs := make([]error, len(jobs))
-	forEachJob(len(jobs), c.opts.workers(), func(i int) {
+	pool.ForEachJob(len(jobs), c.opts.workers(), func(i int) {
 		j := jobs[i]
 		cfg := mkCfg()
 		cfg.SensorSeed = seedOf(j.run.Name, j.vf)
@@ -463,7 +423,7 @@ func (c *Campaign) pgSweepAll(states []arch.VFState) (map[arch.VFState]pgidle.Sw
 	}
 	powers := make([]units.Watts, len(cells))
 	errs := make([]error, len(cells))
-	forEachJob(len(cells), c.opts.workers(), func(i int) {
+	pool.ForEachJob(len(cells), c.opts.workers(), func(i int) {
 		var w float64
 		w, errs[i] = c.pgCell(cells[i].vf, cells[i].pg, cells[i].busy)
 		powers[i] = units.Watts(w)

@@ -22,12 +22,12 @@ package fleet
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"ppep/internal/arch"
 	"ppep/internal/core"
 	"ppep/internal/fxsim"
+	"ppep/internal/pool"
 	"ppep/internal/trace"
 	"ppep/internal/units"
 )
@@ -66,8 +66,8 @@ type Config struct {
 
 // node is one simulated machine plus the scratch its worker reuses
 // every interval. Each node is written only by the pool job that owns
-// its index (the forEachJob owned-slot discipline), so nodes need no
-// locks.
+// its index (the pool.ForEachJob owned-slot discipline), so nodes need
+// no locks.
 type node struct {
 	chip *fxsim.Chip
 	// iv and rep are reused across intervals (ReadIntervalInto /
@@ -179,7 +179,7 @@ func (e *Engine) Workers() int { return e.workers }
 // //ppep:hotpath zero-alloc root, because the publish allocates the new
 // immutable snapshot, which readers may retain. See Snapshot.
 func (e *Engine) Advance() {
-	forEachJob(e.nShards, e.workers, func(shard int) {
+	pool.ForEachJob(e.nShards, e.workers, func(shard int) {
 		lo := shard * e.shardNodes
 		hi := lo + e.shardNodes
 		if hi > len(e.nodes) {
@@ -251,41 +251,3 @@ func (e *Engine) fillRow(i int) {
 // not race it with Advance; tests and the smoke CLI read it between
 // intervals (concurrent readers use Snapshot).
 func (e *Engine) Fingerprint(i int) uint64 { return e.nodes[i].fp }
-
-// forEachJob runs fn(i) for every i in [0,n) on a bounded pool — the
-// same owned-slot shape the experiment campaigns use (and poolsafety
-// lints): min(workers, n) goroutines drain an index channel, workers=1
-// runs inline, and every job writes only state owned by its index.
-func forEachJob(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-}

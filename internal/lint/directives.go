@@ -199,8 +199,9 @@ func (m *Module) allowedAt(analyzer string, pos token.Position) bool {
 
 // hasAllow reports whether a directive covers the position WITHOUT
 // marking it used or counting a suppression — for walk-boundary
-// decisions (perfcheck's hot closure) that must not perturb the
-// suppression census the owning analyzer maintains.
+// decisions (the hot-closure walk perfcheck shares with hotpath) that
+// must not perturb the suppression census the owning analyzer
+// maintains.
 func (m *Module) hasAllow(analyzer string, pos token.Position) bool {
 	for _, a := range m.allows[pos.Filename] {
 		if a.analyzer == analyzer && pos.Line >= a.fromLine && pos.Line <= a.toLine {

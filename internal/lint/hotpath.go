@@ -13,33 +13,86 @@ var lockMethods = map[string]bool{
 	"Do": true, "Wait": true, "TryLock": true, "TryRLock": true,
 }
 
-// runHotpath checks every //ppep:hotpath root and, transitively, every
-// module function it calls, for constructs that heap-allocate, block, or
-// are nondeterministic:
+// runHotpath checks every function in the hot closure — the
+// //ppep:hotpath roots and, transitively, every module function they
+// call — for the costs the compiler's escape analysis does not report,
+// or that are not allocations at all:
 //
-//   - make / new / append and slice or map composite literals
-//   - &T{...} (composite literals whose address escapes)
-//   - non-constant string concatenation and string<->[]byte/[]rune
-//     conversions
-//   - boxing a non-pointer value into an interface (assignments and
-//     call arguments), and variadic calls (they allocate the arg slice)
-//   - closures, defer, go, and channel operations
+//   - append (growth reallocates, yet -m prints no verdict for it)
+//   - non-constant string concatenation and string<->[]byte/[]rune or
+//     integer->string conversions (the result is heap-allocated past
+//     32 bytes even when it does not escape)
+//   - defer, go, and channel operations
 //   - any call into fmt, time.Now/time.Since, and sync lock methods
 //   - dynamic calls (interface methods, function values), which the
-//     analyzer cannot follow
+//     walk cannot follow
 //
-// Plain struct/array value literals are permitted: they are stack
-// constructions unless their address escapes, which the &T{...} and
-// boxing checks catch. Calls into other standard-library packages (math,
-// math/rand methods, hash, ...) are trusted not to allocate; the
-// transitive walk covers module code only.
+// Every other heap allocation — make/new, slice and map literals,
+// &T{...}, interface boxing, variadic argument slices, closures — has an
+// explicit escape-analysis verdict, so perfcheck holds the same closure
+// to the compiler's decision instead of an AST guess. Calls into other
+// standard-library packages (math, math/rand methods, hash, ...) are
+// trusted not to allocate; the walk covers module code only.
 //
-// An //ppep:allow hotpath directive on a call line also stops the
-// transitive walk into that callee — the sanctioned escape hatch for
-// amortized slow paths (constructors on thread completion, per-phase
-// memo refreshes).
+// An //ppep:allow hotpath directive on a call line also stops the walk
+// into that callee — the sanctioned escape hatch for amortized slow
+// paths (per-phase memo refreshes, amortized buffer growth) — and counts
+// as that directive's use.
 func runHotpath(m *Module) []Finding {
-	h := &hotChecker{m: m, visited: map[string]bool{}}
+	var fs []Finding
+	for _, h := range m.hotClosure() {
+		where := "in " + trimModule(h.fn.Obj.FullName(), m.Path)
+		if h.fn != h.root {
+			where += ", reached from hot-path root " + trimModule(h.root.Obj.FullName(), m.Path)
+		}
+		checkHotBody(m, h.fn, where, &fs)
+	}
+	return fs
+}
+
+// hotFunc is one function of the hot closure, with the root whose walk
+// reached it first (for finding messages).
+type hotFunc struct{ fn, root *FuncNode }
+
+// hotClosure is the one hot-closure walk, shared by hotpath and
+// perfcheck: every //ppep:hotpath root plus the module functions it
+// transitively calls through static calls, stopping at call lines that
+// carry //ppep:allow hotpath. The walk itself marks no directive used;
+// hotpath's own call check does, so perfcheck's reuse of the closure
+// leaves the suppression census untouched. The result is sorted by name.
+func (m *Module) hotClosure() []hotFunc {
+	visited := map[string]bool{}
+	var out []hotFunc
+	var visit func(fn, root *FuncNode)
+	visit = func(fn, root *FuncNode) {
+		full := fn.Obj.FullName()
+		if visited[full] {
+			return
+		}
+		visited[full] = true
+		out = append(out, hotFunc{fn, root})
+		if fn.Decl.Body == nil {
+			return
+		}
+		info := fn.Pkg.Info
+		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			obj := calleeOf(info, call)
+			if obj == nil || obj.Pkg() == nil || !m.inModule(obj.Pkg().Path()) {
+				return true
+			}
+			if m.hasAllow("hotpath", m.Fset.Position(call.Pos())) {
+				return true
+			}
+			if callee := m.Funcs[obj.FullName()]; callee != nil {
+				visit(callee, root)
+			}
+			return true
+		})
+	}
 	var roots []*FuncNode
 	for _, fn := range m.Funcs {
 		if fn.Hot {
@@ -50,22 +103,12 @@ func runHotpath(m *Module) []Finding {
 		return roots[i].Obj.FullName() < roots[j].Obj.FullName()
 	})
 	for _, r := range roots {
-		h.visit(r, r)
+		visit(r, r)
 	}
-	return h.findings
-}
-
-type hotChecker struct {
-	m        *Module
-	findings []Finding
-	visited  map[string]bool
-}
-
-// shortName renders a function for messages, without the module prefix.
-func (h *hotChecker) shortName(fn *FuncNode) string {
-	name := fn.Obj.FullName()
-	// Trim "modulepath/" to keep messages readable.
-	return trimModule(name, h.m.Path)
+	sort.Slice(out, func(i, j int) bool {
+		return out[i].fn.Obj.FullName() < out[j].fn.Obj.FullName()
+	})
+	return out
 }
 
 func trimModule(s, modPath string) string {
@@ -85,97 +128,41 @@ func trimModule(s, modPath string) string {
 	return out
 }
 
-func (h *hotChecker) visit(fn, root *FuncNode) {
-	full := fn.Obj.FullName()
-	if h.visited[full] {
-		return
-	}
-	h.visited[full] = true
+// checkHotBody reports the hotpath findings in one function of the hot
+// closure.
+func checkHotBody(m *Module, fn *FuncNode, where string, fs *[]Finding) {
 	if fn.Decl.Body == nil {
 		return
 	}
-	where := "in " + h.shortName(fn)
-	if fn != root {
-		where += ", reached from hot-path root " + h.shortName(root)
-	}
 	info := fn.Pkg.Info
-
+	emit := func(pos token.Pos, format string, args ...any) {
+		m.emit(fs, "hotpath", pos, format+" (%s)", append(args, where)...)
+	}
 	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			h.emit(n.Pos(), "go statement on the hot path (%s)", where)
+			emit(n.Pos(), "go statement on the hot path")
 		case *ast.DeferStmt:
-			h.emit(n.Pos(), "defer on the hot path (may allocate, always costs) (%s)", where)
+			emit(n.Pos(), "defer on the hot path (may allocate, always costs)")
 		case *ast.SendStmt:
-			h.emit(n.Pos(), "channel send blocks the hot path (%s)", where)
-		case *ast.FuncLit:
-			h.emit(n.Pos(), "closure may allocate on the hot path (%s)", where)
+			emit(n.Pos(), "channel send blocks the hot path")
 		case *ast.UnaryExpr:
-			switch n.Op {
-			case token.AND:
-				if _, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok {
-					h.emit(n.Pos(), "&composite literal escapes to the heap (%s)", where)
-				}
-			case token.ARROW:
-				h.emit(n.Pos(), "channel receive blocks the hot path (%s)", where)
-			}
-		case *ast.CompositeLit:
-			if t := info.TypeOf(n); t != nil {
-				switch t.Underlying().(type) {
-				case *types.Slice, *types.Map:
-					h.emit(n.Pos(), "slice/map literal allocates (%s)", where)
-				}
+			if n.Op == token.ARROW {
+				emit(n.Pos(), "channel receive blocks the hot path")
 			}
 		case *ast.BinaryExpr:
 			if n.Op == token.ADD && isStringType(info.TypeOf(n)) && info.Types[n].Value == nil {
-				h.emit(n.Pos(), "string concatenation allocates (%s)", where)
+				emit(n.Pos(), "string concatenation allocates")
 			}
 		case *ast.AssignStmt:
 			if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && isStringType(info.TypeOf(n.Lhs[0])) {
-				h.emit(n.Pos(), "string concatenation allocates (%s)", where)
+				emit(n.Pos(), "string concatenation allocates")
 			}
-			h.checkBoxingAssign(info, n, where)
 		case *ast.CallExpr:
-			h.checkCall(info, n, root, where)
+			checkHotCall(m, info, n, emit)
 		}
 		return true
 	})
-}
-
-func (h *hotChecker) emit(pos token.Pos, format string, args ...any) {
-	h.m.emit(&h.findings, "hotpath", pos, format, args...)
-}
-
-// checkBoxingAssign flags assignments that convert a concrete non-pointer
-// value into an interface (runtime boxing allocates).
-func (h *hotChecker) checkBoxingAssign(info *types.Info, n *ast.AssignStmt, where string) {
-	if n.Tok != token.ASSIGN || len(n.Lhs) != len(n.Rhs) {
-		return
-	}
-	for i := range n.Lhs {
-		lt := info.TypeOf(n.Lhs[i])
-		rt := info.TypeOf(n.Rhs[i])
-		if lt == nil || rt == nil || !types.IsInterface(lt) {
-			continue
-		}
-		if boxes(rt) {
-			h.emit(n.Rhs[i].Pos(), "boxing %s into interface %s allocates (%s)", rt, lt, where)
-		}
-	}
-}
-
-// boxes reports whether converting a value of type t to an interface
-// requires a heap allocation. Pointer-shaped values (pointers, channels,
-// funcs, unsafe.Pointer, and interfaces themselves) do not.
-func boxes(t types.Type) bool {
-	switch u := t.Underlying().(type) {
-	case *types.Pointer, *types.Chan, *types.Signature, *types.Interface:
-		return false
-	case *types.Basic:
-		return u.Kind() != types.UnsafePointer && u.Kind() != types.UntypedNil
-	default:
-		return true
-	}
 }
 
 func isStringType(t types.Type) bool {
@@ -202,32 +189,34 @@ func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-func (h *hotChecker) checkCall(info *types.Info, n *ast.CallExpr, root *FuncNode, where string) {
+// checkHotCall reports a hot call that allocates, blocks, reads the
+// clock, or cannot be followed, and resolves the walk's edge: an
+// in-module callee behind an //ppep:allow hotpath call line is a
+// sanctioned boundary (this marks the directive used), and one with no
+// source is a finding because the walk cannot see into it.
+func checkHotCall(m *Module, info *types.Info, n *ast.CallExpr, emit func(token.Pos, string, ...any)) {
 	tv := info.Types[n.Fun]
 	switch {
 	case tv.IsType(): // conversion
 		if len(n.Args) == 1 && convAllocates(tv.Type, info.TypeOf(n.Args[0])) {
-			h.emit(n.Pos(), "conversion to %s allocates (%s)", tv.Type, where)
+			emit(n.Pos(), "conversion to %s allocates", tv.Type)
 		}
 		return
 	case tv.IsBuiltin():
-		if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
-			switch id.Name {
-			case "make", "new", "append":
-				h.emit(n.Pos(), "%s allocates (%s)", id.Name, where)
-			}
+		if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "append" {
+			emit(n.Pos(), "append allocates")
 		}
 		return
 	}
 
 	obj := calleeOf(info, n)
 	if obj == nil {
-		h.emit(n.Pos(), "indirect call cannot be verified allocation-free (%s)", where)
+		emit(n.Pos(), "indirect call cannot be verified allocation-free")
 		return
 	}
 	sig, _ := obj.Type().(*types.Signature)
 	if sig != nil && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
-		h.emit(n.Pos(), "dynamic call %s cannot be verified allocation-free (%s)", obj.Name(), where)
+		emit(n.Pos(), "dynamic call %s cannot be verified allocation-free", obj.Name())
 		return
 	}
 	pkg := obj.Pkg()
@@ -237,63 +226,17 @@ func (h *hotChecker) checkCall(info *types.Info, n *ast.CallExpr, root *FuncNode
 	full := obj.FullName()
 	switch {
 	case pkg.Path() == "fmt":
-		h.emit(n.Pos(), "call to %s formats and allocates (%s)", full, where)
-		return
+		emit(n.Pos(), "call to %s formats and allocates", full)
 	case full == "time.Now" || full == "time.Since":
-		h.emit(n.Pos(), "%s on the hot path is slow and nondeterministic (%s)", full, where)
-		return
+		emit(n.Pos(), "%s on the hot path is slow and nondeterministic", full)
 	case pkg.Path() == "sync" && lockMethods[obj.Name()]:
-		h.emit(n.Pos(), "%s takes a lock on the hot path (%s)", full, where)
-		return
-	}
-
-	if sig != nil {
-		h.checkCallArgs(info, n, sig, where)
-	}
-
-	if h.m.inModule(pkg.Path()) {
-		// An allow on the call line is a sanctioned boundary: the callee
-		// is excluded from the transitive walk.
-		if h.m.allowedAt("hotpath", h.m.Fset.Position(n.Pos())) {
+		emit(n.Pos(), "%s takes a lock on the hot path", full)
+	case m.inModule(pkg.Path()):
+		if m.allowedAt("hotpath", m.Fset.Position(n.Pos())) {
 			return
 		}
-		callee := h.m.Funcs[full]
-		if callee == nil {
-			h.emit(n.Pos(), "no source found for %s called on the hot path (%s)", full, where)
-			return
-		}
-		h.visit(callee, root)
-	}
-}
-
-// checkCallArgs flags variadic calls (the argument slice allocates) and
-// arguments boxed into interface parameters.
-func (h *hotChecker) checkCallArgs(info *types.Info, n *ast.CallExpr, sig *types.Signature, where string) {
-	plen := sig.Params().Len()
-	if sig.Variadic() && n.Ellipsis == token.NoPos && len(n.Args) >= plen {
-		h.emit(n.Pos(), "variadic call allocates its argument slice (%s)", where)
-	}
-	for i, arg := range n.Args {
-		var pt types.Type
-		switch {
-		case i < plen-1 || (!sig.Variadic() && i < plen):
-			pt = sig.Params().At(i).Type()
-		case sig.Variadic() && n.Ellipsis == token.NoPos:
-			if sl, ok := sig.Params().At(plen - 1).Type().(*types.Slice); ok {
-				pt = sl.Elem()
-			}
-		case sig.Variadic():
-			pt = sig.Params().At(plen - 1).Type()
-		}
-		if pt == nil || !types.IsInterface(pt) {
-			continue
-		}
-		at := info.TypeOf(arg)
-		if at == nil || types.IsInterface(at) {
-			continue
-		}
-		if boxes(at) {
-			h.emit(arg.Pos(), "passing %s as interface %s allocates (%s)", at, pt, where)
+		if m.Funcs[full] == nil {
+			emit(n.Pos(), "no source found for %s called on the hot path", full)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 //
 //   - WaitGroup pairing: the goroutine body calls wg.Done() and the
 //     enclosing function calls Add on the same WaitGroup (the
-//     forEachJob pool's shape).
+//     pool.ForEachJob shape).
 //   - Channel join: the goroutine body sends on a channel the
 //     enclosing function receives from or ranges over (the
 //     `errc <- srv.ListenAndServe()` shape).

@@ -5,21 +5,22 @@
 // golden fingerprints, the -race runs) can only spot-check:
 //
 //   - hotpath: functions annotated //ppep:hotpath — and everything they
-//     transitively call inside the module — must not allocate, call fmt,
-//     read the wall clock, or take locks. This is the compile-time form
-//     of the 200 ms online-prediction budget (PAPER.md §1).
+//     transitively call inside the module — must not append, build
+//     strings, call fmt, read the wall clock, take locks, or make calls
+//     the walk cannot follow. This is the compile-time form of the
+//     200 ms online-prediction budget (PAPER.md §1); every other heap
+//     allocation is perfcheck's, decided by the compiler.
 //   - determinism: the simulation packages must not use time.Now or the
 //     globally-seeded math/rand, and must not iterate maps when the loop
 //     body has order-dependent effects, so fixed seeds keep producing
 //     bit-identical campaigns.
 //   - poolsafety: bodies dispatched onto the bounded worker pool
-//     (forEachJob) may write only their own index of pre-sized slices,
-//     package-level or shared captured state only under a lock.
+//     (pool.ForEachJob) may write only their own index of pre-sized
+//     slices, package-level or shared captured state only under a lock.
 //   - errcheck: no silently dropped error returns; discarding via `_ =`
 //     requires an adjacent justification comment.
 //   - unitcheck: dimensional analysis over the internal/units types —
-//     exported model APIs must not traffic in bare float64, and
-//     cross-unit conversions or unit-annihilating float64 casts must go
+//     cross-unit conversions and unit-annihilating float64 casts must go
 //     through named conversion helpers (docs/UNITS.md).
 //   - atomiccheck: a location accessed via sync/atomic anywhere is
 //     accessed atomically everywhere, and values containing locks,
@@ -74,17 +75,9 @@ type Config struct {
 	// DeterminismPkgs is the set of import paths the determinism
 	// analyzer covers.
 	DeterminismPkgs map[string]bool
-	// PoolFuncNames are the module functions treated as worker-pool
-	// dispatchers: the poolsafety analyzer checks the func literal
-	// passed as their last argument.
-	PoolFuncNames map[string]bool
 	// UnitsPkg is the import path of the physical-units package; empty
 	// disables the unitcheck analyzer.
 	UnitsPkg string
-	// UnitPkgs are the model packages whose exported API surfaces must
-	// not traffic in bare float64 (unitcheck's API rule). The
-	// conversion and arithmetic rules run module-wide regardless.
-	UnitPkgs map[string]bool
 	// CtxPkgs are the long-running service packages the ctxcheck
 	// analyzer covers: their conditionless loops must observe
 	// cancellation and their exported blocking APIs must take a
@@ -103,8 +96,8 @@ type Config struct {
 
 // DefaultConfig returns the analyzer scope for this repository: the
 // simulation and campaign packages are determinism-checked (including the
-// sensor/stats/workload RNG users, which must stay on seeded *rand.Rand),
-// and forEachJob is the worker-pool dispatcher.
+// sensor/stats/workload RNG users, which must stay on seeded *rand.Rand,
+// and the worker pool they fan out on).
 func DefaultConfig(modulePath string) Config {
 	pkgs := map[string]bool{}
 	for _, p := range []string{
@@ -120,23 +113,9 @@ func DefaultConfig(modulePath string) Config {
 		"internal/fingerprint",
 		"internal/tracecodec",
 		"internal/simcache",
+		"internal/pool",
 	} {
 		pkgs[path.Join(modulePath, p)] = true
-	}
-	unitPkgs := map[string]bool{}
-	for _, p := range []string{
-		"internal/thermal",
-		"internal/powertruth",
-		"internal/core",
-		"internal/core/cpimodel",
-		"internal/core/dynpower",
-		"internal/core/energy",
-		"internal/core/eventpred",
-		"internal/core/idlepower",
-		"internal/core/pgidle",
-		"internal/dvfs",
-	} {
-		unitPkgs[path.Join(modulePath, p)] = true
 	}
 	ctxPkgs := map[string]bool{}
 	for _, p := range []string{
@@ -148,9 +127,7 @@ func DefaultConfig(modulePath string) Config {
 	}
 	return Config{
 		DeterminismPkgs: pkgs,
-		PoolFuncNames:   map[string]bool{"forEachJob": true},
 		UnitsPkg:        path.Join(modulePath, "internal/units"),
-		UnitPkgs:        unitPkgs,
 		CtxPkgs:         ctxPkgs,
 	}
 }
@@ -184,7 +161,7 @@ func (m *Module) runOne(name string, cfg Config) []Finding {
 	case "determinism":
 		return runDeterminism(m, cfg)
 	case "poolsafety":
-		return runPoolSafety(m, cfg)
+		return runPoolSafety(m)
 	case "errcheck":
 		return runErrcheck(m)
 	case "unitcheck":

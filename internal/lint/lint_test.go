@@ -37,9 +37,7 @@ func fixtureModule(t *testing.T) *Module {
 func fixtureConfig() Config {
 	return Config{
 		DeterminismPkgs: map[string]bool{"fixture/determinism": true},
-		PoolFuncNames:   map[string]bool{"forEachJob": true},
 		UnitsPkg:        "fixture/units",
-		UnitPkgs:        map[string]bool{"fixture/unitcheck": true},
 		CtxPkgs:         map[string]bool{"fixture/ctxcheck": true},
 	}
 }
@@ -223,26 +221,29 @@ func TestRepoClean(t *testing.T) {
 	}
 	// The tree's sanctioned exceptions stay visible here: update this
 	// count deliberately when adding or removing an //ppep:allow.
-	if got := m.Suppressed(); got != 35 {
-		t.Errorf("suppressed findings = %d, want 35 (did an //ppep:allow come or go?)", got)
+	if got := m.Suppressed(); got != 2 {
+		t.Errorf("suppressed findings = %d, want 2 (did an //ppep:allow come or go?)", got)
 	}
-	// Per-analyzer: the hotpath exceptions are the EPI-scale interface
-	// call in uarch and the trace encoder's amortized buffer growth (the
-	// old thread-restart allocation is gone — restarts reuse the slot via
-	// Core.Reset); the rest are the sanctioned dimensionless sites
-	// (docs/UNITS.md). The concurrency analyzers rolled out with zero
-	// suppressions: every goroutine joins or cancels, the service loop
-	// observes ctx, and all shared counters are typed atomics behind
-	// pointer receivers — keep it that way. perfcheck also rolled out
-	// clean: zero compiler-verified hot-path escapes, every
-	// //ppep:inline site inlined, zero residual bounds checks in
-	// //ppep:nobc ranges — new exceptions need a reason the compiler
-	// can't argue with.
+	// Per-analyzer: the only exceptions are the two hotpath walk
+	// boundaries — the per-phase EPI-scale memo refresh in uarch and the
+	// trace encoder's amortized buffer growth. Every other analyzer sits
+	// at zero: unitcheck's conversion and arithmetic rules need no
+	// exceptions, the concurrency analyzers rolled out clean (every
+	// goroutine joins or cancels, the service loop observes ctx, shared
+	// counters are typed atomics behind pointer receivers), and
+	// perfcheck rolled out clean (zero compiler-verified hot-path
+	// escapes, every //ppep:inline site inlined, zero residual bounds
+	// checks in //ppep:nobc ranges) — new exceptions need a reason the
+	// compiler can't argue with.
 	by := m.SuppressedBy()
-	if by["hotpath"] != 2 || by["unitcheck"] != 33 ||
-		by["atomiccheck"] != 0 || by["ctxcheck"] != 0 || by["leakcheck"] != 0 ||
-		by["perfcheck"] != 0 {
-		t.Errorf("suppressed by analyzer = %v, want hotpath:2 unitcheck:33 and no concurrency- or perf-analyzer suppressions", by)
+	for _, name := range AnalyzerNames {
+		want := 0
+		if name == "hotpath" {
+			want = 2
+		}
+		if by[name] != want {
+			t.Errorf("suppressed by %s = %d, want %d (census: hotpath 2, every other analyzer 0)", name, by[name], want)
+		}
 	}
 }
 

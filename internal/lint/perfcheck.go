@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"go/ast"
 	"go/token"
 	"sort"
 )
@@ -10,14 +9,18 @@ import (
 // (docs/LINTING.md "perfcheck"):
 //
 //  1. Escape budget — every //ppep:hotpath root and its transitive
-//     module callees must be free of heap allocations *per the
-//     compiler's escape analysis*, not just per the hotpath analyzer's
-//     AST heuristics. This catches what syntax cannot: interface
-//     boxing through type inference, closure captures, append growth,
-//     and locals moved to the heap because their address outlives the
-//     frame. The walk honors the same //ppep:allow hotpath call-line
-//     boundaries as the hotpath analyzer, so sanctioned amortized slow
-//     paths stay out of scope.
+//     module callees (hotClosure, the walk the hotpath analyzer checks)
+//     must be free of heap allocations *per the compiler's escape
+//     analysis*. The compiler gives every make/new, slice and map
+//     literal, &T{...}, interface conversion, variadic argument slice,
+//     closure, and address-taken local an explicit verdict ("escapes to
+//     heap", "moved to heap", "does not escape"), so those are decided
+//     here, not guessed from syntax. Escape analysis does NOT report
+//     append growth (the reallocation happens inside the runtime, with
+//     no verdict at the call), nor heap-backed string results that do
+//     not escape; those stay hotpath bans. The walk stops at the same
+//     //ppep:allow hotpath call-line boundaries, so sanctioned amortized
+//     slow paths stay out of scope.
 //  2. Inline budget — every function annotated //ppep:inline must get
 //     a positive "can inline" verdict; a negative verdict is reported
 //     with the compiler's verbatim cost/reason.
@@ -80,64 +83,6 @@ func (m *Module) perfDriftFindings(d *PerfDiagnostics) []Finding {
 	return fs
 }
 
-// hotClosure returns every //ppep:hotpath root plus the module
-// functions they transitively call, stopping — like the hotpath
-// analyzer — at call lines carrying //ppep:allow hotpath (the
-// sanctioned amortized slow paths). The check is non-mutating so the
-// suppression census stays owned by the hotpath analyzer.
-func (m *Module) hotClosure() []*FuncNode {
-	visited := map[string]*FuncNode{}
-	var visit func(fn *FuncNode)
-	visit = func(fn *FuncNode) {
-		full := fn.Obj.FullName()
-		if visited[full] != nil {
-			return
-		}
-		visited[full] = fn
-		if fn.Decl.Body == nil {
-			return
-		}
-		info := fn.Pkg.Info
-		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			obj := calleeOf(info, call)
-			if obj == nil || obj.Pkg() == nil || !m.inModule(obj.Pkg().Path()) {
-				return true
-			}
-			if m.hasAllow("hotpath", m.Fset.Position(call.Pos())) {
-				return true
-			}
-			if callee := m.Funcs[obj.FullName()]; callee != nil {
-				visit(callee)
-			}
-			return true
-		})
-	}
-	var roots []*FuncNode
-	for _, fn := range m.Funcs {
-		if fn.Hot {
-			roots = append(roots, fn)
-		}
-	}
-	sort.Slice(roots, func(i, j int) bool {
-		return roots[i].Obj.FullName() < roots[j].Obj.FullName()
-	})
-	for _, r := range roots {
-		visit(r)
-	}
-	out := make([]*FuncNode, 0, len(visited))
-	for _, fn := range visited {
-		out = append(out, fn)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Obj.FullName() < out[j].Obj.FullName()
-	})
-	return out
-}
-
 // perfEscapeFindings maps the compiler's heap-allocation decisions
 // onto the hot closure: any "escapes to heap" / "moved to heap" whose
 // position falls inside a hot function's declaration is a finding.
@@ -147,7 +92,8 @@ func (m *Module) hotClosure() []*FuncNode {
 // through the inliner, and stays out of scope like the walk boundary.
 func (m *Module) perfEscapeFindings(d *PerfDiagnostics) []Finding {
 	var fs []Finding
-	for _, fn := range m.hotClosure() {
+	for _, h := range m.hotClosure() {
+		fn := h.fn
 		start := m.Fset.Position(fn.Decl.Pos())
 		end := m.Fset.Position(fn.Decl.End())
 		for _, diag := range d.Escapes[start.Filename] {

@@ -6,9 +6,14 @@ import (
 	"go/types"
 )
 
+// poolDispatcher is the name of the module's one worker-pool dispatcher,
+// pool.ForEachJob: poolsafety checks the func literal passed as its last
+// argument.
+const poolDispatcher = "ForEachJob"
+
 // runPoolSafety checks func literals dispatched onto the bounded worker
-// pool (calls to the functions named in cfg.PoolFuncNames, e.g.
-// forEachJob). Worker bodies run concurrently, so they may only:
+// pool (calls to poolDispatcher). Worker bodies run concurrently, so
+// they may only:
 //
 //   - write through an index expression that mentions the worker's own
 //     index parameter (the owned-slot pattern: results[i] = ...), or
@@ -18,7 +23,7 @@ import (
 // append, which reads and writes the captured slice header) outside
 // those two shapes are data races the -race runs may only catch
 // probabilistically; the analyzer flags them deterministically.
-func runPoolSafety(m *Module, cfg Config) []Finding {
+func runPoolSafety(m *Module) []Finding {
 	var fs []Finding
 	for _, pkg := range m.Packages {
 		for _, f := range pkg.Files {
@@ -28,7 +33,7 @@ func runPoolSafety(m *Module, cfg Config) []Finding {
 					return true
 				}
 				obj := calleeOf(pkg.Info, call)
-				if obj == nil || !cfg.PoolFuncNames[obj.Name()] || !m.inModule(obj.Pkg().Path()) {
+				if obj == nil || obj.Name() != poolDispatcher || !m.inModule(obj.Pkg().Path()) {
 					return true
 				}
 				if len(call.Args) == 0 {

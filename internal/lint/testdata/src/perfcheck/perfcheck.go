@@ -1,11 +1,11 @@
 // Package perfcheck is an analyzer fixture for the compiler-diagnostics
-// budgets. Each seeded regression is one the AST analyzers cannot see:
-// an address-of-local heap escape on a hot root (no composite literal,
-// no append, no make — only escape analysis catches it), a function
-// whose body outgrew the inliner's cost budget, and a loop whose bounds
-// check the prove pass cannot eliminate because the bound is a free
-// parameter. The want expectations quote the verbatim compiler messages
-// perfcheck embeds in its findings.
+// budgets. Each seeded regression is one only the compiler decides: heap
+// escapes on hot roots (an address-taken local, and the escaping form of
+// every allocation the hotpath analyzer leaves to escape analysis), a
+// function whose body outgrew the inliner's cost budget, and a loop
+// whose bounds check the prove pass cannot eliminate because the bound
+// is a free parameter. The want expectations quote the verbatim compiler
+// messages perfcheck embeds in its findings.
 package perfcheck
 
 // escapeRoot returns the address of a local, so the compiler moves v to
@@ -27,6 +27,39 @@ func escapeRoot(n int) *int {
 func escapeAllowed(n int) *int {
 	v := n + 2 //ppep:allow perfcheck fixture: sanctioned escape, returns a handle created once
 	return &v
+}
+
+type point struct{ x, y float64 }
+
+var (
+	intSink   *int
+	sliceSink []float64
+	mapSink   map[int]float64
+	anySink   any
+	argsSink  []any
+	fnSink    func() int
+)
+
+func keep(v any)        { anySink = v }
+func keepAll(vs ...any) { argsSink = vs }
+
+// escapeForms seeds, one per line, the escaping form of each allocation
+// the hotpath analyzer leaves to escape analysis; the compiler's verdict
+// is the finding. (The hotpath fixture keeps the non-escaping forms,
+// which are no finding at all.)
+//
+//ppep:hotpath
+func escapeForms(n int, x float64) *point {
+	s := make([]float64, n) // want "escape analysis: make\\(\\[\\]float64, n\\) escapes to heap \\(in perfcheck.escapeForms\\)"
+	s[0] = x
+	intSink = new(int)               // want "escape analysis: new\\(int\\) escapes to heap"
+	sliceSink = []float64{x}         // want "escape analysis: \\[\\]float64\\{\\.\\.\\.\\} escapes to heap"
+	mapSink = map[int]float64{n: x}  // want "escape analysis: map\\[int\\]float64\\{\\.\\.\\.\\} escapes to heap"
+	anySink = x                      // want "escape analysis: x escapes to heap"
+	keep(n)                          // want "escape analysis: n escapes to heap"
+	keepAll(n, x)                    // want "escape analysis: \\.\\.\\. argument escapes to heap" "escape analysis: n escapes to heap" "escape analysis: x escapes to heap"
+	fnSink = func() int { return n } // want "escape analysis: func literal escapes to heap"
+	return &point{x, x}              // want "escape analysis: &point\\{\\.\\.\\.\\} escapes to heap"
 }
 
 // heavy is annotated //ppep:inline but its body costs more than the

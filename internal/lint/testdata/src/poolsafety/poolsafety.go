@@ -7,9 +7,10 @@ import "sync"
 
 var hits int
 
-// forEachJob stands in for the module's bounded worker pool: the last
-// argument is the worker body, invoked concurrently with job indices.
-func forEachJob(n int, fn func(i int)) {
+// ForEachJob stands in for the module's pool.ForEachJob (poolsafety
+// matches the dispatcher by name): the last argument is the worker
+// body, invoked concurrently with job indices.
+func ForEachJob(n int, fn func(i int)) {
 	for i := 0; i < n; i++ {
 		fn(i)
 	}
@@ -18,7 +19,7 @@ func forEachJob(n int, fn func(i int)) {
 // OwnedSlots writes only the worker's own index: accepted.
 func OwnedSlots(n int) []int {
 	out := make([]int, n)
-	forEachJob(n, func(i int) {
+	ForEachJob(n, func(i int) {
 		x := i * i // worker-private local: accepted
 		out[i] = x
 	})
@@ -28,7 +29,7 @@ func OwnedSlots(n int) []int {
 func Races(n int) int {
 	total := 0
 	first := 0
-	forEachJob(n, func(i int) {
+	ForEachJob(n, func(i int) {
 		hits++     // want "package-level hits"
 		total += i // want "captured variable total"
 		first = i  // want "captured variable first"
@@ -38,7 +39,7 @@ func Races(n int) int {
 
 func SharedSlot(n int) []int {
 	out := make([]int, 1)
-	forEachJob(n, func(i int) {
+	ForEachJob(n, func(i int) {
 		out[0] = i // want "index not derived from the worker's parameter"
 	})
 	return out
@@ -48,7 +49,7 @@ func SharedSlot(n int) []int {
 func Locked(n int) int {
 	var mu sync.Mutex
 	total := 0
-	forEachJob(n, func(i int) {
+	ForEachJob(n, func(i int) {
 		mu.Lock()
 		total += i
 		mu.Unlock()
@@ -60,7 +61,7 @@ func Locked(n int) int {
 // a progress sample); the allow keeps the exception visible.
 func Sampled(n int) int {
 	latest := 0
-	forEachJob(n, func(i int) {
+	ForEachJob(n, func(i int) {
 		//ppep:allow poolsafety progress sample; any worker's value is acceptable
 		latest = i
 	})

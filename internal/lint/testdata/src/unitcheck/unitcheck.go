@@ -1,46 +1,18 @@
-// Package unitcheck is an analyzer fixture: bare-float64 API surfaces,
-// cross-unit conversions, annihilating double casts, and same-unit
-// products, next to the typed and one-sided shapes the analyzer must
-// accept.
+// Package unitcheck is an analyzer fixture: cross-unit conversions,
+// annihilating double casts, and same-unit products, next to the typed
+// and one-sided shapes the analyzer must accept. Exported functions take
+// and return bare float64 with no want: dimensionless API values are
+// not a finding.
 package unitcheck
 
 import "fixture/units"
-
-// --- API rule: exported surfaces must carry unit types ---
-
-// Coefficients is an exported model struct. Typed fields pass; bare
-// floats are findings unless justified.
-type Coefficients struct {
-	Supply units.Volts
-	Alpha  float64   // want "bare float64"
-	Gains  []float64 // want "bare \\[\\]float64"
-	scale  float64   // unexported: not API
-}
-
-// Estimate mixes typed and bare parameters: only the bare ones are
-// findings, at the signature.
-func Estimate(v units.Volts, headroom float64) units.Watts { // want "bare float64"
-	return units.Watts(float64(v) * headroom * Coefficients{}.scale)
-}
-
-// Utilization is justified dimensionless API: the allow suppresses the
-// whole signature.
-//
-//ppep:allow unitcheck utilization is a dimensionless fraction
-func Utilization(busy, total float64) float64 {
-	return busy / total
-}
-
-// helperRatio is unexported: bare float64 is fine outside the exported
-// surface.
-func helperRatio(a, b float64) float64 { return a / b }
 
 // --- conversion rule: no cross-unit reinterpretation ---
 
 // Reinterpret converts across dimensions directly and through a
 // float64 laundering cast; both are findings. Converting a plain
 // float64 into a unit type (the measurement boundary) is fine.
-func Reinterpret(c units.Celsius, raw float64) units.Kelvin { // want "bare float64"
+func Reinterpret(c units.Celsius, raw float64) units.Kelvin {
 	k := units.Kelvin(c)          // want "crosses dimensions"
 	k += units.Kelvin(float64(c)) // want "crosses dimensions"
 	k += units.Kelvin(raw)        // boundary cast: accepted
@@ -52,7 +24,7 @@ func Reinterpret(c units.Celsius, raw float64) units.Kelvin { // want "bare floa
 
 // Annihilate multiplies two stripped unit values: both dimensions
 // vanish in one expression.
-func Annihilate(v units.Volts, t units.Kelvin) float64 { // want "bare float64"
+func Annihilate(v units.Volts, t units.Kelvin) float64 {
 	return float64(v) * float64(t) // want "annihilate both dimensions"
 }
 
@@ -66,7 +38,7 @@ func SquareAndRatio(w, ref units.Watts) units.Watts {
 
 // Sanctioned shows the accepted shapes: same-unit sums, constant
 // scaling, one-sided casts against plain scalars, and the .Per helper.
-func Sanctioned(w, ref units.Watts, scale float64) float64 { // want "bare float64" "bare float64"
+func Sanctioned(w, ref units.Watts, scale float64) float64 {
 	total := w + ref    // same-dimension sum
 	half := total * 0.5 // constant scaling keeps the dimension
 	scaled := float64(half) * scale

@@ -7,25 +7,19 @@ import (
 )
 
 // runUnitcheck enforces dimensional discipline around the internal/units
-// types (cfg.UnitsPkg):
+// types (cfg.UnitsPkg), module-wide:
 //
-//   - API (cfg.UnitPkgs only): exported functions, methods, and struct
-//     fields in the model packages must not traffic in bare float64 —
-//     every physical quantity carries its unit type, and genuinely
-//     dimensionless values (fractions, ratios, model exponents) carry a
-//     //ppep:allow unitcheck <reason> justification instead.
-//   - conversions (module-wide): a direct conversion between two distinct
-//     unit types — units.Kelvin(c) on a Celsius value, including the
-//     laundered form units.Kelvin(float64(c)) — silently reinterprets a
-//     number in the wrong dimension. Cross-dimension moves must go
-//     through a named helper in the units package (c.Kelvin()).
-//   - arithmetic (module-wide): float64(v) * float64(t) with two
-//     unit-typed operands annihilates both dimensions at once, and
-//     w1 * w2 / w1 / w2 on the same unit type silently changes dimension
-//     (watts × watts is not watts). Same-type + and − are fine, as is
-//     scaling by a constant or a one-sided float64 cast against a plain
-//     scalar; dimension-changing math goes through units helpers
-//     (.Per, .Over, .PerRate, ...).
+//   - conversions: a direct conversion between two distinct unit types —
+//     units.Kelvin(c) on a Celsius value, including the laundered form
+//     units.Kelvin(float64(c)) — silently reinterprets a number in the
+//     wrong dimension. Cross-dimension moves must go through a named
+//     helper in the units package (c.Kelvin()).
+//   - arithmetic: float64(v) * float64(t) with two unit-typed operands
+//     annihilates both dimensions at once, and w1 * w2 / w1 / w2 on the
+//     same unit type silently changes dimension (watts × watts is not
+//     watts). Same-type + and − are fine, as is scaling by a constant or
+//     a one-sided float64 cast against a plain scalar; dimension-changing
+//     math goes through units helpers (.Per, .Over, .PerRate, ...).
 //
 // The units package itself is exempt: it is where the escape hatches are
 // allowed to live.
@@ -39,9 +33,6 @@ func runUnitcheck(m *Module, cfg Config) []Finding {
 			continue
 		}
 		c := &unitChecker{m: m, pkg: pkg, cfg: cfg, fs: &fs}
-		if cfg.UnitPkgs[pkg.Path] {
-			c.checkAPI()
-		}
 		for _, f := range pkg.Files {
 			ast.Inspect(f, c.inspect)
 		}
@@ -67,115 +58,6 @@ func (c *unitChecker) unitType(t types.Type) *types.Named {
 		return named
 	}
 	return nil
-}
-
-// bareFloatCarrier reports whether t is an unnamed float, or a slice /
-// array / map / pointer carrying one. Defined types (units.Watts, but
-// also module types like stats.Poly) are deliberate and pass.
-func bareFloatCarrier(t types.Type) bool {
-	switch t := t.(type) {
-	case *types.Basic:
-		return t.Info()&types.IsFloat != 0
-	case *types.Slice:
-		return bareFloatCarrier(t.Elem())
-	case *types.Array:
-		return bareFloatCarrier(t.Elem())
-	case *types.Map:
-		return bareFloatCarrier(t.Elem())
-	case *types.Pointer:
-		return bareFloatCarrier(t.Elem())
-	}
-	return false
-}
-
-// checkAPI walks the package's exported surface: function signatures and
-// struct fields whose type is a bare float carrier are findings unless a
-// //ppep:allow unitcheck directive justifies them as dimensionless.
-func (c *unitChecker) checkAPI() {
-	for _, f := range c.pkg.Files {
-		for _, d := range f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if !d.Name.IsExported() || !c.exportedRecv(d) {
-					continue
-				}
-				c.checkSignature(d.Name.Name, d.Type)
-			case *ast.GenDecl:
-				if d.Tok != token.TYPE {
-					continue
-				}
-				for _, spec := range d.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok || !ts.Name.IsExported() {
-						continue
-					}
-					c.checkTypeSpec(ts)
-				}
-			}
-		}
-	}
-}
-
-// exportedRecv reports whether a method's receiver type is itself
-// exported (a method on an unexported type is not exported API).
-func (c *unitChecker) exportedRecv(d *ast.FuncDecl) bool {
-	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return true
-	}
-	t := d.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := ast.Unparen(t).(*ast.Ident); ok {
-		return id.IsExported()
-	}
-	return true
-}
-
-func (c *unitChecker) checkSignature(name string, ft *ast.FuncType) {
-	for _, fl := range []*ast.FieldList{ft.Params, ft.Results} {
-		if fl == nil {
-			continue
-		}
-		for _, field := range fl.List {
-			if t := c.pkg.Info.TypeOf(field.Type); t != nil && bareFloatCarrier(t) {
-				c.m.emit(c.fs, "unitcheck", field.Type.Pos(),
-					"exported %s uses bare %s; give the quantity a units type or justify the dimensionless value with //ppep:allow unitcheck <reason>",
-					name, t)
-			}
-		}
-	}
-}
-
-func (c *unitChecker) checkTypeSpec(ts *ast.TypeSpec) {
-	switch t := ts.Type.(type) {
-	case *ast.StructType:
-		for _, field := range t.Fields.List {
-			exported := len(field.Names) == 0 // embedded
-			for _, n := range field.Names {
-				if n.IsExported() {
-					exported = true
-				}
-			}
-			if !exported {
-				continue
-			}
-			if ft := c.pkg.Info.TypeOf(field.Type); ft != nil && bareFloatCarrier(ft) {
-				c.m.emit(c.fs, "unitcheck", field.Type.Pos(),
-					"exported field %s.%s uses bare %s; give the quantity a units type or justify the dimensionless value with //ppep:allow unitcheck <reason>",
-					ts.Name.Name, fieldLabel(field), ft)
-			}
-		}
-	case *ast.FuncType:
-		c.checkSignature(ts.Name.Name, t)
-	}
-}
-
-func fieldLabel(f *ast.Field) string {
-	if len(f.Names) > 0 {
-		return f.Names[0].Name
-	}
-	return "(embedded)"
 }
 
 func (c *unitChecker) inspect(n ast.Node) bool {

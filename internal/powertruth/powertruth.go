@@ -28,18 +28,18 @@ import (
 // second (not per instruction).
 type Activity struct {
 	Events     arch.EventVec // true per-second rates for E1..E12
-	PrefetchPS float64       //ppep:allow unitcheck EventVec-denominated per-second rate, kept raw like the vector it extends
+	PrefetchPS float64       // EventVec-denominated per-second rate, kept raw like the vector it extends
 	TLBWalkPS  float64       // unobservable: table walks per second
 	// EPIScale is a hidden per-phase energy-per-event modulation (≈1):
 	// real programs exercise different functional-unit mixes that no
 	// nine-event model can separate. Zero means 1.
-	EPIScale float64 //ppep:allow unitcheck dimensionless energy-per-event modulation around 1
-	Halted   bool    // core idle (no workload bound)
+	EPIScale float64
+	Halted   bool // core idle (no workload bound)
 }
 
 // NBActivity is the shared north bridge's true activity per second.
 type NBActivity struct {
-	L3AccessPS float64 //ppep:allow unitcheck EventVec-denominated per-second rates, kept raw like the vector they extend
+	L3AccessPS float64 // EventVec-denominated per-second rates, kept raw like the vector they extend
 	DRAMPS     float64 // DRAM accesses per second
 }
 
@@ -60,7 +60,7 @@ type Config struct {
 	ClockWPerGHz units.WattsPerGigaHertz
 	// HaltedClockFrac is the fraction of clock power that survives clock
 	// gating when a core is halted.
-	HaltedClockFrac float64 //ppep:allow unitcheck dimensionless clock-gating survival fraction
+	HaltedClockFrac float64
 	// ShortCircuitK is κ in the V²·(1+κ(V−VRef)) switching-energy scale.
 	ShortCircuitK units.PerVolt
 
@@ -71,7 +71,7 @@ type Config struct {
 	LeakVExp  units.PerVolt   // exponential slope of leakage vs core voltage
 	LeakTExp  units.PerKelvin // exponential slope of leakage vs temperature
 	T0K       units.Kelvin
-	GateResid float64 //ppep:allow unitcheck dimensionless leakage fraction surviving power gating
+	GateResid float64 // dimensionless leakage fraction surviving power gating
 
 	// NB dynamic.
 	NBVRef         units.Volts
@@ -153,7 +153,7 @@ func (c *Config) switchScale(v units.Volts) float64 {
 // model. They depend only on (V, f), so the simulator caches them across
 // ticks while a CU's operating point holds.
 type CoreDynCoeffs struct {
-	Scale  float64     //ppep:allow unitcheck dimensionless switching-energy voltage scale
+	Scale  float64     // dimensionless switching-energy voltage scale
 	ClockW units.Watts // clock-tree power at (V, f)
 }
 
@@ -196,7 +196,7 @@ func (c *Config) CoreDynamicW(a Activity, v units.Volts, fGHz units.GigaHertz) u
 // NBDynCoeffs are the NB-operating-point factors of NBDynamicW, cacheable
 // while the NB point holds (it changes only via SetNBPoint).
 type NBDynCoeffs struct {
-	Scale  float64 //ppep:allow unitcheck dimensionless switching-energy voltage scale
+	Scale  float64 // dimensionless switching-energy voltage scale
 	ClockW units.Watts
 }
 
@@ -225,7 +225,6 @@ func (c *Config) NBDynamicW(nb NBActivity, nbV units.Volts, nbF units.GigaHertz)
 // CU and NB terms share the same T exponent, so the simulator computes it
 // once per tick for all five leakage evaluations.
 //
-//ppep:allow unitcheck dimensionless exponential scale factors around 1
 //ppep:hotpath
 //ppep:inline
 func (c *Config) LeakTempScale(tK units.Kelvin) float64 {
@@ -235,7 +234,6 @@ func (c *Config) LeakTempScale(tK units.Kelvin) float64 {
 // CULeakVoltScale returns the core-rail voltage factor of CU leakage,
 // constant while the rail voltage holds.
 //
-//ppep:allow unitcheck dimensionless exponential scale factors around 1
 //ppep:hotpath
 func (c *Config) CULeakVoltScale(v units.Volts) float64 {
 	return math.Exp(c.LeakVExp.Times(v - c.VRef))
@@ -243,7 +241,6 @@ func (c *Config) CULeakVoltScale(v units.Volts) float64 {
 
 // NBLeakVoltScale returns the NB-rail voltage factor of NB leakage.
 //
-//ppep:allow unitcheck dimensionless exponential scale factors around 1
 //ppep:hotpath
 func (c *Config) NBLeakVoltScale(nbV units.Volts) float64 {
 	return math.Exp(c.LeakVExp.Times(nbV - c.NBVRef))
@@ -251,7 +248,6 @@ func (c *Config) NBLeakVoltScale(nbV units.Volts) float64 {
 
 // CULeakageWWith assembles CU leakage from precomputed factors.
 //
-//ppep:allow unitcheck dimensionless exponential scale factors around 1
 //ppep:hotpath
 //ppep:inline
 func (c *Config) CULeakageWWith(voltScale, tempScale float64, gated bool) units.Watts {
@@ -264,7 +260,6 @@ func (c *Config) CULeakageWWith(voltScale, tempScale float64, gated bool) units.
 
 // NBLeakageWWith assembles NB leakage from precomputed factors.
 //
-//ppep:allow unitcheck dimensionless exponential scale factors around 1
 //ppep:hotpath
 //ppep:inline
 func (c *Config) NBLeakageWWith(voltScale, tempScale float64, gated bool) units.Watts {

@@ -26,8 +26,8 @@
 //
 // Dimensionless ratios (scaling factors, relative errors, fractions)
 // deliberately stay plain float64 — the `Per` helpers produce them, and
-// genuinely dimensionless model coefficients carry a
-// `//ppep:allow unitcheck <reason>` directive instead of a fake unit.
+// genuinely dimensionless model coefficients are plain float64 rather
+// than a fake unit.
 package units
 
 // KelvinOffset converts between the Kelvin and Celsius scales.

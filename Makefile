@@ -1,14 +1,13 @@
 # PPEP reproduction — common targets.
 
 GO ?= go
-LINT_STATS := /tmp/ppeplint-stats.json
 # perfcheck's raw compiler-transcript cache (ppeplint -gcflags-cache):
 # content-hash keyed, so repeat runs over an unchanged tree skip the
 # -gcflags='-m -m -d=ssa/check_bce/debug=1' compile. CI persists this
 # directory with actions/cache.
 GCFLAGS_CACHE ?= .gcflags-cache
 
-.PHONY: all test lint lint-perf fmt-check ci smoke smoke-cache loadgen-smoke fleet-smoke bench bench-guard bench-all experiments flagship fmt vet tools
+.PHONY: all test lint lint-perf fmt-check ci smoke smoke-cache loadgen-smoke fleet-smoke bench-guard bench-all experiments flagship fmt vet tools
 
 all: test
 
@@ -45,6 +44,8 @@ ci: fmt-check
 	$(MAKE) loadgen-smoke
 	$(MAKE) fleet-smoke
 	$(MAKE) bench-guard
+	cd perfbench && $(GO) test ./...
+	$(GO) run ./cmd/ppeplint -C perfbench
 
 # Service-mode smoke test: the httptest endpoint suite plus the
 # end-to-end faulted-loop integration test, run fresh (-count=1) so a
@@ -67,8 +68,9 @@ smoke-cache:
 # (slim training, loopback port) and drives a short closed loop against
 # /predict/batch; non-trivial throughput and a loose p99 ceiling are
 # asserted by the tool itself (exit 1 on violation). The bounds are
-# deliberately lax — CI machines are noisy; BENCH_fxsim.json carries
-# the real numbers via BenchmarkPredictServe.
+# deliberately lax — CI machines are noisy; the real numbers, with
+# their spread and host, come from
+# `python3 perfbench/run.py --workload ppepd` (perfbench/README.md).
 loadgen-smoke:
 	$(GO) run ./cmd/ppep-loadgen -self -duration 2s -c 16 -binary -min-rps 1000 -max-p99 250ms
 
@@ -76,22 +78,10 @@ loadgen-smoke:
 # mix, asserting (1) per-node fingerprints bit-identical to a
 # workers=1/shard=1 reference rerun — the engine's determinism
 # contract — and (2) a deliberately lax throughput floor (CI machines
-# are noisy; BENCH_fxsim.json carries the real numbers via
-# BenchmarkFleetTick/BenchmarkFleetTickParallel).
+# are noisy; the real numbers, with their spread and host, come from
+# `python3 perfbench/run.py --workload fleet`, see perfbench/README.md).
 fleet-smoke:
 	$(GO) run ./cmd/ppep-fleet -nodes 64 -seconds 2 -mix mixed -check-invariance -min-mticks 0.05
-
-# Tick-loop microbenchmarks plus the cold/warm trace-cache campaign
-# pair, summarized into a committable JSON record (mean over -count=5
-# samples; see cmd/benchjson — the cache benchmarks' hit/miss/bytes
-# counters land under each record's "metrics" key). The ppeplint run's
-# package count and wall time ride along under the "ppeplint" key.
-bench:
-	$(GO) run ./cmd/ppeplint -stats $(LINT_STATS) -gcflags-cache $(GCFLAGS_CACHE)
-	$(GO) test -run xxx -bench '^(BenchmarkChipTick|BenchmarkTickN|BenchmarkTickNJittered|BenchmarkFleetTick|BenchmarkFleetTickParallel|BenchmarkEventPrediction|BenchmarkServeInterval|BenchmarkPredictServe|BenchmarkCampaignColdCache|BenchmarkCampaignWarmCache)$$' \
-		-benchmem -count=5 . | $(GO) run ./cmd/benchjson -lint $(LINT_STATS) > BENCH_fxsim.json
-	rm -f $(LINT_STATS)
-	cat BENCH_fxsim.json
 
 # Batched-tick-engine guard: a fresh (-count=1) reference-vs-fast
 # equivalence smoke — the golden fingerprints, the deterministic and

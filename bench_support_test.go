@@ -1,18 +1,13 @@
 package main
 
 import (
-	"runtime"
 	"testing"
 
 	"ppep/internal/arch"
-	"ppep/internal/core"
-	"ppep/internal/core/eventpred"
 	"ppep/internal/daemon"
 	"ppep/internal/experiments"
-	"ppep/internal/fleet"
 	"ppep/internal/fxsim"
 	"ppep/internal/serve"
-	"ppep/internal/units"
 	"ppep/internal/workload"
 )
 
@@ -56,45 +51,6 @@ func benchmarkTickNWith(b *testing.B, bench *workload.Benchmark) {
 		chip.TickN(arch.DecisionIntervalMS)
 		chip.ReadInterval()
 	}
-}
-
-// benchmarkTickN is the phase-stable case: a zero-noise workload the
-// batched engine fast-forwards.
-func benchmarkTickN(b *testing.B) { benchmarkTickNWith(b, workload.BenchSteady()) }
-
-// benchmarkTickNJittered is the jittered case: BenchA's position-locked
-// noise keeps every tick on the reference path.
-func benchmarkTickNJittered(b *testing.B) { benchmarkTickNWith(b, workload.BenchA()) }
-
-// benchmarkFleet drives 256 simulated nodes through one second of
-// simulation each via the fleet engine — the fleet-scale control-plane
-// shape the batched tick engine exists for. The jittered mix derives a
-// distinct workload per node from the node index, so the fleet is not
-// phase-locked onto the quiescent fast path the way the old
-// all-identical-steady-nodes benchmark was. Besides Mticks/s it
-// reports allocs/tick: the engine's steady state is alloc-free per
-// node, leaving only the immutable per-interval snapshot publish.
-func benchmarkFleet(b *testing.B, workers int) {
-	const nodes = 256
-	e, err := fleet.New(fleet.Config{
-		Nodes: nodes, Workers: workers, Mix: fleet.MixJittered, IdealSensor: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const intervalsPerS = 1000 / arch.DecisionIntervalMS
-	e.AdvanceN(1) // warm per-node scratch outside the timed region
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.AdvanceN(intervalsPerS)
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&ms1)
-	ticks := float64(b.N) * nodes * 1000
-	b.ReportMetric(ticks/b.Elapsed().Seconds()/1e6, "Mticks/s")
-	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/ticks, "allocs/tick")
 }
 
 // benchmarkServeDaemon assembles the service-mode stack on a busy chip:
@@ -151,23 +107,4 @@ func benchmarkRates() arch.EventVec {
 	ev.Set(arch.CPUClocksNotHalted, 1.2*inst)
 	ev.Set(arch.MABWaitCycles, 0.3*inst)
 	return ev
-}
-
-// benchmarkEventVec exposes benchmarkRates under the name bench_test uses.
-func benchmarkEventVec() arch.EventVec { return benchmarkRates() }
-
-// predictRates adapts eventpred for the benchmark without a long import
-// list in bench_test.go.
-func predictRates(ev arch.EventVec, from, to float64) (arch.EventVec, bool) {
-	return eventpred.PredictRates(ev, units.GigaHertz(from), units.GigaHertz(to))
-}
-
-// trainingSetOf rebuilds a TrainingSet view over a campaign's traces.
-func trainingSetOf(c *experiments.Campaign) core.TrainingSet {
-	return core.TrainingSet{IdleTraces: c.Idle, Runs: c.Runs, PGSweeps: c.PGSweeps}
-}
-
-// trainModels re-runs the regression pipeline.
-func trainModels(ts core.TrainingSet, tbl arch.VFTable) (*core.Models, error) {
-	return core.Train(ts, tbl)
 }

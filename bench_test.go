@@ -11,17 +11,16 @@
 package main
 
 import (
-	"context"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
+	"ppep/internal/core"
+	"ppep/internal/core/eventpred"
 	"ppep/internal/experiments"
-	"ppep/internal/loadgen"
 	"ppep/internal/serve"
+	"ppep/internal/workload"
 )
 
 var (
@@ -87,70 +86,6 @@ func BenchmarkCampaign(b *testing.B) {
 		}
 		b.ReportMetric(c.Models.Dyn.Alpha, "alpha")
 	}
-}
-
-// cacheBenchOpts is the reduced campaign the cold/warm cache benchmarks
-// build: the smallest configuration that still trains the models
-// (MaxRunsPerSuite 3 gives the dynamic-power fit enough top-voltage
-// samples at Scale 0.01).
-func cacheBenchOpts(dir string) experiments.Options {
-	return experiments.Options{Scale: 0.01, MaxRunsPerSuite: 3, CacheDir: dir}
-}
-
-// reportCacheStats copies the campaign's trace-cache counters onto the
-// benchmark so BENCH_fxsim.json records the hit rate next to the
-// cold/warm timings.
-func reportCacheStats(b *testing.B, c *experiments.Campaign) {
-	st, ok := c.CacheStats()
-	if !ok {
-		b.Fatal("campaign has no cache stats")
-	}
-	b.ReportMetric(float64(st.Hits), "cache_hits")
-	b.ReportMetric(float64(st.Misses), "cache_misses")
-	b.ReportMetric(float64(st.BytesRead+st.BytesWritten), "cache_bytes")
-	if total := st.Hits + st.Misses; total > 0 {
-		b.ReportMetric(float64(st.Hits)/float64(total), "cache_hit_rate")
-	}
-}
-
-// BenchmarkCampaignColdCache measures the reduced campaign simulating
-// every cell into a fresh trace cache — the incremental engine's
-// worst case (all misses, encode + write-through on every cell).
-func BenchmarkCampaignColdCache(b *testing.B) {
-	var last *experiments.Campaign
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dir := b.TempDir() // fresh per iteration: every cell must miss
-		b.StartTimer()
-		c, err := experiments.NewFXCampaign(cacheBenchOpts(dir))
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = c
-	}
-	b.StopTimer()
-	reportCacheStats(b, last)
-}
-
-// BenchmarkCampaignWarmCache measures the same campaign replayed from a
-// populated cache — pure decode, zero simulation. The cold/warm ratio is
-// the incremental engine's headline speedup (docs/CACHE.md).
-func BenchmarkCampaignWarmCache(b *testing.B) {
-	dir := b.TempDir()
-	if _, err := experiments.NewFXCampaign(cacheBenchOpts(dir)); err != nil {
-		b.Fatal(err) // populate outside the timed region
-	}
-	b.ResetTimer()
-	var last *experiments.Campaign
-	for i := 0; i < b.N; i++ {
-		c, err := experiments.NewFXCampaign(cacheBenchOpts(dir))
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = c
-	}
-	b.StopTimer()
-	reportCacheStats(b, last)
 }
 
 // BenchmarkSec3CPIPrediction regenerates the Section III result: LL-MAB
@@ -258,38 +193,22 @@ func BenchmarkChipTick(b *testing.B) {
 // the batched TickN API plus the interval read — the campaign's unit of
 // work — on a phase-stable workload the engine fast-forwards.
 func BenchmarkTickN(b *testing.B) {
-	benchmarkTickN(b)
+	benchmarkTickNWith(b, workload.BenchSteady())
 }
 
 // BenchmarkTickNJittered measures the same interval on a jittered
 // workload, i.e. the reference path's cost when quiescence never holds.
 func BenchmarkTickNJittered(b *testing.B) {
-	benchmarkTickNJittered(b)
-}
-
-// BenchmarkFleetTick measures 256 fleet nodes × 1 simulated second each
-// on a single worker — the serial reference for the sharded engine.
-// Each node runs a deterministically jittered per-node workload
-// (internal/fleet MixJittered), so the fleet is not phase-locked.
-func BenchmarkFleetTick(b *testing.B) {
-	benchmarkFleet(b, 1)
-}
-
-// BenchmarkFleetTickParallel is the same fleet advanced by the full
-// worker pool (GOMAXPROCS). The ratio to BenchmarkFleetTick is the
-// sharded engine's speedup; on a many-core host it tracks the core
-// count (the PR 10 target is ≥6× on ≥8 cores).
-func BenchmarkFleetTickParallel(b *testing.B) {
-	benchmarkFleet(b, 0)
+	benchmarkTickNWith(b, workload.BenchA())
 }
 
 // BenchmarkEventPrediction measures one core's cross-VF event-rate
 // prediction — the inner loop of step ② of the PPEP pipeline.
 func BenchmarkEventPrediction(b *testing.B) {
-	ev := benchmarkEventVec()
+	ev := benchmarkRates()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := predictRates(ev, 3.5, 1.4); !ok {
+		if _, ok := eventpred.PredictRates(ev, 3.5, 1.4); !ok {
 			b.Fatal("prediction rejected")
 		}
 	}
@@ -310,14 +229,11 @@ func BenchmarkServeInterval(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictServe measures the prediction read path two ways.
-// The timed loop is the in-process cost of one /predict/batch request
-// through the full mux — the pointer-load-plus-byte-write the published
-// table buys (ns/op, B/op). After the loop, a short closed-loop burst
-// over a real TCP socket (internal/loadgen, binary encoding, live
-// pointer swaps underneath) reports end-to-end throughput and tail
-// latency as rps / p50_ns / p99_ns / p999_ns custom metrics, which
-// benchjson lands in BENCH_fxsim.json.
+// BenchmarkPredictServe measures the in-process cost of one
+// /predict/batch request through the full mux — the
+// pointer-load-plus-byte-write the published table buys (ns/op, B/op).
+// End-to-end throughput and tail latency over a real socket are the
+// ppepd workload's serve.* metrics in perfbench/.
 func BenchmarkPredictServe(b *testing.B) {
 	c := benchCampaign(b)
 	d, srv := benchmarkServeDaemon(b, c)
@@ -332,41 +248,6 @@ func BenchmarkPredictServe(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.ServeHTTP(w, req)
 	}
-	b.StopTimer()
-
-	// End-to-end burst: real socket, concurrent workers, tables
-	// republishing underneath. The loop is paced as in deployment —
-	// unpaced it simulates intervals flat out and starves the server's
-	// goroutines of CPU, measuring the simulator instead of the serving
-	// path.
-	d.Throttle = func() { time.Sleep(2 * time.Millisecond) }
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	httpDone := make(chan error, 1)
-	loopDone := make(chan error, 1)
-	go func() { httpDone <- srv.Serve(ctx, ln) }()
-	go func() { loopDone <- d.Run(ctx) }()
-	res, err := loadgen.Run(ctx, loadgen.Options{
-		URL: "http://" + ln.Addr().String(), Conns: 16,
-		Duration: 400 * time.Millisecond, Binary: true,
-	})
-	cancel()
-	<-httpDone
-	<-loopDone
-	if err != nil {
-		b.Fatal(err)
-	}
-	if res.Requests == 0 || res.Errors == res.Requests {
-		b.Fatalf("degenerate burst: %+v", res)
-	}
-	b.ReportMetric(res.RPS(), "rps")
-	b.ReportMetric(float64(res.Hist.Quantile(0.50)), "p50_ns")
-	b.ReportMetric(float64(res.Hist.Quantile(0.99)), "p99_ns")
-	b.ReportMetric(float64(res.Hist.Quantile(0.999)), "p999_ns")
 }
 
 // nullBenchWriter mirrors the serve package's alloc-test writer: body
@@ -381,7 +262,7 @@ func (w nullBenchWriter) WriteHeader(int)             {}
 // BenchmarkDynEstimate measures one Equation 3 evaluation.
 func BenchmarkDynEstimate(b *testing.B) {
 	c := benchCampaign(b)
-	ev := benchmarkEventVec()
+	ev := benchmarkRates()
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
@@ -407,8 +288,8 @@ func BenchmarkModelTraining(b *testing.B) {
 	c := benchCampaign(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ts := trainingSetOf(c)
-		if _, err := trainModels(ts, c.Table); err != nil {
+		ts := core.TrainingSet{IdleTraces: c.Idle, Runs: c.Runs, PGSweeps: c.PGSweeps}
+		if _, err := core.Train(ts, c.Table); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,15 +13,12 @@
 //
 // Usage:
 //
-//	ppeplint [-C dir] [-json] [-stats file] [-analyzers a,b|list] [-gcflags-cache dir] [patterns...]
+//	ppeplint [-C dir] [-json] [-analyzers a,b|list] [-gcflags-cache dir] [patterns...]
 //
 // Patterns default to ./... relative to -C (default: current directory).
 // -json replaces the plain `file:line: [analyzer] message` lines with a
 // JSON array of finding objects on stdout (machine-readable; the CI
 // problem matcher consumes the plain format, tooling the JSON one).
-// -stats writes a small JSON record (analyzed package count, findings,
-// suppressions — total and per analyzer — per-analyzer wall time, and
-// perfcheck's compile time) consumed by cmd/benchjson.
 // -analyzers runs only the named comma-separated subset (faster local
 // iteration; lets CI shard lint from tests); `-analyzers list` prints
 // the registry and exits.
@@ -42,25 +39,6 @@ import (
 	"ppep/internal/lint"
 )
 
-// analyzerStats is the per-analyzer slice of a run: how many findings
-// survived, how many an //ppep:allow directive absorbed, and how long
-// the analyzer itself ran (for perfcheck this includes the diagnostics
-// compile; PerfCompileMS in the top-level record isolates that part).
-type analyzerStats struct {
-	Findings   int   `json:"findings"`
-	Suppressed int   `json:"suppressed"`
-	WallMS     int64 `json:"wall_ms"`
-}
-
-type stats struct {
-	AnalyzedPackages int                      `json:"analyzed_packages"`
-	Findings         int                      `json:"findings"`
-	Suppressed       int                      `json:"suppressed"`
-	WallMS           int64                    `json:"wall_ms"`
-	PerfCompileMS    int64                    `json:"perf_compile_ms"`
-	Analyzers        map[string]analyzerStats `json:"analyzers"`
-}
-
 // jsonFinding is the -json output record for one finding.
 type jsonFinding struct {
 	File     string `json:"file"`
@@ -72,7 +50,6 @@ type jsonFinding struct {
 
 func main() {
 	dir := flag.String("C", ".", "directory to run in (module root or below)")
-	statsPath := flag.String("stats", "", "write run statistics as JSON to this file")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array instead of plain lines")
 	analyzers := flag.String("analyzers", "",
 		"comma-separated analyzers to run (default: all); 'list' prints the registry and exits")
@@ -139,49 +116,6 @@ func main() {
 	} else {
 		for _, f := range findings {
 			fmt.Printf("%s:%d: [%s] %s\n", relName(f.Pos.Filename), f.Pos.Line, f.Analyzer, f.Message)
-		}
-	}
-
-	if *statsPath != "" {
-		perAnalyzer := map[string]analyzerStats{}
-		for name, n := range m.SuppressedBy() {
-			a := perAnalyzer[name]
-			a.Suppressed = n
-			perAnalyzer[name] = a
-		}
-		for _, f := range findings {
-			a := perAnalyzer[f.Analyzer]
-			a.Findings++
-			perAnalyzer[f.Analyzer] = a
-		}
-		// Analyzers with nothing to report still appear — but only the
-		// ones that actually ran, so a subset run's record does not
-		// claim coverage it did not have.
-		for _, name := range runNames {
-			if _, ok := perAnalyzer[name]; !ok {
-				perAnalyzer[name] = analyzerStats{}
-			}
-		}
-		for name, d := range m.AnalyzerWall() {
-			a := perAnalyzer[name]
-			a.WallMS = d.Milliseconds()
-			perAnalyzer[name] = a
-		}
-		s := stats{
-			AnalyzedPackages: len(m.Packages),
-			Findings:         len(findings),
-			Suppressed:       m.Suppressed(),
-			WallMS:           wall.Milliseconds(),
-			PerfCompileMS:    m.PerfCompileWall().Milliseconds(),
-			Analyzers:        perAnalyzer,
-		}
-		b, err := json.MarshalIndent(s, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*statsPath, append(b, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ppeplint: writing stats:", err)
-			os.Exit(2)
 		}
 	}
 

@@ -100,6 +100,21 @@ func LoadModels(r io.Reader) (*Models, error) {
 	if len(in.Platform.Voltages) == 0 || len(in.Platform.Voltages) != len(in.Platform.Freqs) {
 		return nil, fmt.Errorf("core: malformed platform table")
 	}
+	// VF1 is the lowest state: every voltage and frequency is positive
+	// and both columns rise strictly, or the V/Vref power scaling and
+	// the cross-VF frequency ratios turn every prediction into ±Inf.
+	for i, v := range in.Platform.Voltages {
+		f := in.Platform.Freqs[i]
+		if !(v > 0) || !(f > 0) {
+			return nil, fmt.Errorf("core: VF%d is %g V at %g GHz, want both positive", i+1, v, f)
+		}
+		if i > 0 && (v <= in.Platform.Voltages[i-1] || f <= in.Platform.Freqs[i-1]) {
+			return nil, fmt.Errorf("core: VF%d does not rise above VF%d in voltage and frequency", i+1, i)
+		}
+	}
+	if !(in.Dyn.VRef > 0) {
+		return nil, fmt.Errorf("core: dynamic model reference voltage %g V, want positive", in.Dyn.VRef)
+	}
 	if len(in.Dyn.W) != arch.NumPowerEvents {
 		return nil, fmt.Errorf("core: dynamic model has %d weights, want %d", len(in.Dyn.W), arch.NumPowerEvents)
 	}

@@ -74,17 +74,30 @@ func TestSaveUntrained(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	cases := map[string]string{
-		"not json":        "{",
-		"bad version":     `{"version": 99}`,
-		"no platform":     `{"version": 1, "platform": {"voltages": [], "freqs_ghz": []}, "dynamic": {"weights": [1,2,3,4,5,6,7,8,9]}}`,
-		"ragged platform": `{"version": 1, "platform": {"voltages": [1.0], "freqs_ghz": []}, "dynamic": {"weights": [1,2,3,4,5,6,7,8,9]}}`,
-		"bad weights":     `{"version": 1, "platform": {"voltages": [1.0], "freqs_ghz": [2.0]}, "dynamic": {"weights": [1,2]}}`,
-		"bad pg state":    `{"version": 1, "platform": {"voltages": [1.0], "freqs_ghz": [2.0]}, "dynamic": {"weights": [1,2,3,4,5,6,7,8,9]}, "power_gating": [{"state": 7}]}`,
+	// Each case must fail on the rule its name describes, so a later
+	// check cannot mask a missing earlier one.
+	cases := map[string]struct{ body, want string }{
+		"not json":         {"{", "decode models"},
+		"bad version":      {`{"version": 99}`, "unsupported models version"},
+		"no platform":      {`{"version": 1, "platform": {"voltages": [], "freqs_ghz": []}, "dynamic": {"weights": [1,2,3,4,5,6,7,8,9]}}`, "malformed platform table"},
+		"ragged platform":  {`{"version": 1, "platform": {"voltages": [1.0], "freqs_ghz": []}, "dynamic": {"weights": [1,2,3,4,5,6,7,8,9]}}`, "malformed platform table"},
+		"bad weights":      {`{"version": 1, "platform": {"voltages": [1.0], "freqs_ghz": [2.0]}, "dynamic": {"weights": [1,2], "vref": 1.0}}`, "has 2 weights"},
+		"too many weights": {`{"version": 1, "platform": {"voltages": [1.0], "freqs_ghz": [2.0]}, "dynamic": {"weights": [1,2,3,4,5,6,7,8,9,10], "vref": 1.0}}`, "has 10 weights"},
+		"bad pg state":     {`{"version": 1, "platform": {"voltages": [1.0], "freqs_ghz": [2.0]}, "dynamic": {"weights": [1,2,3,4,5,6,7,8,9], "vref": 1.0}, "power_gating": [{"state": 7}]}`, "unknown state"},
+		"zero vref":        {`{"version": 1, "platform": {"voltages": [1.0], "freqs_ghz": [2.0]}, "dynamic": {"weights": [1,2,3,4,5,6,7,8,9], "vref": 0}}`, "reference voltage"},
+		"negative vref":    {`{"version": 1, "platform": {"voltages": [1.0], "freqs_ghz": [2.0]}, "dynamic": {"weights": [1,2,3,4,5,6,7,8,9], "vref": -1.0}}`, "reference voltage"},
+		"zero voltage":     {`{"version": 1, "platform": {"voltages": [0, 1.0], "freqs_ghz": [1.0, 2.0]}, "dynamic": {"weights": [1,2,3,4,5,6,7,8,9], "vref": 1.0}}`, "want both positive"},
+		"zero frequency":   {`{"version": 1, "platform": {"voltages": [0.9, 1.0], "freqs_ghz": [0, 2.0]}, "dynamic": {"weights": [1,2,3,4,5,6,7,8,9], "vref": 1.0}}`, "want both positive"},
+		"negative freq":    {`{"version": 1, "platform": {"voltages": [0.9, 1.0], "freqs_ghz": [-1.0, 2.0]}, "dynamic": {"weights": [1,2,3,4,5,6,7,8,9], "vref": 1.0}}`, "want both positive"},
+		"falling voltage":  {`{"version": 1, "platform": {"voltages": [1.0, 0.9], "freqs_ghz": [1.0, 2.0]}, "dynamic": {"weights": [1,2,3,4,5,6,7,8,9], "vref": 1.0}}`, "does not rise"},
+		"repeated freq":    {`{"version": 1, "platform": {"voltages": [0.9, 1.0], "freqs_ghz": [2.0, 2.0]}, "dynamic": {"weights": [1,2,3,4,5,6,7,8,9], "vref": 1.0}}`, "does not rise"},
 	}
-	for name, body := range cases {
-		if _, err := LoadModels(strings.NewReader(body)); err == nil {
+	for name, c := range cases {
+		_, err := LoadModels(strings.NewReader(c.body))
+		if err == nil {
 			t.Errorf("%s accepted", name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s rejected with %q, want it to mention %q", name, err, c.want)
 		}
 	}
 }

@@ -54,7 +54,6 @@ import (
 	"path"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Finding is one analyzer report.
@@ -200,7 +199,6 @@ func (m *Module) RunAnalyzers(cfg Config, names ...string) ([]Finding, error) {
 	var fs []Finding
 	var ran []string
 	seen := map[string]bool{}
-	m.analyzerWall = map[string]time.Duration{}
 	for _, name := range names {
 		if !knownAnalyzer[name] {
 			return nil, fmt.Errorf("lint: unknown analyzer %q (known: %s)", name, strings.Join(AnalyzerNames, ", "))
@@ -209,9 +207,7 @@ func (m *Module) RunAnalyzers(cfg Config, names ...string) ([]Finding, error) {
 			continue
 		}
 		seen[name] = true
-		start := time.Now()
 		fs = append(fs, m.runOne(name, cfg)...)
-		m.analyzerWall[name] = time.Since(start)
 		if name != "directive" {
 			ran = append(ran, name)
 		}

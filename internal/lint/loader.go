@@ -17,7 +17,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Package is one loaded, type-checked module package.
@@ -68,43 +67,19 @@ type Module struct {
 	perfOnce  sync.Once
 	perfDiags *PerfDiagnostics
 	perfErr   error
-
-	// analyzerWall records each analyzer's wall time from the most
-	// recent RunAnalyzers call, for ppeplint -stats.
-	analyzerWall map[string]time.Duration
 }
 
 // Suppressed reports how many findings //ppep:allow directives absorbed.
 func (m *Module) Suppressed() int { return m.suppressed }
 
-// SuppressedBy reports the absorbed-finding count per analyzer, for the
-// per-analyzer statistics ppeplint -stats records.
+// SuppressedBy reports the absorbed-finding count per analyzer, so the
+// repo-clean test can pin the suppression census analyzer by analyzer.
 func (m *Module) SuppressedBy() map[string]int {
 	out := make(map[string]int, len(m.suppressedBy))
 	for k, v := range m.suppressedBy {
 		out[k] = v
 	}
 	return out
-}
-
-// AnalyzerWall reports each analyzer's wall time from the most recent
-// RunAnalyzers call, so ppeplint -stats can expose per-analyzer cost
-// and lint-time creep shows up in BENCH_fxsim.json.
-func (m *Module) AnalyzerWall() map[string]time.Duration {
-	out := make(map[string]time.Duration, len(m.analyzerWall))
-	for k, v := range m.analyzerWall {
-		out[k] = v
-	}
-	return out
-}
-
-// PerfCompileWall reports how long perfcheck's diagnostics build took
-// (zero when the analyzer did not run or the transcript cache hit).
-func (m *Module) PerfCompileWall() time.Duration {
-	if m.perfDiags == nil {
-		return 0
-	}
-	return m.perfDiags.CompileWall
 }
 
 // inModule reports whether an import path belongs to this module.

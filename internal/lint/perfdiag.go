@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // perfcheck treats the Go compiler as the oracle: `go build` with
@@ -83,11 +82,6 @@ type PerfDiagnostics struct {
 	NumEscapeLines int // escapes + "does not escape" + "leaking param"
 	NumInlineLines int // can/cannot inline + "inlining call to"
 	NumBoundsLines int
-	// CompileWall is how long the go build took (zero on a transcript
-	// cache hit).
-	CompileWall time.Duration
-	// CacheHit reports whether the transcript came from -gcflags-cache.
-	CacheHit bool
 }
 
 // diagKey renders the "file:line" index key for inlining verdicts.
@@ -291,17 +285,14 @@ func (m *Module) perfDiagnostics(cfg Config) (*PerfDiagnostics, error) {
 			cachePath = filepath.Join(cfg.PerfCacheDir, "perfcheck-"+m.perfTranscriptHash(patterns)+".txt")
 			if data, err := os.ReadFile(cachePath); err == nil {
 				m.perfDiags = ParsePerfTranscript(data, m.Dir)
-				m.perfDiags.CacheHit = true
 				return
 			}
 		}
-		start := time.Now()
 		out, err := runPerfBuild(m.Dir, patterns)
 		if err != nil {
 			m.perfErr = err
 			return
 		}
-		wall := time.Since(start)
 		if cachePath != "" {
 			if err := os.MkdirAll(cfg.PerfCacheDir, 0o755); err == nil {
 				// Best-effort: a read-only cache dir degrades to
@@ -310,7 +301,6 @@ func (m *Module) perfDiagnostics(cfg Config) (*PerfDiagnostics, error) {
 			}
 		}
 		m.perfDiags = ParsePerfTranscript(out, m.Dir)
-		m.perfDiags.CompileWall = wall
 	})
 	return m.perfDiags, m.perfErr
 }

@@ -6,9 +6,7 @@
 // It exists to back the serving layer's throughput claim with numbers:
 // the published-table architecture makes /predict and /predict/batch a
 // pointer load plus a byte write, and this package measures what that
-// buys end to end — tens of thousands of requests per second from a
-// single box, with tail latencies recorded into BENCH_fxsim.json by the
-// root BenchmarkPredictServe.
+// buys end to end, behind cmd/ppep-loadgen and `make loadgen-smoke`.
 package loadgen
 
 import (

@@ -47,11 +47,14 @@ ci: fmt-check
 	cd perfbench && $(GO) test ./...
 	$(GO) run ./cmd/ppeplint -C perfbench
 
-# Service-mode smoke test: the httptest endpoint suite plus the
-# end-to-end faulted-loop integration test, run fresh (-count=1) so a
-# cached `go test ./...` pass can't mask an ppepd -serve regression.
+# Service-mode smoke test: the httptest endpoint suite, the end-to-end
+# faulted-loop integration test, and the ppepd command's own tests (flag
+# validation and a batch run of the daemon assembly -serve shares), run
+# fresh (-count=1) so a cached `go test ./...` pass can't mask a ppepd
+# regression.
 smoke:
 	$(GO) test -count=1 -run 'TestServe|TestListenAndServe' ./internal/serve
+	$(GO) test -count=1 ./cmd/ppepd
 
 # Trace-cache smoke test: run a reduced campaign twice into the same
 # fresh cache directory; the second run must be pure decode (misses=0

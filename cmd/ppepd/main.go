@@ -1,27 +1,33 @@
 // Command ppepd runs the PPEP daemon against a simulated chip, the way
 // the paper's user-level daemon runs on real silicon: it trains the
 // models once, binds a workload, then samples the hardware every 200 ms —
-// counters through the MSR interface, temperature through hwmon — and
-// prints live per-chip PPE projections for every VF state, applying an
-// optional DVFS policy.
+// counters through the MSR interface, temperature through hwmon —
+// projects performance, power and energy at every VF state, and applies
+// an optional DVFS policy.
 //
-// With -serve it instead runs as an always-on service (Section IV-E as
-// deployed): the sampling/analyze/policy loop becomes a
-// context-cancellable goroutine that shuts down cleanly on SIGINT or
-// SIGTERM, report history is bounded by a ring buffer, device reads are
-// retried with backoff, and an HTTP layer exposes /metrics, /reports,
-// /reports/latest, /predict?vf=N, /predict/batch (all VF states in one
-// response, JSON or binary via Accept), and /healthz (see
-// docs/DAEMON.md). Prediction responses are pre-rendered once per
-// interval and served lock-free; cmd/ppep-loadgen measures what that
-// sustains.
+// Both modes run that same loop (internal/daemon) on the same assembly.
+// Batch mode, the default, runs it for -seconds of simulated time and
+// prints the live per-VF projections every fifth interval. With -serve
+// it runs as an always-on service (Section IV-E as deployed): the loop
+// becomes a context-cancellable goroutine that shuts down cleanly on
+// SIGINT or SIGTERM, device reads are retried with backoff, and an HTTP
+// layer exposes /metrics, /reports, /reports/latest, /predict?vf=N,
+// /predict/batch (all VF states in one response, JSON or binary via
+// Accept), and /healthz (see docs/DAEMON.md). Prediction responses are
+// pre-rendered once per interval and served lock-free; cmd/ppep-loadgen
+// measures what that sustains.
+//
+// -seconds applies to batch mode only; -serve, -pace, -fault-msr and
+// -fault-hwmon to service mode only (a batch run aborts on the first
+// device error, so it has no use for injected faults). Every other flag
+// applies to both.
 //
 // Usage:
 //
-//	ppepd [-workload 433x2] [-vf 5] [-seconds 10] [-policy none|energy|edp|cap]
-//	      [-cap 70] [-scale 0.05] [-load models.json]
-//	      [-serve :8080] [-ring 512] [-pace 200ms]
-//	      [-fault-msr 0.1] [-fault-hwmon 0.1]
+//	ppepd [-workload 433x2] [-vf 5] [-policy none|energy|edp|cap] [-cap 70]
+//	      [-scale 0.05] [-load models.json] [-ring 512]
+//	      [-seconds 10]
+//	      [-serve :8080] [-pace 200ms] [-fault-msr 0.1] [-fault-hwmon 0.1]
 package main
 
 import (
@@ -29,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
@@ -40,8 +47,6 @@ import (
 	"ppep/internal/dvfs"
 	"ppep/internal/experiments"
 	"ppep/internal/fxsim"
-	"ppep/internal/hwmon"
-	"ppep/internal/msr"
 	"ppep/internal/serve"
 	"ppep/internal/trace"
 	"ppep/internal/units"
@@ -52,6 +57,7 @@ import (
 type flags struct {
 	vf         int
 	seconds    float64
+	policy     string
 	scale      float64
 	capW       float64
 	ring       int
@@ -69,6 +75,9 @@ func (f flags) validate(table arch.VFTable) error {
 	}
 	if f.seconds <= 0 {
 		return fmt.Errorf("ppepd: -seconds %v must be positive", f.seconds)
+	}
+	if policies[f.policy] == nil {
+		return fmt.Errorf("ppepd: -policy %q unknown: want none, energy, edp or cap", f.policy)
 	}
 	if f.scale <= 0 {
 		return fmt.Errorf("ppepd: -scale %v must be positive", f.scale)
@@ -95,25 +104,30 @@ func main() {
 	var (
 		wl      = flag.String("workload", "433x2", "workload: SPEC number with instance count (429x1, 433x4), 'mix' for the capping mix")
 		vf      = flag.Int("vf", 5, "initial VF state (1..5)")
-		seconds = flag.Float64("seconds", 10, "run length in simulated seconds")
 		policy  = flag.String("policy", "none", "DVFS policy: none, energy, edp, cap")
 		capW    = flag.Float64("cap", 70, "power budget for -policy cap")
 		scale   = flag.Float64("scale", 0.05, "training campaign scale")
 		load    = flag.String("load", "", "load model coefficients from a ppep-train -save file instead of training")
+		ring    = flag.Int("ring", 512, "report history ring capacity (0 = unbounded)")
+		seconds = flag.Float64("seconds", 10, "batch mode: run length in simulated seconds")
 
 		serveAddr  = flag.String("serve", "", "run as an always-on service on this HTTP address (e.g. :8080) instead of a finite batch")
-		ring       = flag.Int("ring", 512, "service mode: report history ring capacity (0 = unbounded)")
 		pace       = flag.Duration("pace", 200*time.Millisecond, "service mode: wall-clock pacing per simulated 200 ms interval (0 = flat out)")
 		faultMSR   = flag.Float64("fault-msr", 0, "service mode: injected transient MSR fault rate in [0, 1)")
 		faultHwmon = flag.Float64("fault-hwmon", 0, "service mode: injected transient diode fault rate in [0, 1)")
 	)
 	flag.Parse()
 
-	fl := flags{vf: *vf, seconds: *seconds, scale: *scale, capW: *capW,
+	fl := flags{vf: *vf, seconds: *seconds, policy: *policy, scale: *scale, capW: *capW,
 		ring: *ring, pace: *pace, faultMSR: *faultMSR, faultHwmon: *faultHwmon}
 	if err := fl.validate(arch.FX8320VFTable); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
+		os.Exit(2)
+	}
+	run, err := workload.ParseRunSpec(*wl)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -142,87 +156,96 @@ func main() {
 		fmt.Printf("trained: alpha=%.2f\n\n", models.Dyn.Alpha)
 	}
 
-	run, err := workload.ParseRunSpec(*wl)
+	d, err := attach(models, run, fl)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		os.Exit(1)
 	}
+	if *serveAddr != "" {
+		os.Exit(runServe(d, run.Name, *serveAddr, fl))
+	}
+	if err := runBatch(d, fl.seconds); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// attach assembles the daemon both modes run: a simulated FX-8320 with
+// the workload bound for as long as the daemon runs, sampled through the
+// MSR and hwmon device paths with a bounded history ring and retried
+// reads, under the -policy decision from the initial -vf state.
+func attach(models *core.Models, run workload.Run, fl flags) (*daemon.Daemon, error) {
 	cfg := fxsim.DefaultFX8320Config()
 	cfg.PowerGating = true
-	if *policy == "cap" {
+	if fl.policy == "cap" {
 		cfg.PerCUPlanes = true
 	}
 	chip := fxsim.New(cfg)
 	chip.SetTempK(318)
 
-	if *serveAddr != "" {
-		os.Exit(runServe(chip, models, run, *policy, *serveAddr, fl))
+	// Stretch every instance and re-bind on completion so the chip never
+	// idles out, however long the loop runs.
+	for i := range run.Members {
+		b := *run.Members[i].Bench
+		b.Instructions = 1e15
+		run.Members[i].Bench = &b
 	}
-	runBatch(chip, models, run, *policy, fl)
-}
-
-// ---- batch mode (finite run, live printing) ----
-
-func runBatch(chip *fxsim.Chip, models *core.Models, run workload.Run, policy string, fl flags) {
-	// Device-level access, as on the real platform.
-	msrDev := msr.Open(chip)
-	diode := hwmon.Open(chip)
-
-	var counters daemon.Counters
-	rejectLog := newRateLimited(2 * time.Second)
-
-	var ctl fxsim.Controller
-	switch policy {
-	case "none":
-	case "energy":
-		ctl = policyFunc(func(ch *fxsim.Chip, iv trace.Interval) {
-			if rep, err := models.Analyze(iv); err == nil {
-				applyAll(ch, dvfs.EnergyOptimal(rep), &counters, rejectLog)
-			}
-		})
-	case "edp":
-		ctl = policyFunc(func(ch *fxsim.Chip, iv trace.Interval) {
-			if rep, err := models.Analyze(iv); err == nil {
-				applyAll(ch, dvfs.EDPOptimal(rep), &counters, rejectLog)
-			}
-		})
-	case "cap":
-		ctl = &dvfs.PPEPCapper{Models: models, Target: func(units.Seconds) units.Watts { return units.Watts(fl.capW) }}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", policy)
-		os.Exit(2)
+	if _, err := chip.PlaceRun(run, fxsim.PlaceScatter, true); err != nil {
+		return nil, err
 	}
 
-	printer := &daemonPrinter{models: models, inner: ctl, msr: msrDev, diode: diode,
-		counters: &counters, errLog: newRateLimited(2 * time.Second)}
-	_, err := chip.Collect(run, fxsim.RunOpts{
-		VF: arch.VFState(fl.vf), MaxTimeS: fl.seconds, Restart: true,
-		Placement: fxsim.PlaceScatter, WarmTempK: 318, Controller: printer,
+	d, err := daemon.AttachOpts(chip, models, nil, daemon.Options{
+		HistoryCap: fl.ring,
+		Retry:      daemon.Retry{Attempts: 4, Backoff: 100 * time.Microsecond},
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return nil, err
 	}
-	if s := counters.Snapshot(); s.AnalyzeErrors > 0 || s.PolicyRejects > 0 {
-		fmt.Fprintf(os.Stderr, "ppepd: %d analyze errors, %d rejected policy decisions during the run\n",
-			s.AnalyzeErrors, s.PolicyRejects)
-	}
+	d.Policy = policies[fl.policy](models, fl.capW, d.Counters())
+	return d, chip.SetAllPStates(arch.VFState(fl.vf))
 }
 
-// applyAll requests one P-state for every CU, counting and (rate-limited)
-// logging rejections instead of silently dropping them: a rejected
-// request leaves the previous state and is retried next interval.
-func applyAll(ch *fxsim.Chip, s arch.VFState, counters *daemon.Counters, rl *rateLimited) {
-	if err := ch.SetAllPStates(s); err != nil {
-		counters.PolicyRejects.Add(1)
-		rl.logf("ppepd: policy request for %v rejected: %v", s, err)
-	}
+// policies is the -policy table: each entry builds the daemon policy for
+// one name. Rejected P-state requests are counted (surfaced at /metrics
+// as ppep_policy_rejects_total).
+var policies = map[string]func(models *core.Models, capW float64, counters *daemon.Counters) daemon.Policy{
+	"none": func(*core.Models, float64, *daemon.Counters) daemon.Policy { return nil },
+	"energy": func(_ *core.Models, _ float64, counters *daemon.Counters) daemon.Policy {
+		return uniform(dvfs.EnergyOptimal, counters)
+	},
+	"edp": func(_ *core.Models, _ float64, counters *daemon.Counters) daemon.Policy {
+		return uniform(dvfs.EDPOptimal, counters)
+	},
+	"cap": func(models *core.Models, capW float64, _ *daemon.Counters) daemon.Policy {
+		return &capPolicy{dvfs.PPEPCapper{Models: models,
+			Target: func(units.Seconds) units.Watts { return units.Watts(capW) }}}
+	},
 }
 
-// policyFunc adapts a closure into a Controller.
-type policyFunc func(*fxsim.Chip, trace.Interval)
+// uniform requests pick's state for every CU each interval, counting and
+// (rate-limited) logging rejections instead of silently dropping them: a
+// rejected request leaves the previous state and is retried next
+// interval.
+func uniform(pick func(*core.Report) arch.VFState, counters *daemon.Counters) daemon.Policy {
+	rl := newRateLimited(2 * time.Second)
+	return daemon.PolicyFunc(func(ch *fxsim.Chip, _ trace.Interval, rep *core.Report) {
+		s := pick(rep)
+		if err := ch.SetAllPStates(s); err != nil {
+			counters.PolicyRejects.Add(1)
+			rl.logf("ppepd: policy request for %v rejected: %v", s, err)
+		}
+	})
+}
 
-func (f policyFunc) Decide(c *fxsim.Chip, iv trace.Interval) { f(c, iv) }
+// capPolicy applies the one-step PPEP capper every interval but keeps no
+// trajectory: PPEPCapper appends a step per decision, which an always-on
+// daemon would retain without bound.
+type capPolicy struct{ dvfs.PPEPCapper }
+
+func (c *capPolicy) Apply(ch *fxsim.Chip, iv trace.Interval, _ *core.Report) {
+	c.Decide(ch, iv)
+	c.History = c.History[:0]
+}
 
 // rateLimited emits through log.Printf at most once per period, counting
 // what it suppressed in between.
@@ -250,82 +273,51 @@ func (r *rateLimited) logf(format string, args ...any) {
 	log.Printf(format, args...)
 }
 
-// daemonPrinter prints the live PPE report each interval, then delegates
-// to the wrapped policy.
-type daemonPrinter struct {
-	models   *core.Models
-	inner    fxsim.Controller
-	msr      *msr.Device
-	diode    *hwmon.Sensor
-	counters *daemon.Counters
-	errLog   *rateLimited
-	step     int
-}
+// ---- batch mode (finite run, live printing) ----
 
-func (d *daemonPrinter) Decide(chip *fxsim.Chip, iv trace.Interval) {
-	d.step++
-	rep, err := d.models.Analyze(iv)
-	if err != nil {
-		// An unanalyzable interval (e.g. a mid-run counter glitch) is an
-		// operational event, not a silent skip.
-		d.counters.AnalyzeErrors.Add(1)
-		d.errLog.logf("ppepd: interval t=%.1fs not analyzable: %v", iv.TimeS, err)
-		return
-	}
-	if d.step%5 == 1 {
-		// Demonstrate the device-level read path alongside the interval.
-		pstate, _ := d.msr.Rdmsr(0, msr.PStateStatus)
-		fmt.Printf("t=%5.1fs  diode=%.1f°C  P-state=P%d  measured=%.1fW\n",
-			iv.TimeS, float64(d.diode.Temp1InputMilliC())/1000, pstate, iv.MeasPowerW)
-		fmt.Printf("  %-6s %10s %10s %10s %12s\n", "state", "chip W", "idle W", "IPS", "J/interval")
-		for i := len(rep.PerVF) - 1; i >= 0; i-- {
-			p := rep.PerVF[i]
-			marker := " "
-			if p.VF == rep.MeasuredVF {
-				marker = "*"
-			}
-			fmt.Printf(" %s%-6v %10.1f %10.1f %10.2e %12.2f\n",
-				marker, p.VF, p.ChipW, p.IdleW, p.TotalIPS, p.IntervalEnergyJ)
+// runBatch runs the daemon for seconds of simulated time, printing the
+// live per-VF projections every fifth interval. A device or analysis
+// error aborts the run.
+func runBatch(d *daemon.Daemon, seconds float64) error {
+	d.OnInterval = func(rec daemon.Record) {
+		if rec.Seq%5 == 1 {
+			printRecord(rec)
 		}
 	}
-	if d.inner != nil {
-		d.inner.Decide(chip, iv)
+	n := max(1, int(math.Round(seconds*1000/arch.DecisionIntervalMS)))
+	if err := d.RunIntervals(n); err != nil {
+		return err
+	}
+	if s := d.Counters().Snapshot(); s.PolicyRejects > 0 {
+		fmt.Fprintf(os.Stderr, "ppepd: %d rejected policy decisions during the run\n", s.PolicyRejects)
+	}
+	return nil
+}
+
+// printRecord prints one interval's device readings and its projections
+// at every VF state, the measured state starred.
+func printRecord(rec daemon.Record) {
+	iv, rep := &rec.Interval, rec.Report
+	fmt.Printf("t=%5.1fs  diode=%.1f°C  state=%v  measured=%.1fW\n",
+		iv.TimeS, units.Kelvin(iv.TempK).Celsius(), iv.VF(), iv.MeasPowerW)
+	fmt.Printf("  %-6s %10s %10s %10s %12s\n", "state", "chip W", "idle W", "IPS", "J/interval")
+	for i := len(rep.PerVF) - 1; i >= 0; i-- {
+		p := rep.PerVF[i]
+		marker := " "
+		if p.VF == rep.MeasuredVF {
+			marker = "*"
+		}
+		fmt.Printf(" %s%-6v %10.1f %10.1f %10.2e %12.2f\n",
+			marker, p.VF, p.ChipW, p.IdleW, p.TotalIPS, p.IntervalEnergyJ)
 	}
 }
 
 // ---- service mode (-serve) ----
 
-// runServe runs the always-on daemon: workload bound endlessly, bounded
-// history ring, device retries, optional fault injection, HTTP
-// observability, and graceful shutdown on SIGINT/SIGTERM.
-func runServe(chip *fxsim.Chip, models *core.Models, run workload.Run, policy, addr string, fl flags) int {
-	// Service workloads run forever: stretch every instance and re-bind
-	// on completion so the chip never idles out.
-	for i := range run.Members {
-		b := *run.Members[i].Bench
-		b.Instructions = 1e15
-		run.Members[i].Bench = &b
-	}
-	if _, err := chip.PlaceRun(run, fxsim.PlaceScatter, true); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-
-	d, err := daemon.AttachOpts(chip, models, nil, daemon.Options{
-		HistoryCap: fl.ring,
-		Retry:      daemon.Retry{Attempts: 4, Backoff: 100 * time.Microsecond},
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	d.Policy = servePolicy(policy, models, fl.capW, d.Counters())
-	if fl.vf != 0 {
-		if err := chip.SetAllPStates(arch.VFState(fl.vf)); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	}
+// runServe runs the daemon as an always-on service: optional fault
+// injection, wall-clock pacing, HTTP observability, and graceful
+// shutdown on SIGINT/SIGTERM.
+func runServe(d *daemon.Daemon, workloadName, addr string, fl flags) int {
 	if fl.faultMSR > 0 || fl.faultHwmon > 0 {
 		d.InjectFaults(fl.faultMSR, fl.faultHwmon, 1)
 		log.Printf("ppepd: fault injection on (msr=%.0f%%, hwmon=%.0f%%)",
@@ -341,9 +333,9 @@ func runServe(chip *fxsim.Chip, models *core.Models, run workload.Run, policy, a
 	srv := serve.New(d, serve.Options{StaleAfter: staleAfter(fl.pace)})
 	loopDone := make(chan error, 1)
 	go func() { loopDone <- d.Run(ctx) }()
-	log.Printf("ppepd: serving on %s (workload %s, policy %s, ring %d)", addr, run.Name, policy, fl.ring)
+	log.Printf("ppepd: serving on %s (workload %s, policy %s, ring %d)", addr, workloadName, fl.policy, fl.ring)
 
-	err = srv.ListenAndServe(ctx, addr)
+	err := srv.ListenAndServe(ctx, addr)
 	stop() // a server failure must also stop the sampling loop
 	if lerr := <-loopDone; lerr != nil && !isCanceled(lerr) {
 		fmt.Fprintln(os.Stderr, "ppepd: sampling loop:", lerr)
@@ -373,31 +365,4 @@ func staleAfter(pace time.Duration) time.Duration {
 // cancellation (the clean path).
 func isCanceled(err error) bool {
 	return err == context.Canceled || err == context.DeadlineExceeded
-}
-
-// servePolicy maps the -policy flag onto a daemon.Policy with rejection
-// counting (surfaced at /metrics as ppep_policy_rejects_total).
-func servePolicy(name string, models *core.Models, capW float64, counters *daemon.Counters) daemon.Policy {
-	rl := newRateLimited(2 * time.Second)
-	switch name {
-	case "none":
-		return nil
-	case "energy":
-		return daemon.PolicyFunc(func(ch *fxsim.Chip, iv trace.Interval, rep *core.Report) {
-			applyAll(ch, dvfs.EnergyOptimal(rep), counters, rl)
-		})
-	case "edp":
-		return daemon.PolicyFunc(func(ch *fxsim.Chip, iv trace.Interval, rep *core.Report) {
-			applyAll(ch, dvfs.EDPOptimal(rep), counters, rl)
-		})
-	case "cap":
-		capper := &dvfs.PPEPCapper{Models: models, Target: func(units.Seconds) units.Watts { return units.Watts(capW) }}
-		return daemon.PolicyFunc(func(ch *fxsim.Chip, iv trace.Interval, rep *core.Report) {
-			capper.Decide(ch, iv)
-		})
-	default:
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", name)
-		os.Exit(2)
-		return nil
-	}
 }

@@ -6,11 +6,13 @@ import (
 	"time"
 
 	"ppep/internal/arch"
+	"ppep/internal/fleet"
+	"ppep/internal/workload"
 )
 
 // goodFlags is a baseline that must validate.
 func goodFlags() flags {
-	return flags{vf: 5, seconds: 10, scale: 0.05, capW: 70,
+	return flags{vf: 5, seconds: 10, policy: "none", scale: 0.05, capW: 70,
 		ring: 512, pace: 200 * time.Millisecond}
 }
 
@@ -29,6 +31,7 @@ func TestFlagValidation(t *testing.T) {
 		{"vf negative", func(f *flags) { f.vf = -3 }, "-vf"},
 		{"zero seconds", func(f *flags) { f.seconds = 0 }, "-seconds"},
 		{"negative seconds", func(f *flags) { f.seconds = -1 }, "-seconds"},
+		{"unknown policy", func(f *flags) { f.policy = "bogus" }, "-policy"},
 		{"zero scale", func(f *flags) { f.scale = 0 }, "-scale"},
 		{"negative scale", func(f *flags) { f.scale = -0.1 }, "-scale"},
 		{"zero cap", func(f *flags) { f.capW = 0 }, "-cap"},
@@ -58,5 +61,36 @@ func TestFlagValidation(t *testing.T) {
 	f.faultMSR, f.faultHwmon = 0.99, 0
 	if err := f.validate(arch.FX8320VFTable); err != nil {
 		t.Errorf("boundary values rejected: %v", err)
+	}
+}
+
+// TestBatchRunsDaemon drives the batch path — the same daemon assembly
+// -serve runs — for 2 simulated seconds under the cap policy, and pins
+// that the capper keeps no per-interval trajectory: an always-on ppepd
+// would otherwise grow it without bound.
+func TestBatchRunsDaemon(t *testing.T) {
+	models, err := fleet.SlimModels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := workload.ParseRunSpec("433x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := goodFlags()
+	fl.policy, fl.seconds = "cap", 2
+	d, err := attach(models, run, fl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runBatch(d, fl.seconds); err != nil {
+		t.Fatal(err)
+	}
+
+	if s := d.Counters().Snapshot(); s.Intervals != 10 || s.AnalyzeErrors != 0 {
+		t.Errorf("%d intervals, %d analyze errors; want 10 and 0", s.Intervals, s.AnalyzeErrors)
+	}
+	if h := d.Policy.(*capPolicy).History; len(h) > 1 {
+		t.Errorf("capper retained %d steps after 10 intervals, want at most 1", len(h))
 	}
 }

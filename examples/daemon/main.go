@@ -54,7 +54,7 @@ func main() {
 		// a rejected P-state request leaves the previous state; retried next tick
 		_ = ch.SetAllPStates(dvfs.EDPOptimal(rep))
 	})
-	d, err := daemon.Attach(chip, &models, policy)
+	d, err := daemon.AttachOpts(chip, &models, policy, daemon.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -79,14 +79,9 @@ type Daemon struct {
 	seq     uint64
 }
 
-// Attach wires the daemon onto a simulated chip through the MSR and
-// hwmon device paths with default options (unbounded history, no
-// retries) — the batch-experiment configuration.
-func Attach(chip *fxsim.Chip, models *core.Models, policy Policy) (*Daemon, error) {
-	return AttachOpts(chip, models, policy, Options{})
-}
-
-// AttachOpts is Attach with explicit service options.
+// AttachOpts wires the daemon onto a simulated chip through the MSR and
+// hwmon device paths. The zero Options (unbounded history, no retries)
+// is the batch-experiment configuration.
 func AttachOpts(chip *fxsim.Chip, models *core.Models, policy Policy, opts Options) (*Daemon, error) {
 	dev := msr.Open(chip)
 	d := &Daemon{
@@ -127,13 +122,6 @@ func (d *Daemon) InjectFaults(msrRate, hwmonRate float64, seed int64) {
 	d.diode.InjectFaults(hwmonRate, seed+1)
 }
 
-// HistoryCap returns the ring bound (0 = unbounded).
-func (d *Daemon) HistoryCap() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.history.Cap()
-}
-
 // Records returns a copy of the retained history, oldest first.
 func (d *Daemon) Records() []Record {
 	d.mu.Lock()
@@ -153,28 +141,6 @@ func (d *Daemon) Latest() (Record, bool) {
 // immutable and the load is lock-free, so it can be read from any
 // goroutine at any rate without perturbing sampling.
 func (d *Daemon) Predictions() *core.PredictionTable { return d.published.Load() }
-
-// Intervals returns the retained measurement intervals, oldest first.
-func (d *Daemon) Intervals() []trace.Interval {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]trace.Interval, d.history.Len())
-	for i := range out {
-		out[i] = d.history.At(i).Interval
-	}
-	return out
-}
-
-// Reports returns the retained analyses, oldest first.
-func (d *Daemon) Reports() []*core.Report {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]*core.Report, d.history.Len())
-	for i := range out {
-		out[i] = d.history.At(i).Report
-	}
-	return out
-}
 
 // readTempK reads the thermal diode with the retry budget. A diode that
 // stays unreadable is not fatal: the previous good reading is reused and

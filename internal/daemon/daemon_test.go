@@ -83,7 +83,7 @@ func busyChip(t *testing.T, perCUPlanes bool) *fxsim.Chip {
 func attach(t *testing.T, policy Policy) (*Daemon, *fxsim.Chip) {
 	t.Helper()
 	chip := busyChip(t, policy != nil)
-	d, err := Attach(chip, models(t), policy)
+	d, err := AttachOpts(chip, models(t), policy, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +95,12 @@ func TestDaemonSamplesThroughDevices(t *testing.T) {
 	if err := d.RunIntervals(10); err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Intervals()) != 10 || len(d.Reports()) != 10 {
-		t.Fatalf("intervals %d reports %d", len(d.Intervals()), len(d.Reports()))
+	recs := d.Records()
+	if len(recs) != 10 {
+		t.Fatalf("%d records, want 10", len(recs))
 	}
-	for _, iv := range d.Intervals() {
+	for _, rec := range recs {
+		iv := rec.Interval
 		// Cores 0 and 2 run the instances; the rest are idle.
 		if !iv.Busy[0] || !iv.Busy[2] {
 			t.Error("bound cores not seen busy through the MSR path")
@@ -127,9 +129,8 @@ func TestDaemonEstimatesTrackMeasuredPower(t *testing.T) {
 		t.Fatal(err)
 	}
 	var errs []float64
-	ivs := d.Intervals()
-	for i, rep := range d.Reports() {
-		errs = append(errs, stats.AbsPctErr(float64(rep.Current().ChipW), ivs[i].MeasPowerW))
+	for _, rec := range d.Records() {
+		errs = append(errs, stats.AbsPctErr(float64(rec.Report.Current().ChipW), rec.Interval.MeasPowerW))
 	}
 	s := stats.SummarizeAbsErrors(errs)
 	if s.Mean > 0.15 {
@@ -145,7 +146,7 @@ func TestDaemonMultiplexedCountsMatchOracle(t *testing.T) {
 	if err := d.RunIntervals(5); err != nil {
 		t.Fatal(err)
 	}
-	iv := d.Intervals()[3]
+	iv := d.Records()[3].Interval
 	inst := iv.Counters[0].Get(arch.RetiredInstructions)
 	cyc := iv.Counters[0].Get(arch.CPUClocksNotHalted)
 	if inst <= 0 || cyc <= 0 {
@@ -176,9 +177,8 @@ func TestDaemonPolicyDrivesVF(t *testing.T) {
 		t.Error("policy never changed the VF state")
 	}
 	// And later intervals observe the new state through the MSR path.
-	ivs := d.Intervals()
-	last := ivs[len(ivs)-1]
-	if last.VF() == arch.VF5 {
+	last, _ := d.Latest()
+	if last.Interval.VF() == arch.VF5 {
 		t.Error("device-sampled VF did not track the policy")
 	}
 }
@@ -193,8 +193,8 @@ func TestDaemonCappingPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	// After settling, measured power must respect the 40 W budget.
-	for _, iv := range d.Intervals()[2:] {
-		if iv.MeasPowerW > 44 {
+	for _, rec := range d.Records()[2:] {
+		if iv := rec.Interval; iv.MeasPowerW > 44 {
 			t.Errorf("t=%.1f: %0.1fW over the 40W cap", iv.TimeS, iv.MeasPowerW)
 		}
 	}
@@ -202,7 +202,7 @@ func TestDaemonCappingPolicy(t *testing.T) {
 
 func TestDaemonRequiresModels(t *testing.T) {
 	chip := fxsim.New(fxsim.DefaultFX8320Config())
-	d, err := Attach(chip, nil, nil)
+	d, err := AttachOpts(chip, nil, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestDaemonHistoryRing(t *testing.T) {
 		t.Errorf("interval counter %d, want 10", got)
 	}
 	recs := d.Records()
-	if len(recs) != 4 || len(d.Intervals()) != 4 || len(d.Reports()) != 4 {
+	if len(recs) != 4 {
 		t.Fatalf("retained %d records, want 4", len(recs))
 	}
 	for i, rec := range recs {
@@ -328,7 +328,7 @@ func TestDaemonSurvivesInjectedFaults(t *testing.T) {
 
 func TestSamplerGroupRotation(t *testing.T) {
 	chip := fxsim.New(fxsim.DefaultFX8320Config())
-	d, err := Attach(chip, models(t), nil)
+	d, err := AttachOpts(chip, models(t), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,10 +60,7 @@ func TestDaemonConcurrentReaders(t *testing.T) {
 						return
 					}
 				}
-				_ = d.Intervals()
-				_ = d.Reports()
 				_ = d.EngineStats()
-				_ = d.HistoryCap()
 			}
 		}()
 	}

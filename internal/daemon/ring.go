@@ -59,11 +59,3 @@ func (r *Ring[T]) Snapshot() []T {
 	}
 	return out
 }
-
-// Cap returns the bound (0 = unbounded).
-func (r *Ring[T]) Cap() int {
-	if r.keepAll {
-		return 0
-	}
-	return cap(r.buf)
-}

@@ -8,12 +8,14 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 
 	"ppep/internal/arch"
 	"ppep/internal/core"
 	"ppep/internal/core/energy"
 	"ppep/internal/core/pgidle"
+	"ppep/internal/fingerprint"
 	"ppep/internal/fxsim"
 	"ppep/internal/pool"
 	"ppep/internal/simcache"
@@ -128,45 +130,15 @@ func scaleRun(r workload.Run, scale float64) workload.Run {
 	return out
 }
 
-// seedOf derives a stable sensor seed from a run identity. The hash
-// input is the byte string "<name>@<decimal vf>" — historically produced
-// by fmt.Fprintf and now mixed directly so the campaign's fan-out loops
-// stay allocation-free; the seeds (and therefore every golden
-// fingerprint) are pinned by TestSeedOfGolden.
+// seedOf derives a stable sensor seed from a run identity: the FNV-1a
+// hash of the byte string "<name>@<decimal vf>". Folding the pieces
+// directly keeps the campaign's fan-out loops allocation-free
+// (strconv.Itoa of a VF state below 100 is a static string); the seeds,
+// and therefore every golden fingerprint, are pinned by
+// TestSeedOfGolden.
 func seedOf(name string, vf arch.VFState) int64 {
-	const (
-		offset = uint64(14695981039346656037)
-		prime  = uint64(1099511628211)
-	)
-	h := offset
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * prime
-	}
-	h = (h ^ '@') * prime
-	// Decimal digits of int(vf), as %d renders them.
-	v := int64(vf)
-	var buf [20]byte
-	n := len(buf)
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	for {
-		n--
-		buf[n] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	if neg {
-		n--
-		buf[n] = '-'
-	}
-	for ; n < len(buf); n++ {
-		h = (h ^ uint64(buf[n])) * prime
-	}
-	return int64(h & 0x7fffffffffffffff)
+	h := fingerprint.New().Raw(name).Byte('@').Raw(strconv.Itoa(int(vf)))
+	return int64(h.Sum() & 0x7fffffffffffffff)
 }
 
 // workers resolves the configured fan-out bound.

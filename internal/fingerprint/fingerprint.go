@@ -20,10 +20,12 @@ import (
 	"sort"
 )
 
-// FNV-1a constants, shared with internal/trace's explicit mixing.
+// FNV-1a constants. Offset is exported so a running hash kept as a bare
+// uint64 (internal/trace's interval fingerprints) can be seeded by a
+// constant; Hash(Offset) == New().
 const (
-	offset64 = uint64(14695981039346656037)
-	prime64  = uint64(1099511628211)
+	Offset  = uint64(14695981039346656037)
+	prime64 = uint64(1099511628211)
 )
 
 // Hash is a running FNV-1a state. The zero value is NOT a valid state;
@@ -31,7 +33,7 @@ const (
 type Hash uint64
 
 // New returns the FNV-1a offset basis.
-func New() Hash { return Hash(offset64) }
+func New() Hash { return Hash(Offset) }
 
 // Byte folds one byte into the hash.
 func (h Hash) Byte(b byte) Hash { return Hash((uint64(h) ^ uint64(b)) * prime64) }
@@ -55,8 +57,11 @@ func (h Hash) F64(x float64) Hash { return h.U64(math.Float64bits(x)) }
 
 // Str folds a string's length and bytes (the length prefix keeps
 // concatenation ambiguities like "ab","c" vs "a","bc" apart).
-func (h Hash) Str(s string) Hash {
-	h = h.U64(uint64(len(s)))
+func (h Hash) Str(s string) Hash { return h.U64(uint64(len(s))).Raw(s) }
+
+// Raw folds a string's bytes with no length prefix: New().Raw(s) is the
+// plain FNV-1a hash of s, as hash/fnv's New64a computes it.
+func (h Hash) Raw(s string) Hash {
 	v := uint64(h)
 	for i := 0; i < len(s); i++ {
 		v = (v ^ uint64(s[i])) * prime64

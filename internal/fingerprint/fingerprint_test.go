@@ -20,6 +20,12 @@ func TestPrimitivesMatchStdlibFNV(t *testing.T) {
 	if got := New().U64(0x1122334455667788).Sum(); got != ref.Sum64() {
 		t.Fatalf("U64 is not little-endian FNV-1a: %#x vs %#x", got, ref.Sum64())
 	}
+
+	ref = fnv.New64a()
+	ref.Write([]byte("433 x2@5"))
+	if got := New().Raw("433 x2@5").Sum(); got != ref.Sum64() {
+		t.Fatalf("Raw is not the plain FNV-1a of the string: %#x vs %#x", got, ref.Sum64())
+	}
 }
 
 func TestDistinguishesShapes(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
-	"time"
 
 	"ppep/internal/arch"
 	"ppep/internal/core"
@@ -153,39 +152,54 @@ func TestPredictBatch(t *testing.T) {
 // garbage all error out (wrapping the sentinel) instead of panicking
 // or returning a partial table.
 func TestBatchCodecErrors(t *testing.T) {
-	tab := &core.PredictionTable{
-		Seq: 7, TimeS: 1.4, DurS: 0.2, MeasuredVF: arch.VF5,
-		MeasPowerW: 55, TempK: 330,
-		Rows: []core.PredictionRow{
-			{VF: arch.VF1, CPI: 1.2, TotalIPS: 1e9, ChipW: 30, IdleW: 20, DynW: 10, IntervalEnergyJ: 6, JPerInst: 3e-8, EDP: 3e-17},
-			{VF: arch.VF2, CPI: 1.3, TotalIPS: 2e9, ChipW: 40, IdleW: 25, DynW: 15, IntervalEnergyJ: 8, JPerInst: 2e-8, EDP: 1e-17},
-		},
-	}
-	good := EncodeBatch(tab)
+	good := EncodeBatch(codecTable)
 	if dec, err := DecodeBatch(good); err != nil {
 		t.Fatal(err)
-	} else if !reflect.DeepEqual(dec, tab) {
+	} else if !reflect.DeepEqual(dec, codecTable) {
 		t.Fatalf("round trip diverges: %+v", dec)
 	}
-
-	check := func(name string, data []byte, want error) {
-		t.Helper()
-		if _, err := DecodeBatch(data); err == nil {
-			t.Errorf("%s: decoded without error", name)
-		} else if want != nil && !errorsIs(err, want) {
-			t.Errorf("%s: error %v does not wrap %v", name, err, want)
+	for _, bad := range corruptFrames(good) {
+		if _, err := DecodeBatch(bad.data); err == nil {
+			t.Errorf("%s: decoded without error", bad.name)
+		} else if bad.want != nil && !errorsIs(err, bad.want) {
+			t.Errorf("%s: error %v does not wrap %v", bad.name, err, bad.want)
 		}
 	}
-	check("empty", nil, ErrBatchCorrupt)
-	check("bad magic", append([]byte("XXXX"), good[4:]...), ErrBatchCorrupt)
-	for cut := 1; cut < len(good); cut += 13 {
-		check("truncated", good[:len(good)-cut], nil)
+}
+
+// codecTable is a small hand-built table for the codec tests.
+var codecTable = &core.PredictionTable{
+	Seq: 7, TimeS: 1.4, DurS: 0.2, MeasuredVF: arch.VF5,
+	MeasPowerW: 55, TempK: 330,
+	Rows: []core.PredictionRow{
+		{VF: arch.VF1, CPI: 1.2, TotalIPS: 1e9, ChipW: 30, IdleW: 20, DynW: 10, IntervalEnergyJ: 6, JPerInst: 3e-8, EDP: 3e-17},
+		{VF: arch.VF2, CPI: 1.3, TotalIPS: 2e9, ChipW: 40, IdleW: 25, DynW: 15, IntervalEnergyJ: 8, JPerInst: 2e-8, EDP: 1e-17},
+	},
+}
+
+// badFrame is a malformed encoding and the error it must wrap (nil: any
+// error will do).
+type badFrame struct {
+	name string
+	data []byte
+	want error
+}
+
+// corruptFrames derives the malformed frames DecodeBatch must reject
+// from a good encoding.
+func corruptFrames(good []byte) []badFrame {
+	bad := []badFrame{
+		{"empty", nil, ErrBatchCorrupt},
+		{"bad magic", append([]byte("XXXX"), good[4:]...), ErrBatchCorrupt},
+		{"trailing bytes", append(append([]byte{}, good...), 0xAB), ErrBatchCorrupt},
 	}
-	check("trailing bytes", append(append([]byte{}, good...), 0xAB), ErrBatchCorrupt)
+	for cut := 1; cut < len(good); cut += 13 {
+		bad = append(bad, badFrame{"truncated", good[:len(good)-cut], nil})
+	}
 
 	wrongVersion := append([]byte{}, good...)
 	wrongVersion[4] = 99
-	check("schema", wrongVersion, ErrBatchSchema)
+	bad = append(bad, badFrame{"schema", wrongVersion, ErrBatchSchema})
 
 	// Row count larger than the data present must be rejected before
 	// any allocation sized off it.
@@ -194,7 +208,36 @@ func TestBatchCodecErrors(t *testing.T) {
 	oversized[batchHeaderSize-3] = 0xFF
 	oversized[batchHeaderSize-2] = 0xFF
 	oversized[batchHeaderSize-1] = 0x7F
-	check("oversized row count", oversized, ErrBatchCorrupt)
+	return append(bad, badFrame{"oversized row count", oversized, ErrBatchCorrupt})
+}
+
+// FuzzDecodeBatch: the decoder never panics, and any frame it accepts
+// re-encodes to the identical bytes (no partial or ambiguous parses).
+// The corpus is a daemon-published table, the codec test table, and
+// every frame TestBatchCodecErrors rejects.
+func FuzzDecodeBatch(f *testing.F) {
+	d, err := daemon.AttachOpts(busyChip(f), models(f), nil, daemon.Options{HistoryCap: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := d.RunIntervals(1); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(EncodeBatch(d.Predictions()))
+	good := EncodeBatch(codecTable)
+	f.Add(good)
+	for _, bad := range corruptFrames(good) {
+		f.Add(bad.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tab, err := DecodeBatch(data)
+		if err != nil {
+			return
+		}
+		if re := EncodeBatch(tab); string(re) != string(data) {
+			t.Fatalf("accepted frame re-encodes differently:\n got %x\nwant %x", re, data)
+		}
+	})
 }
 
 // errorsIs avoids importing errors alongside the test's other needs.
@@ -277,41 +320,17 @@ func TestReportsEdgeCases(t *testing.T) {
 	}
 }
 
-// TestServerTimeouts pins the http.Server hardening: defaults applied
-// when Options is zero, overrides respected, negatives meaning
-// "disabled" — a slow client must not be able to pin a connection
-// forever by default.
+// TestServerTimeouts pins the http.Server hardening: all four timeouts
+// are set — a slow client must not be able to pin a connection forever.
 func TestServerTimeouts(t *testing.T) {
 	d, err := daemon.AttachOpts(busyChip(t), models(t), nil, daemon.Options{HistoryCap: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	hs := New(d, Options{}).httpServer(":0")
-	if hs.ReadHeaderTimeout != DefaultReadHeaderTimeout ||
-		hs.ReadTimeout != DefaultReadTimeout ||
-		hs.WriteTimeout != DefaultWriteTimeout ||
-		hs.IdleTimeout != DefaultIdleTimeout {
-		t.Errorf("default timeouts not applied: %+v", hs)
-	}
-
-	hs = New(d, Options{
-		ReadHeaderTimeout: time.Second,
-		ReadTimeout:       2 * time.Second,
-		WriteTimeout:      3 * time.Second,
-		IdleTimeout:       4 * time.Second,
-	}).httpServer(":0")
-	if hs.ReadHeaderTimeout != time.Second || hs.ReadTimeout != 2*time.Second ||
-		hs.WriteTimeout != 3*time.Second || hs.IdleTimeout != 4*time.Second {
-		t.Errorf("timeout overrides not applied: %+v", hs)
-	}
-
-	hs = New(d, Options{ReadTimeout: -1, WriteTimeout: -1}).httpServer(":0")
-	if hs.ReadTimeout != 0 || hs.WriteTimeout != 0 {
-		t.Errorf("negative (disabled) timeouts not honoured: %+v", hs)
-	}
-	if hs.ReadHeaderTimeout != DefaultReadHeaderTimeout {
-		t.Errorf("unset field lost its default next to disabled ones: %+v", hs)
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.ReadTimeout != readTimeout ||
+		hs.WriteTimeout != writeTimeout || hs.IdleTimeout != idleTimeout {
+		t.Errorf("server timeouts not applied: %+v", hs)
 	}
 }
 

@@ -49,57 +49,31 @@ import (
 // leaves it zero.
 const DefaultStaleAfter = 5 * time.Second
 
-// DefaultStartupGrace is how long /healthz tolerates spin-up (no
-// completed interval yet) before reporting 503, when Options leaves it
-// zero. Model training and workload binding legitimately take far
-// longer than a steady-state interval gap, so the startup budget is
-// separate from — and much larger than — StaleAfter.
-const DefaultStartupGrace = 60 * time.Second
+// startupGrace is how long /healthz tolerates spin-up (no completed
+// interval yet) before reporting 503. Model training and workload
+// binding legitimately take far longer than a steady-state interval
+// gap, so the startup budget is separate from — and much larger than —
+// StaleAfter.
+const startupGrace = 60 * time.Second
 
-// Default HTTP server timeouts (see Options). A slow or stalled client
-// must never be able to pin a connection, and with them unset it could:
-// net/http's zero values mean "wait forever".
+// HTTP server timeouts. A slow or stalled client must never be able to
+// pin a connection, and with them unset it could: net/http's zero
+// values mean "wait forever".
 const (
-	DefaultReadHeaderTimeout = 5 * time.Second
-	DefaultReadTimeout       = 15 * time.Second
-	DefaultWriteTimeout      = 15 * time.Second
-	DefaultIdleTimeout       = 2 * time.Minute
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 15 * time.Second
+	writeTimeout      = 15 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
-// Options tunes the server. Duration fields follow one convention:
-// zero picks the package default, negative disables the limit.
+// Options tunes the server.
 type Options struct {
 	// StaleAfter is how long /healthz tolerates no completed interval —
 	// after at least one has completed — before reporting 503 (default
-	// DefaultStaleAfter).
+	// DefaultStaleAfter when zero or negative).
 	StaleAfter time.Duration
-	// StartupGrace is how long /healthz reports a healthy "starting"
-	// before the first completed interval (default DefaultStartupGrace).
-	// Past it the status stays "starting" but turns 503: a wedged
-	// spin-up must not look healthy forever.
-	StartupGrace time.Duration
-
-	// ReadHeaderTimeout, ReadTimeout, WriteTimeout, and IdleTimeout are
-	// passed to the underlying http.Server (defaults above).
-	ReadHeaderTimeout time.Duration
-	ReadTimeout       time.Duration
-	WriteTimeout      time.Duration
-	IdleTimeout       time.Duration
-
 	// Now replaces time.Now for staleness arithmetic (tests).
 	Now func() time.Time
-}
-
-// timeoutOr resolves one Options duration: zero → default, negative →
-// disabled (0, net/http's "no limit").
-func timeoutOr(v, def time.Duration) time.Duration {
-	if v == 0 {
-		return def
-	}
-	if v < 0 {
-		return 0
-	}
-	return v
 }
 
 // Server renders a daemon's state over HTTP.
@@ -136,9 +110,6 @@ type published struct {
 func New(d *daemon.Daemon, opts Options) *Server {
 	if opts.StaleAfter <= 0 {
 		opts.StaleAfter = DefaultStaleAfter
-	}
-	if opts.StartupGrace <= 0 {
-		opts.StartupGrace = DefaultStartupGrace
 	}
 	if opts.Now == nil {
 		opts.Now = time.Now
@@ -218,10 +189,10 @@ func (s *Server) httpServer(addr string) *http.Server {
 	return &http.Server{
 		Addr:              addr,
 		Handler:           s.Handler(),
-		ReadHeaderTimeout: timeoutOr(s.opts.ReadHeaderTimeout, DefaultReadHeaderTimeout),
-		ReadTimeout:       timeoutOr(s.opts.ReadTimeout, DefaultReadTimeout),
-		WriteTimeout:      timeoutOr(s.opts.WriteTimeout, DefaultWriteTimeout),
-		IdleTimeout:       timeoutOr(s.opts.IdleTimeout, DefaultIdleTimeout),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 
@@ -418,7 +389,7 @@ type health struct {
 }
 
 // handleHealthz reports loop liveness. Before the first completed
-// interval the status is "starting": 200 within StartupGrace (model
+// interval the status is "starting": 200 within startupGrace (model
 // spin-up is slow but healthy), 503 past it (a wedged spin-up). After
 // the first interval the status is "ok" while intervals keep completing
 // within StaleAfter and "stale"/503 once they stop — a loop that has
@@ -432,7 +403,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		since := now.Sub(s.startWall)
 		h.AgeS = since.Seconds()
 		status := http.StatusOK
-		if since > s.opts.StartupGrace {
+		if since > startupGrace {
 			status = http.StatusServiceUnavailable
 		}
 		writeJSON(w, status, h)

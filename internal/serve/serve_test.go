@@ -29,7 +29,7 @@ var (
 
 // models trains a slim but valid PPEP model set once per test binary:
 // idle traces at every VF plus two benchmarks across the VF table.
-func models(t *testing.T) *core.Models {
+func models(t testing.TB) *core.Models {
 	t.Helper()
 	trainOnce.Do(func() {
 		ts := core.TrainingSet{IdleTraces: map[arch.VFState]*trace.Trace{}}
@@ -67,7 +67,7 @@ func models(t *testing.T) *core.Models {
 
 // busyChip builds a chip running milc×2 endlessly so every interval has
 // real activity behind the projections.
-func busyChip(t *testing.T) *fxsim.Chip {
+func busyChip(t testing.TB) *fxsim.Chip {
 	t.Helper()
 	chip := fxsim.New(fxsim.DefaultFX8320Config())
 	chip.SetTempK(318)
@@ -115,7 +115,7 @@ func TestServeEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock := &fakeClock{t: time.Unix(1000, 0)}
-	srv := New(d, Options{StaleAfter: 2 * time.Second, StartupGrace: 4 * time.Second, Now: clock.Now})
+	srv := New(d, Options{StaleAfter: 2 * time.Second, Now: clock.Now})
 	h := srv.Handler()
 
 	// Before the first interval: healthz reports "starting", the report
@@ -133,10 +133,10 @@ func TestServeEndpoints(t *testing.T) {
 		t.Errorf("pre-interval /predict/batch = %d, want 404", code)
 	}
 
-	// Slow spin-up is healthy "starting" while within StartupGrace —
+	// Slow spin-up is healthy "starting" while within startupGrace —
 	// the old behaviour called it "stale" the moment StaleAfter passed,
 	// even though no interval had ever completed.
-	clock.Advance(3 * time.Second)
+	clock.Advance(startupGrace - time.Second)
 	if code, body := get(t, h, "/healthz"); code != http.StatusOK || !strings.Contains(body, `"starting"`) {
 		t.Errorf("in-grace startup healthz %d %q, want 200 starting", code, body)
 	}
@@ -144,7 +144,7 @@ func TestServeEndpoints(t *testing.T) {
 	// But a spin-up that outlives the grace is unhealthy: still
 	// "starting" (no interval has ever completed, so it cannot be
 	// "stale"), yet 503 — a wedged startup must not look healthy forever.
-	clock.Advance(3 * time.Second)
+	clock.Advance(2 * time.Second)
 	if code, body := get(t, h, "/healthz"); code != http.StatusServiceUnavailable || !strings.Contains(body, `"starting"`) {
 		t.Errorf("wedged-startup healthz %d %q, want 503 starting", code, body)
 	}

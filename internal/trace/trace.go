@@ -10,9 +10,9 @@ package trace
 
 import (
 	"fmt"
-	"math"
 
 	"ppep/internal/arch"
+	"ppep/internal/fingerprint"
 )
 
 // Interval is one DVFS decision period's worth of measurements.
@@ -142,7 +142,7 @@ func (t *Trace) TotalInstructions() float64 {
 func (t *Trace) Fingerprint() uint64 {
 	h := FingerprintSeed
 	for i := range t.Intervals {
-		h = t.Intervals[i].fingerprint(h)
+		h = t.Intervals[i].Fold(h)
 	}
 	return h
 }
@@ -152,58 +152,32 @@ func (t *Trace) Fingerprint() uint64 {
 // reproduces Trace.Fingerprint exactly. Consumers that never retain
 // whole traces (the fleet engine keeps one running hash per node) start
 // from this seed and fold each interval as it closes.
-const FingerprintSeed = fnvOffset
+const FingerprintSeed = fingerprint.Offset
 
 // Fold folds the interval into a running order-sensitive FNV-1a
 // fingerprint (see FingerprintSeed). It is allocation-free.
-func (iv *Interval) Fold(h uint64) uint64 { return iv.fingerprint(h) }
-
-// FNV-1a constants (hash/fnv is avoided so the mixing of non-byte data
-// stays explicit and allocation-free).
-const (
-	fnvOffset = uint64(14695981039346656037)
-	fnvPrime  = uint64(1099511628211)
-)
-
-func fnvU64(h, x uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= x & 0xff
-		h *= fnvPrime
-		x >>= 8
-	}
-	return h
-}
-
-func fnvF64(h uint64, x float64) uint64 { return fnvU64(h, math.Float64bits(x)) }
-
-// fingerprint folds one interval into a running FNV-1a hash.
-func (iv *Interval) fingerprint(h uint64) uint64 {
-	h = fnvF64(h, iv.TimeS)
-	h = fnvF64(h, iv.DurS)
-	h = fnvF64(h, iv.TempK)
-	h = fnvF64(h, iv.MeasPowerW)
-	h = fnvF64(h, iv.TruePowerW)
-	h = fnvF64(h, iv.TrueCoreW)
-	h = fnvF64(h, iv.TrueNBW)
+func (iv *Interval) Fold(seed uint64) uint64 {
+	h := fingerprint.Hash(seed).F64(iv.TimeS).F64(iv.DurS).F64(iv.TempK).
+		F64(iv.MeasPowerW).F64(iv.TruePowerW).F64(iv.TrueCoreW).F64(iv.TrueNBW)
 	for _, s := range iv.PerCoreVF {
-		h = fnvU64(h, uint64(s))
+		h = h.U64(uint64(s))
 	}
 	for _, b := range iv.Busy {
 		x := uint64(0)
 		if b {
 			x = 1
 		}
-		h = fnvU64(h, x)
+		h = h.U64(x)
 	}
 	for _, ev := range iv.Counters {
 		for _, x := range ev {
-			h = fnvF64(h, x)
+			h = h.F64(x)
 		}
 	}
 	for _, w := range iv.TrueCoreDynW {
-		h = fnvF64(h, w)
+		h = h.F64(w)
 	}
-	return h
+	return h.Sum()
 }
 
 // Validate checks structural consistency.

@@ -13,9 +13,10 @@ package workload
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
+
+	"ppep/internal/fingerprint"
 )
 
 // Class is the coarse memory-boundedness class of a program, used to draw
@@ -196,9 +197,7 @@ func (b *Benchmark) PhaseAt(done float64) *Phase {
 // seedFor derives a stable RNG seed from a benchmark name, so profile
 // generation is deterministic across runs and platforms.
 func seedFor(name string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return int64(h.Sum64() & 0x7fffffffffffffff)
+	return int64(fingerprint.New().Raw(name).Sum() & 0x7fffffffffffffff)
 }
 
 // rngFor returns a deterministic RNG for the named benchmark.

@@ -44,6 +44,7 @@ ci: fmt-check
 	$(MAKE) loadgen-smoke
 	$(MAKE) fleet-smoke
 	$(MAKE) bench-guard
+	cd perfbench && $(GO) vet ./...
 	cd perfbench && $(GO) test ./...
 	$(GO) run ./cmd/ppeplint -C perfbench
 

@@ -57,16 +57,21 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
 			os.Exit(1)
 		}
-		replay(models, path, tr, *interval)
+		if err := replay(models, path, tr, *interval); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
+			os.Exit(1)
+		}
 	}
 }
 
-func replay(models *core.Models, path string, tr *trace.Trace, detail int) {
+// replay analyzes every interval of one trace. An interval the models
+// cannot analyze (a VF state outside their table) fails the replay.
+func replay(models *core.Models, path string, tr *trace.Trace, detail int) error {
 	var errs []float64
 	for i, iv := range tr.Intervals {
 		rep, err := models.Analyze(iv)
 		if err != nil {
-			continue
+			return fmt.Errorf("interval %d: %w", i, err)
 		}
 		if iv.MeasPowerW > 0 {
 			errs = append(errs, stats.AbsPctErr(float64(rep.Current().ChipW), iv.MeasPowerW))
@@ -84,4 +89,5 @@ func replay(models *core.Models, path string, tr *trace.Trace, detail int) {
 	s := stats.SummarizeAbsErrors(errs)
 	fmt.Printf("%s: %d intervals, estimation AAE %.1f%% (SD %.1f%%, max %.1f%%)\n",
 		path, s.N, 100*s.Mean, 100*s.SD, 100*s.Max)
+	return nil
 }

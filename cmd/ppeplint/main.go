@@ -1,15 +1,13 @@
 // Command ppeplint runs the module's custom static-analysis suite
 // (internal/lint): hotpath allocation-freedom, simulation determinism,
 // worker-pool safety, dropped-error checks, unitcheck dimensional
-// analysis, the concurrency pack — atomiccheck (consistent atomic
-// access, no copied locks), ctxcheck (cancellation-aware service
-// loops), and leakcheck (goroutine join/cancel proofs) — and perfcheck,
-// which compiles the module with -gcflags='-m -m
-// -d=ssa/check_bce/debug=1' and holds the hot paths to the compiler's
-// own verdicts (escape analysis, inlining, residual bounds checks). It
-// is stdlib-only and exits non-zero on any unsuppressed
-// finding, so `make lint` / `make ci` can gate merges on it. See
-// docs/LINTING.md and docs/UNITS.md.
+// analysis, and perfcheck, which compiles the module with -gcflags='-m
+// -m -d=ssa/check_bce/debug=1' and holds the hot paths to the
+// compiler's own verdicts (escape analysis, inlining, residual bounds
+// checks). Copied locks and atomics are go vet's (copylocks); data
+// races and goroutine joins are the -race tests'. It is stdlib-only and
+// exits non-zero on any unsuppressed finding, so `make lint` / `make
+// ci` can gate merges on it. See docs/LINTING.md and docs/UNITS.md.
 //
 // Usage:
 //

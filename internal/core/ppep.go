@@ -119,6 +119,9 @@ func (m *Models) AnalyzeInto(iv trace.Interval, rep *Report) error {
 	}
 	rep.TempK = units.Kelvin(iv.TempK)
 	rep.MeasuredVF = iv.VF()
+	if !m.Table.Contains(rep.MeasuredVF) {
+		return fmt.Errorf("core: interval VF%d is outside the %d-state model table", rep.MeasuredVF, len(m.Table))
+	}
 	fFrom := m.Table.Point(rep.MeasuredVF).Freq
 
 	// One backing array per field serves every state's per-core slice

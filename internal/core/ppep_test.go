@@ -239,9 +239,17 @@ func TestAnalyzeErrors(t *testing.T) {
 	if _, err := m.Analyze(trace.Interval{}); err == nil {
 		t.Error("untrained models accepted")
 	}
-	tm, _ := miniCampaign(t)
+	tm, ts := miniCampaign(t)
 	if _, err := tm.Analyze(trace.Interval{}); err == nil {
 		t.Error("empty interval accepted")
+	}
+	// A state past the model table (a VF5 interval under a 3-state
+	// models file) is an error, not an index panic.
+	iv := ts.Runs[0].Trace.Intervals[1]
+	iv.PerCoreVF = append([]arch.VFState(nil), iv.PerCoreVF...)
+	iv.PerCoreVF[0] = arch.VFState(len(tm.Table) + 1)
+	if _, err := tm.Analyze(iv); err == nil {
+		t.Error("interval VF state outside the model table accepted")
 	}
 }
 

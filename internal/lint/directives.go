@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -162,7 +163,7 @@ func (m *Module) addAllow(fd *ast.FuncDecl, pos token.Position, rest string) {
 		})
 		return
 	}
-	if !knownAnalyzer[fields[0]] {
+	if !slices.Contains(AnalyzerNames, fields[0]) {
 		m.directiveFindings = append(m.directiveFindings, Finding{
 			Pos: pos, Analyzer: "directive",
 			Message: fmt.Sprintf("//ppep:allow names unknown analyzer %q", fields[0]),

@@ -22,16 +22,6 @@
 //   - unitcheck: dimensional analysis over the internal/units types —
 //     cross-unit conversions and unit-annihilating float64 casts must go
 //     through named conversion helpers (docs/UNITS.md).
-//   - atomiccheck: a location accessed via sync/atomic anywhere is
-//     accessed atomically everywhere, and values containing locks,
-//     typed atomics, or such fields are never copied.
-//   - ctxcheck: service loops in the long-running packages observe
-//     cancellation unconditionally each iteration, blocking exported
-//     APIs there take a leading context.Context, and contexts are not
-//     stored in struct fields.
-//   - leakcheck: every go statement has a provable join (WaitGroup
-//     pairing, channel send/receive) or cancel (ctx/quit observation);
-//     fire-and-forget requires an explicit //ppep:allow.
 //   - perfcheck: the compiler's own diagnostics (-m -m escape analysis
 //     and inlining verdicts, -d=ssa/check_bce residual bounds checks)
 //     as a lintable contract: hot-path closures stay heap-allocation
@@ -52,6 +42,7 @@ import (
 	"fmt"
 	"go/token"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -77,11 +68,6 @@ type Config struct {
 	// UnitsPkg is the import path of the physical-units package; empty
 	// disables the unitcheck analyzer.
 	UnitsPkg string
-	// CtxPkgs are the long-running service packages the ctxcheck
-	// analyzer covers: their conditionless loops must observe
-	// cancellation and their exported blocking APIs must take a
-	// context. atomiccheck and leakcheck run module-wide regardless.
-	CtxPkgs map[string]bool
 	// PerfPatterns are the package patterns perfcheck compiles for
 	// diagnostics (go build -gcflags='-m -m -d=ssa/check_bce/debug=1');
 	// empty means ./... — the whole module.
@@ -116,18 +102,9 @@ func DefaultConfig(modulePath string) Config {
 	} {
 		pkgs[path.Join(modulePath, p)] = true
 	}
-	ctxPkgs := map[string]bool{}
-	for _, p := range []string{
-		"internal/daemon",
-		"internal/serve",
-		"internal/experiments",
-	} {
-		ctxPkgs[path.Join(modulePath, p)] = true
-	}
 	return Config{
 		DeterminismPkgs: pkgs,
 		UnitsPkg:        path.Join(modulePath, "internal/units"),
-		CtxPkgs:         ctxPkgs,
 	}
 }
 
@@ -135,24 +112,11 @@ func DefaultConfig(modulePath string) Config {
 // the directive parser's own findings (malformed or unknown directives).
 var AnalyzerNames = []string{
 	"hotpath", "determinism", "poolsafety", "errcheck", "unitcheck",
-	"atomiccheck", "ctxcheck", "leakcheck", "perfcheck", "directive",
-}
-
-var knownAnalyzer = map[string]bool{
-	"hotpath":     true,
-	"determinism": true,
-	"poolsafety":  true,
-	"errcheck":    true,
-	"unitcheck":   true,
-	"atomiccheck": true,
-	"ctxcheck":    true,
-	"leakcheck":   true,
-	"perfcheck":   true,
-	"directive":   true,
+	"perfcheck", "directive",
 }
 
 // runOne dispatches a single analyzer by name. Callers validate the
-// name against knownAnalyzer.
+// name against AnalyzerNames.
 func (m *Module) runOne(name string, cfg Config) []Finding {
 	switch name {
 	case "hotpath":
@@ -165,12 +129,6 @@ func (m *Module) runOne(name string, cfg Config) []Finding {
 		return runErrcheck(m)
 	case "unitcheck":
 		return runUnitcheck(m, cfg)
-	case "atomiccheck":
-		return runAtomiccheck(m)
-	case "ctxcheck":
-		return runCtxcheck(m, cfg)
-	case "leakcheck":
-		return runLeakcheck(m)
 	case "perfcheck":
 		return runPerfcheck(m, cfg)
 	case "directive":
@@ -200,7 +158,7 @@ func (m *Module) RunAnalyzers(cfg Config, names ...string) ([]Finding, error) {
 	var ran []string
 	seen := map[string]bool{}
 	for _, name := range names {
-		if !knownAnalyzer[name] {
+		if !slices.Contains(AnalyzerNames, name) {
 			return nil, fmt.Errorf("lint: unknown analyzer %q (known: %s)", name, strings.Join(AnalyzerNames, ", "))
 		}
 		if seen[name] {

@@ -38,7 +38,6 @@ func fixtureConfig() Config {
 	return Config{
 		DeterminismPkgs: map[string]bool{"fixture/determinism": true},
 		UnitsPkg:        "fixture/units",
-		CtxPkgs:         map[string]bool{"fixture/ctxcheck": true},
 	}
 }
 
@@ -153,9 +152,6 @@ func TestPoolSafetyFixtures(t *testing.T)  { checkFixture(t, "poolsafety", "pool
 func TestErrcheckFixtures(t *testing.T)    { checkFixture(t, "errcheck", "errcheck") }
 func TestDirectiveFixtures(t *testing.T)   { checkFixture(t, "directive", "directives") }
 func TestUnitcheckFixtures(t *testing.T)   { checkFixture(t, "unitcheck", "unitcheck") }
-func TestAtomiccheckFixtures(t *testing.T) { checkFixture(t, "atomiccheck", "atomiccheck") }
-func TestCtxcheckFixtures(t *testing.T)    { checkFixture(t, "ctxcheck", "ctxcheck") }
-func TestLeakcheckFixtures(t *testing.T)   { checkFixture(t, "leakcheck", "leakcheck") }
 
 // TestPerfcheckFixtures compiles the fixture module with the
 // diagnostics flags and checks the three budgets against seeded
@@ -173,19 +169,19 @@ func TestPerfcheckFixtures(t *testing.T) {
 // check to them, and rejects unknown names.
 func TestRunAnalyzersSubset(t *testing.T) {
 	m := fixtureModule(t)
-	fs, err := m.RunAnalyzers(fixtureConfig(), "leakcheck")
+	fs, err := m.RunAnalyzers(fixtureConfig(), "errcheck")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range fs {
-		if f.Analyzer != "leakcheck" {
-			t.Errorf("subset run of leakcheck produced a %s finding: %s", f.Analyzer, f)
+		if f.Analyzer != "errcheck" {
+			t.Errorf("subset run of errcheck produced a %s finding: %s", f.Analyzer, f)
 		}
 	}
 	if len(fs) == 0 {
-		t.Error("subset run of leakcheck found nothing; the fixture guarantees findings")
+		t.Error("subset run of errcheck found nothing; the fixture guarantees findings")
 	}
-	if _, err := m.RunAnalyzers(fixtureConfig(), "leakcheck", "nosuch"); err == nil {
+	if _, err := m.RunAnalyzers(fixtureConfig(), "errcheck", "nosuch"); err == nil {
 		t.Error("RunAnalyzers accepted unknown analyzer name")
 	}
 }
@@ -228,13 +224,10 @@ func TestRepoClean(t *testing.T) {
 	// boundaries — the per-phase EPI-scale memo refresh in uarch and the
 	// trace encoder's amortized buffer growth. Every other analyzer sits
 	// at zero: unitcheck's conversion and arithmetic rules need no
-	// exceptions, the concurrency analyzers rolled out clean (every
-	// goroutine joins or cancels, the service loop observes ctx, shared
-	// counters are typed atomics behind pointer receivers), and
-	// perfcheck rolled out clean (zero compiler-verified hot-path
-	// escapes, every //ppep:inline site inlined, zero residual bounds
-	// checks in //ppep:nobc ranges) — new exceptions need a reason the
-	// compiler can't argue with.
+	// exceptions, and perfcheck rolled out clean (zero compiler-verified
+	// hot-path escapes, every //ppep:inline site inlined, zero residual
+	// bounds checks in //ppep:nobc ranges) — new exceptions need a
+	// reason the compiler can't argue with.
 	by := m.SuppressedBy()
 	for _, name := range AnalyzerNames {
 		want := 0

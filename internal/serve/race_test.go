@@ -15,9 +15,8 @@ import (
 // TestServeConcurrentEndpointReaders hammers the read-only endpoints
 // from several goroutines while the daemon loop runs, pinning — under
 // -race — that the handler path (Counters snapshot, ring snapshot,
-// EngineStats) is torn-read-free against the sampling goroutine. This
-// is the runtime counterpart of the atomiccheck analyzer: the invariant
-// it exercises dynamically is the one atomiccheck enforces statically.
+// EngineStats) is torn-read-free against the sampling goroutine. Run
+// under -race, this test is the module's only check of that invariant.
 func TestServeConcurrentEndpointReaders(t *testing.T) {
 	d, err := daemon.AttachOpts(busyChip(t), models(t), nil, daemon.Options{HistoryCap: 8})
 	if err != nil {

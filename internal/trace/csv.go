@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"ppep/internal/arch"
@@ -43,7 +44,9 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 }
 
 // ReadCSV parses a trace written by WriteCSV. Oracle split fields that are
-// not serialized (core/NB breakdown) come back zero.
+// not serialized (core/NB breakdown) come back zero. Rows WriteCSV never
+// writes are rejected: non-finite numbers, VF states below 1, and
+// anything Validate refuses.
 func ReadCSV(r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -60,24 +63,23 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 	t := &Trace{}
 	var cur *Interval
 	for i, row := range rows[1:] {
-		pf := func(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
-		timeS, err := pf(row[0])
+		timeS, err := parseFinite(row[0])
 		if err != nil {
 			return nil, fmt.Errorf("trace: row %d: %v", i+1, err)
 		}
 		if cur == nil || cur.TimeS != timeS {
 			t.Intervals = append(t.Intervals, Interval{TimeS: timeS})
 			cur = &t.Intervals[len(t.Intervals)-1]
-			if cur.DurS, err = pf(row[1]); err != nil {
+			if cur.DurS, err = parseFinite(row[1]); err != nil {
 				return nil, fmt.Errorf("trace: row %d: %v", i+1, err)
 			}
-			if cur.TempK, err = pf(row[5]); err != nil {
+			if cur.TempK, err = parseFinite(row[5]); err != nil {
 				return nil, fmt.Errorf("trace: row %d: %v", i+1, err)
 			}
-			if cur.MeasPowerW, err = pf(row[6]); err != nil {
+			if cur.MeasPowerW, err = parseFinite(row[6]); err != nil {
 				return nil, fmt.Errorf("trace: row %d: %v", i+1, err)
 			}
-			if cur.TruePowerW, err = pf(row[7]); err != nil {
+			if cur.TruePowerW, err = parseFinite(row[7]); err != nil {
 				return nil, fmt.Errorf("trace: row %d: %v", i+1, err)
 			}
 		}
@@ -85,13 +87,16 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("trace: row %d: %v", i+1, err)
 		}
+		if vf < 1 {
+			return nil, fmt.Errorf("trace: row %d: VF state %d below VF1", i+1, vf)
+		}
 		busy, err := strconv.ParseBool(row[4])
 		if err != nil {
 			return nil, fmt.Errorf("trace: row %d: %v", i+1, err)
 		}
 		var ev arch.EventVec
 		for j := 0; j < arch.NumEvents; j++ {
-			if ev[j], err = pf(row[8+j]); err != nil {
+			if ev[j], err = parseFinite(row[8+j]); err != nil {
 				return nil, fmt.Errorf("trace: row %d event %d: %v", i+1, j+1, err)
 			}
 		}
@@ -99,5 +104,21 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		cur.Busy = append(cur.Busy, busy)
 		cur.Counters = append(cur.Counters, ev)
 	}
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
 	return t, nil
+}
+
+// parseFinite parses a float64 field, rejecting the NaN and ±Inf
+// spellings strconv accepts.
+func parseFinite(s string) (float64, error) {
+	x, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return 0, fmt.Errorf("non-finite value %q", s)
+	}
+	return x, nil
 }

@@ -182,6 +182,61 @@ func TestReadCSVErrors(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader(corrupted)); err == nil {
 		t.Error("corrupt numeric accepted")
 	}
+	// Values WriteCSV never writes, each in the first data row's field
+	// (col is the column index: 1 dur_s, 3 vf, 5 temp_k, 6 meas_w, 8 e1).
+	for _, tc := range []struct {
+		name, val string
+		col       int
+	}{
+		{"vf 0", "0", 3},
+		{"negative vf", "-2", 3},
+		{"NaN power", "NaN", 6},
+		{"Inf temperature", "+Inf", 5},
+		{"Inf event count", "-Inf", 8},
+		{"NaN event count", "nan", 8},
+		{"negative duration", "-1", 1},
+		{"zero duration", "0", 1},
+		{"negative power", "-75", 6},
+	} {
+		rows := strings.Split(buf.String(), "\n")
+		fields := strings.Split(rows[1], ",")
+		fields[tc.col] = tc.val
+		rows[1] = strings.Join(fields, ",")
+		if _, err := ReadCSV(strings.NewReader(strings.Join(rows, "\n"))); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+}
+
+// FuzzReadCSV feeds ReadCSV arbitrary bytes: it must never panic, and
+// any trace it accepts must pass Validate and survive a WriteCSV/ReadCSV
+// round trip with its fingerprint unchanged.
+func FuzzReadCSV(f *testing.F) {
+	var buf bytes.Buffer
+	if err := sampleTrace().WriteCSV(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadCSV(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("accepted trace fails Validate: %v", err)
+		}
+		var out bytes.Buffer
+		if err := tr.WriteCSV(&out); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadCSV(&out)
+		if err != nil {
+			t.Fatalf("round trip rejected: %v\n%s", err, out.Bytes())
+		}
+		if got, want := back.Fingerprint(), tr.Fingerprint(); got != want {
+			t.Fatalf("round trip fingerprint %#x, want %#x", got, want)
+		}
+	})
 }
 
 func TestPhaseChangeScore(t *testing.T) {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -177,6 +178,55 @@ func TestFig3Experiment(t *testing.T) {
 	if len(a.Rows) != 25 || len(b.Rows) != 25 {
 		t.Errorf("expected 25 VF pairs, got %d/%d", len(a.Rows), len(b.Rows))
 	}
+	// The paper's error ladder (Section V-A): predictions landing on
+	// the lowest state are the hardest, and the longest VF jumps are
+	// harder than staying put.
+	for _, res := range []*Result{a, b} {
+		pairs := fig3PairAAE(t, res)
+		mean := func(keep func(from, to string) bool) float64 {
+			sum, n := 0.0, 0
+			for p, v := range pairs {
+				if keep(p[0], p[1]) {
+					sum += v
+					n++
+				}
+			}
+			if n == 0 {
+				t.Fatalf("%s: no VF pair selected", res.ID)
+			}
+			return sum / float64(n)
+		}
+		toVF1 := mean(func(_, to string) bool { return to == "VF1" })
+		toVF5 := mean(func(_, to string) bool { return to == "VF5" })
+		if toVF1 <= toVF5 {
+			t.Errorf("%s: pairs landing on VF1 (%.2f%%) should err more than pairs landing on VF5 (%.2f%%)",
+				res.ID, toVF1, toVF5)
+		}
+		extremes := mean(func(from, to string) bool {
+			return from != to && (from == "VF1" || from == "VF5") && (to == "VF1" || to == "VF5")
+		})
+		same := mean(func(from, to string) bool { return from == to })
+		if extremes <= same {
+			t.Errorf("%s: VF5↔VF1 pairs (%.2f%%) should err more than same-state pairs (%.2f%%)",
+				res.ID, extremes, same)
+		}
+	}
+}
+
+// fig3PairAAE reads the per-pair average AAE, in percent, back out of a
+// Fig3 result's rows ("VF5→VF1", "7.5%", ...), keyed by (from, to).
+func fig3PairAAE(t *testing.T, res *Result) map[[2]string]float64 {
+	t.Helper()
+	out := map[[2]string]float64{}
+	for _, row := range res.Rows {
+		from, to, ok := strings.Cut(row[0], "→")
+		v, err := strconv.ParseFloat(strings.TrimSuffix(row[1], "%"), 64)
+		if !ok || err != nil {
+			t.Fatalf("%s: malformed row %q", res.ID, row)
+		}
+		out[[2]string{from, to}] = v
+	}
+	return out
 }
 
 func TestFig4Experiment(t *testing.T) {
@@ -225,6 +275,12 @@ func TestFig7Experiment(t *testing.T) {
 	}
 	if res.Metrics["ppep_adherence"] <= res.Metrics["iter_adherence"] {
 		t.Error("PPEP adherence should beat iterative")
+	}
+	// Paper: PPEP settles within one interval, the iterative governor
+	// takes many (0.2 s vs 2.8 s).
+	if res.Metrics["iter_settle_s"] < 3*res.Metrics["ppep_settle_s"] {
+		t.Errorf("iterative settle %.1f s should be ≥ 3× PPEP's %.1f s",
+			res.Metrics["iter_settle_s"], res.Metrics["ppep_settle_s"])
 	}
 }
 

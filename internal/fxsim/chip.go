@@ -146,6 +146,13 @@ type Chip struct {
 	cuOp        []cuOpCache   // per-CU operating-point coefficient memo
 	scratchDyn  []units.Watts // Breakdown.CoreDynW backing store
 	scratchLeak []units.Watts // Breakdown.CULeakW backing store
+	// The reference tick's scratch: every busy core's Step writes
+	// stepRes and the power model reads act, both through pointers, and
+	// breakdown (over scratchDyn/scratchLeak) is refilled every tick, so
+	// the sweep neither copies nor zeroes any of them.
+	stepRes   uarch.TickResult
+	act       powertruth.Activity
+	breakdown powertruth.Breakdown
 
 	// eng is the batched tick engine: it memoizes per-tick deltas over
 	// quiescent runs and fast-forwards them without re-running the full
@@ -192,7 +199,9 @@ func New(cfg Config) *Chip {
 		scratchDyn:  make([]units.Watts, nCores),
 		scratchLeak: make([]units.Watts, cfg.Topology.NumCUs),
 	}
+	c.breakdown.CoreDynW, c.breakdown.CULeakW = c.scratchDyn, c.scratchLeak
 	c.eng.init(&cfg, nCores, cfg.Topology.NumCUs)
+	c.eng.replay.CULeakW = c.scratchLeak
 	if cfg.IdealSensor {
 		c.sensor = sensor.Ideal()
 	} else {
@@ -295,7 +304,7 @@ func (c *Chip) refreshSharedRail() {
 //
 //ppep:inline
 func (c *Chip) markBusy(core int) {
-	cu := c.cfg.Topology.CUOf(core)
+	cu := c.cuOf(core)
 	c.cuBusyCores[cu]++
 	if c.cuBusyCores[cu] == 1 {
 		c.busyCUs++
@@ -309,7 +318,7 @@ func (c *Chip) markBusy(core int) {
 //
 //ppep:inline
 func (c *Chip) markIdle(core int) {
-	cu := c.cfg.Topology.CUOf(core)
+	cu := c.cuOf(core)
 	c.cuBusyCores[cu]--
 	if c.cuBusyCores[cu] == 0 {
 		c.busyCUs--
@@ -468,12 +477,19 @@ func (c *Chip) Busy(core int) bool {
 // AllIdle reports whether no core has active work.
 func (c *Chip) AllIdle() bool { return c.busyCUs == 0 }
 
+// cuOf returns the compute unit that owns a core. It is arch.Topology's
+// CUOf without the by-value receiver, which copies the whole Topology on
+// every call from the tick loop.
+//
+//ppep:inline
+func (c *Chip) cuOf(core int) int { return core / c.cfg.Topology.CoresPerCU }
+
 // siblingBusy reports whether the other core of this core's CU is busy.
 func (c *Chip) siblingBusy(core int) bool {
 	if c.cfg.Topology.CoresPerCU < 2 {
 		return false
 	}
-	n := c.cuBusyCores[c.cfg.Topology.CUOf(core)]
+	n := c.cuBusyCores[c.cuOf(core)]
 	if c.Busy(core) {
 		n--
 	}
@@ -501,7 +517,7 @@ func (c *Chip) nbGated() bool {
 //ppep:inline
 func (c *Chip) snapshotVF() {
 	for i := range c.intervalVF {
-		c.intervalVF[i] = c.pstates[c.cfg.Topology.CUOf(i)]
+		c.intervalVF[i] = c.pstates[c.cuOf(i)]
 	}
 }
 
@@ -571,41 +587,41 @@ func (c *Chip) tick() {
 		c.snapshotVF()
 	}
 	lat := c.nbLat.Snapshot(c.lastUtil)
+	latSib := lat
+	latSib.L2ContentionCycles = mem.L2SiblingPenaltyCycles
 	var nbAct powertruth.NBActivity
-	breakdown := powertruth.Breakdown{
-		CoreDynW: c.scratchDyn,
-		CULeakW:  c.scratchLeak,
-	}
+	breakdown := &c.breakdown
 
 	anyAwake := !c.nbGated()
 	maxFreq := units.GigaHertz(0)
+	r, act := &c.stepRes, &c.act
 
 	for i := range c.threads {
-		cu := c.cfg.Topology.CUOf(i)
+		cu := c.cuOf(i)
 		f := c.cuFreq(cu)
 		v := c.railVoltage(cu)
 		if f > maxFreq {
 			maxFreq = f
 		}
-		var act powertruth.Activity
 		if c.Busy(i) {
-			coreLat := lat
+			coreLat := &lat
 			if c.siblingBusy(i) {
-				coreLat.L2ContentionCycles = mem.L2SiblingPenaltyCycles
+				coreLat = &latSib
 			}
-			r := c.threads[i].Step(float64(f), TickS, coreLat)
-			c.mux[i].Accumulate(r.Events, TickS*1000)
+			c.threads[i].Step(float64(f), TickS, coreLat, r)
+			c.mux[i].Accumulate(&r.Events, TickS*1000)
 			if c.counters[i] != nil {
-				c.counters[i].Accumulate(r.Events)
+				c.counters[i].Accumulate(&r.Events)
 			}
 			nbAct.L3AccessPS += r.L3Accesses / TickS
 			nbAct.DRAMPS += r.DRAMAccesses / TickS
-			act = powertruth.Activity{
-				Events:     r.Events.Scale(1 / TickS),
-				PrefetchPS: r.Prefetches / TickS,
-				TLBWalkPS:  r.TLBWalks / TickS,
-				EPIScale:   r.EPIScale,
+			for k := range act.Events {
+				act.Events[k] = r.Events[k] * (1 / TickS)
 			}
+			act.PrefetchPS = r.Prefetches / TickS
+			act.TLBWalkPS = r.TLBWalks / TickS
+			act.EPIScale = r.EPIScale
+			act.Halted = false
 			if c.eng.capturing {
 				c.eng.capture(i, r)
 			}
@@ -620,7 +636,7 @@ func (c *Chip) tick() {
 				}
 			}
 		} else {
-			act = powertruth.Activity{Halted: true}
+			act.Halted = true
 			if c.cuGated(cu) {
 				// Gated: no clock power at all.
 				breakdown.CoreDynW[i] = 0
@@ -649,6 +665,7 @@ func (c *Chip) tick() {
 	}
 	breakdown.NBLeakW = c.cfg.Power.NBLeakageWWith(c.nbLeakVolt, tempScale, gatedNB)
 	breakdown.BaseW = c.cfg.Power.BaseW
+	breakdown.HousekW = 0
 	if anyAwake {
 		breakdown.HousekW = c.cfg.Power.HousekeepingDynW(c.railVoltage(0), maxFreq, c.fTopGHz)
 	}
@@ -676,7 +693,7 @@ func (c *Chip) tick() {
 		c.sensorN++
 	}
 	if c.eng.capturing {
-		c.eng.captureChip(breakdown.NBDynW, breakdown.HousekW, utilX)
+		c.eng.captureChip(breakdown, utilX)
 	}
 	c.eng.stats.referenceTicks.Add(1)
 }

@@ -71,9 +71,12 @@ type engine struct {
 	cuLeakVolt []float64     // per-CU leakage voltage factor
 	cuGatedM   []bool        // per-CU gating at seal
 	nbGatedM   bool
-	nbDynW     units.Watts
-	housekW    units.Watts
 	utilX      float64 // per-tick utilization sample feeding the EMA
+	// replay is the sealed tick's power breakdown over dynW and the
+	// chip's leakage scratch (wired up in New). The probe captures its
+	// NB dynamic, base and housekeeping terms; fastTick refreshes only
+	// the leakage terms, in place.
+	replay powertruth.Breakdown
 
 	stats engineCounters
 }
@@ -124,6 +127,7 @@ func (e *engine) init(cfg *Config, nCores, nCUs int) {
 	e.dram = make([]float64, nCores)
 	e.finishedCap = make([]bool, nCores)
 	e.dynW = make([]units.Watts, nCores)
+	e.replay.CoreDynW = e.dynW
 	e.cuLeakVolt = make([]float64, nCUs)
 	e.cuGatedM = make([]bool, nCUs)
 }
@@ -151,7 +155,7 @@ func (e *engine) armed() bool {
 //
 //ppep:hotpath
 //ppep:inline
-func (e *engine) capture(i int, r uarch.TickResult) {
+func (e *engine) capture(i int, r *uarch.TickResult) {
 	e.inst[i] = r.Instructions
 	e.events[i] = r.Events
 	e.dram[i] = r.DRAMAccesses
@@ -162,9 +166,10 @@ func (e *engine) capture(i int, r uarch.TickResult) {
 //
 //ppep:hotpath
 //ppep:inline
-func (e *engine) captureChip(nbDynW, housekW units.Watts, utilX float64) {
-	e.nbDynW = nbDynW
-	e.housekW = housekW
+func (e *engine) captureChip(b *powertruth.Breakdown, utilX float64) {
+	e.replay.NBDynW = b.NBDynW
+	e.replay.BaseW = b.BaseW
+	e.replay.HousekW = b.HousekW
 	e.utilX = utilX
 }
 
@@ -276,7 +281,7 @@ func (c *Chip) fastTick() {
 	for k := 0; k < e.nBusy; k++ {
 		i := e.busyList[k]
 		c.threads[i].Done += e.inst[i]
-		c.mux[i].Accumulate(e.events[i], TickS*1000)
+		c.mux[i].Accumulate(&e.events[i], TickS*1000)
 	}
 
 	// Leakage and thermals genuinely change every tick; recompute them
@@ -291,14 +296,8 @@ func (c *Chip) fastTick() {
 	for cu, lv := range e.cuLeakVolt {
 		leak[cu] = c.cfg.Power.CULeakageWWith(lv, tempScale, gated[cu])
 	}
-	b := powertruth.Breakdown{
-		CoreDynW: e.dynW,
-		CULeakW:  c.scratchLeak,
-		NBDynW:   e.nbDynW,
-		NBLeakW:  c.cfg.Power.NBLeakageWWith(c.nbLeakVolt, tempScale, e.nbGatedM),
-		BaseW:    c.cfg.Power.BaseW,
-		HousekW:  e.housekW,
-	}
+	b := &e.replay
+	b.NBLeakW = c.cfg.Power.NBLeakageWWith(c.nbLeakVolt, tempScale, e.nbGatedM)
 	totalW := b.TotalW()
 	c.therm.Step(totalW, TickS)
 	c.lastUtil = 0.6*c.lastUtil + 0.4*e.utilX

@@ -150,7 +150,7 @@ func (nb *NB) Snapshot(util float64) Latencies {
 // the MAB Wait Cycles counter measures.
 //
 //ppep:hotpath
-func LeadingLoadNSPerInst(l2MissPerInst, l3MissRatio, mlp float64, lat Latencies) float64 {
+func LeadingLoadNSPerInst(l2MissPerInst, l3MissRatio, mlp float64, lat *Latencies) float64 {
 	if mlp < 1 {
 		mlp = 1
 	}

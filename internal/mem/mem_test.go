@@ -86,16 +86,16 @@ func TestLeadingLoadPerInst(t *testing.T) {
 	lat := Latencies{L3NS: 20, DRAMNS: 100}
 	// 0.02 misses/inst, 50% to DRAM, MLP 2:
 	// (0.01·20 + 0.01·100)/2 = 0.6 ns/inst.
-	got := LeadingLoadNSPerInst(0.02, 0.5, 2, lat)
+	got := LeadingLoadNSPerInst(0.02, 0.5, 2, &lat)
 	if math.Abs(got-0.6) > 1e-12 {
 		t.Errorf("LL time %v, want 0.6", got)
 	}
 	// MLP below 1 clamps to 1.
-	if LeadingLoadNSPerInst(0.02, 0.5, 0.1, lat) != LeadingLoadNSPerInst(0.02, 0.5, 1, lat) {
+	if LeadingLoadNSPerInst(0.02, 0.5, 0.1, &lat) != LeadingLoadNSPerInst(0.02, 0.5, 1, &lat) {
 		t.Error("MLP clamp missing")
 	}
 	// No misses → no memory time.
-	if LeadingLoadNSPerInst(0, 0.5, 2, lat) != 0 {
+	if LeadingLoadNSPerInst(0, 0.5, 2, &lat) != 0 {
 		t.Error("zero misses must give zero")
 	}
 }
@@ -106,12 +106,12 @@ func TestLeadingLoadProperties(t *testing.T) {
 		miss := float64(missRaw) / float64(1<<16) * 0.1
 		ratio := float64(ratioRaw) / float64(1<<16)
 		mlp := 1 + float64(mlpRaw)/float64(1<<16)*3
-		ll := LeadingLoadNSPerInst(miss, ratio, mlp, lat)
+		ll := LeadingLoadNSPerInst(miss, ratio, mlp, &lat)
 		if ll < 0 {
 			return false
 		}
 		// More DRAM traffic (higher ratio) can only increase time.
-		ll2 := LeadingLoadNSPerInst(miss, ratio*0.5, mlp, lat)
+		ll2 := LeadingLoadNSPerInst(miss, ratio*0.5, mlp, &lat)
 		return ll2 <= ll+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -127,8 +127,8 @@ func TestNBDVFSLatencyShape(t *testing.T) {
 	hi := nb.Snapshot(0.2)
 	nb.FreqGHz, nb.VoltageV = 1.1, 0.940
 	lo := nb.Snapshot(0.2)
-	llHi := LeadingLoadNSPerInst(0.02, 0.6, 1.5, hi)
-	llLo := LeadingLoadNSPerInst(0.02, 0.6, 1.5, lo)
+	llHi := LeadingLoadNSPerInst(0.02, 0.6, 1.5, &hi)
+	llLo := LeadingLoadNSPerInst(0.02, 0.6, 1.5, &lo)
 	ratio := llLo / llHi
 	if ratio <= 1.1 || ratio >= 2.0 {
 		t.Errorf("LL inflation at NB-low = %v, want within (1.1, 2.0)", ratio)

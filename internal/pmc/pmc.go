@@ -65,7 +65,7 @@ func (m *Mux) GroupOf(id arch.EventID) int { return m.groupOf[int(id)-1] }
 // 1 ms simulation tick divides the 20 ms window evenly.
 //
 //ppep:inline
-func (m *Mux) Accumulate(inc arch.EventVec, dtMS float64) {
+func (m *Mux) Accumulate(inc *arch.EventVec, dtMS float64) {
 	live := int(m.clockMS/MuxWindowMS) % 2
 	for i := 0; i < arch.NumEvents; i++ {
 		if m.Disabled || m.groupOf[i] == live {
@@ -110,25 +110,36 @@ func (m *Mux) ReadInterval(intervalMS float64) arch.EventVec {
 // registers. It is intentionally simple — PPEP's sampler programs selects
 // and reads counts — and is backed by the same true event stream as Mux.
 type CounterFile struct {
-	selects [CountersPerCore]uint16 // event codes; 0xFFFF = disabled
-	counts  [CountersPerCore]uint64
+	// event is the EventVec index each slot counts, resolved from its
+	// event-select code when the slot is programmed; -1 when the slot is
+	// disabled or its code selects no Table I event.
+	event  [CountersPerCore]int
+	counts [CountersPerCore]uint64
 }
 
 // NewCounterFile returns a counter file with all counters disabled.
 func NewCounterFile() *CounterFile {
 	cf := &CounterFile{}
-	for i := range cf.selects {
-		cf.selects[i] = 0xFFFF
+	for i := range cf.event {
+		cf.event[i] = -1
 	}
 	return cf
 }
 
-// Program assigns an event code to a counter slot.
+// Program assigns an event code to a counter slot. A code outside
+// Table I is accepted and counts nothing, as on hardware for an event the
+// model does not simulate.
 func (cf *CounterFile) Program(slot int, code uint16) error {
 	if slot < 0 || slot >= CountersPerCore {
 		return fmt.Errorf("pmc: counter slot %d out of range", slot)
 	}
-	cf.selects[slot] = code
+	cf.event[slot] = -1
+	for k := range arch.Events {
+		if arch.Events[k].Code == code {
+			cf.event[slot] = int(arch.Events[k].ID) - 1
+			break
+		}
+	}
 	cf.counts[slot] = 0
 	return nil
 }
@@ -155,17 +166,11 @@ func (cf *CounterFile) Write(slot int, v uint64) error {
 // increment. Counters wrap at 48 bits as on AMD hardware.
 //
 //ppep:inline
-func (cf *CounterFile) Accumulate(inc arch.EventVec) {
+func (cf *CounterFile) Accumulate(inc *arch.EventVec) {
 	const mask = (uint64(1) << 48) - 1
-	for slot, code := range cf.selects {
-		if code == 0xFFFF {
-			continue
-		}
-		for _, ev := range arch.Events {
-			if ev.Code == code {
-				cf.counts[slot] = (cf.counts[slot] + uint64(inc[int(ev.ID)-1])) & mask
-				break
-			}
+	for slot, ev := range cf.event {
+		if ev >= 0 {
+			cf.counts[slot] = (cf.counts[slot] + uint64(inc[ev])) & mask
 		}
 	}
 }

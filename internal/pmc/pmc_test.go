@@ -8,12 +8,12 @@ import (
 )
 
 // steadyVec returns an increment vector with value v for every event.
-func steadyVec(v float64) arch.EventVec {
+func steadyVec(v float64) *arch.EventVec {
 	var ev arch.EventVec
 	for i := range ev {
 		ev[i] = v
 	}
-	return ev
+	return &ev
 }
 
 func TestMuxGroupSplit(t *testing.T) {
@@ -161,7 +161,7 @@ func TestCounterFileProgramReadWrite(t *testing.T) {
 
 	var inc arch.EventVec
 	inc.Set(arch.RetiredInstructions, 1234)
-	cf.Accumulate(inc)
+	cf.Accumulate(&inc)
 	v, err := cf.Read(0)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestCounterFileWraps48Bits(t *testing.T) {
 	}
 	var inc arch.EventVec
 	inc.Set(arch.RetiredUOP, 2)
-	cf.Accumulate(inc)
+	cf.Accumulate(&inc)
 	v, _ := cf.Read(2)
 	if v != 1 {
 		t.Errorf("wrapped count = %d, want 1", v)

@@ -166,9 +166,11 @@ func (c *Config) CoreDynCoeffsAt(v units.Volts, fGHz units.GigaHertz) CoreDynCoe
 }
 
 // CoreDynamicWWith is CoreDynamicW with the operating-point terms hoisted.
+// A halted activity reads only its Halted flag, so the tick loop reuses
+// one Activity across cores without clearing it.
 //
 //ppep:hotpath
-func (c *Config) CoreDynamicWWith(k CoreDynCoeffs, a Activity) units.Watts {
+func (c *Config) CoreDynamicWWith(k CoreDynCoeffs, a *Activity) units.Watts {
 	if a.Halted {
 		return units.Watts(float64(k.ClockW) * c.HaltedClockFrac)
 	}
@@ -176,7 +178,8 @@ func (c *Config) CoreDynamicWWith(k CoreDynCoeffs, a Activity) units.Watts {
 	for i := 0; i < 8; i++ {
 		nj += float64(c.EventNJ[i]) * a.Events[i]
 	}
-	nj += float64(c.StallNJ) * a.Events.Get(arch.DispatchStalls)
+	// Indexed, not Get: Get's by-value receiver copies the whole vector.
+	nj += float64(c.StallNJ) * a.Events[int(arch.DispatchStalls)-1]
 	nj += float64(c.PrefetchNJ) * a.PrefetchPS
 	nj += float64(c.TLBWalkNJ) * a.TLBWalkPS
 	epi := a.EPIScale
@@ -189,7 +192,7 @@ func (c *Config) CoreDynamicWWith(k CoreDynCoeffs, a Activity) units.Watts {
 
 // CoreDynamicW returns one core's true dynamic power at voltage v and
 // frequency fGHz given its activity.
-func (c *Config) CoreDynamicW(a Activity, v units.Volts, fGHz units.GigaHertz) units.Watts {
+func (c *Config) CoreDynamicW(a *Activity, v units.Volts, fGHz units.GigaHertz) units.Watts {
 	return c.CoreDynamicWWith(c.CoreDynCoeffsAt(v, fGHz), a)
 }
 

@@ -11,7 +11,7 @@ import (
 
 // busyActivity builds a plausible full-load activity at the given
 // instructions-per-second rate.
-func busyActivity(ips float64) Activity {
+func busyActivity(ips float64) *Activity {
 	var ev arch.EventVec
 	ev.Set(arch.RetiredUOP, 1.3*ips)
 	ev.Set(arch.FPUPipeAssignment, 0.5*ips)
@@ -24,7 +24,7 @@ func busyActivity(ips float64) Activity {
 	ev.Set(arch.DispatchStalls, 0.3*ips)
 	ev.Set(arch.CPUClocksNotHalted, 1.1*ips)
 	ev.Set(arch.RetiredInstructions, ips)
-	return Activity{Events: ev, PrefetchPS: 0.01 * ips, TLBWalkPS: 0.002 * ips}
+	return &Activity{Events: ev, PrefetchPS: 0.01 * ips, TLBWalkPS: 0.002 * ips}
 }
 
 func TestFullLoadChipPowerBallpark(t *testing.T) {
@@ -53,7 +53,7 @@ func TestIdlePowerBallpark(t *testing.T) {
 	idleAt := func(v units.Volts, f units.GigaHertz, tK units.Kelvin) units.Watts {
 		total := c.BaseW + c.HousekeepingDynW(v, f, 3.5)
 		for i := 0; i < 8; i++ {
-			total += c.CoreDynamicW(Activity{Halted: true}, v, f)
+			total += c.CoreDynamicW(&Activity{Halted: true}, v, f)
 		}
 		for cu := 0; cu < 4; cu++ {
 			total += c.CULeakageW(v, tK, false)
@@ -96,7 +96,7 @@ func TestDynamicScalesWithActivity(t *testing.T) {
 		t.Error("more activity must burn more power")
 	}
 	// Clock power is the activity-independent floor.
-	clockOnly := c.CoreDynamicW(Activity{}, 1.32, 3.5)
+	clockOnly := c.CoreDynamicW(&Activity{}, 1.32, 3.5)
 	if clockOnly <= 0 {
 		t.Error("active clock power must be positive")
 	}
@@ -107,8 +107,8 @@ func TestDynamicScalesWithActivity(t *testing.T) {
 
 func TestHaltedCoreBurnsOnlyGatedClock(t *testing.T) {
 	c := DefaultFX8320()
-	halted := c.CoreDynamicW(Activity{Halted: true}, 1.32, 3.5)
-	active := c.CoreDynamicW(Activity{}, 1.32, 3.5)
+	halted := c.CoreDynamicW(&Activity{Halted: true}, 1.32, 3.5)
+	active := c.CoreDynamicW(&Activity{}, 1.32, 3.5)
 	if halted >= active {
 		t.Error("halted core must burn less than active-idle core")
 	}

@@ -12,7 +12,8 @@ import (
 // cross-refactor witness that node identity derivation and the
 // simulated histories stay bit-exact, the same way golden_test.go pins
 // single-chip runs. Any worker or shard count must reproduce it.
-const goldenFleetFP = 0x5fbfe6c1c5624a2b
+// Re-recorded with the fxsim goldens (tracecodec.SchemaVersion 2).
+const goldenFleetFP = uint64(0x834c45054a11f95b)
 
 const (
 	goldenNodes     = 8

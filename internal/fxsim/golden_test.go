@@ -5,20 +5,29 @@ import (
 
 	"ppep/internal/arch"
 	"ppep/internal/trace"
+	"ppep/internal/tracecodec"
 	"ppep/internal/workload"
 )
 
-// The golden fingerprints below were recorded from the straightforward
-// (allocation-per-tick, uncached) tick-loop implementation. They pin the
-// simulator's determinism guarantee: for a fixed SensorSeed, every
-// optimization of the tick loop must reproduce bit-identical
-// trace.Interval sequences — counters, powers, temperatures, VF
-// snapshots — across all operating modes (shared rail, power gating,
-// boost, per-CU planes, restart, idle transients).
+// goldenSchemaVersion is the trace-cache schema the goldens below were
+// recorded under. A model change that moves them changes what a cached
+// trace holds for the same cache key, so re-baselining them must bump
+// tracecodec.SchemaVersion as well, or a warm cache keeps serving traces
+// of the old model.
+const goldenSchemaVersion = 2
+
+// The golden fingerprints below pin the simulator's determinism
+// guarantee: for a fixed SensorSeed, every optimization of the tick loop
+// must reproduce bit-identical trace.Interval sequences — counters,
+// powers, temperatures, VF snapshots — across all operating modes (shared
+// rail, power gating, boost, per-CU planes, restart, idle transients).
+// They were last re-recorded when the position-locked jitter became a
+// linear interpolation of the multiplier between segment knots.
 //
 // If one of these fails after an intentional *behavioural* change to the
-// simulator physics, re-record it and say so in the commit; a failure
-// after a performance-only change is a regression.
+// simulator physics, re-record it, bump tracecodec.SchemaVersion and
+// goldenSchemaVersion with it, and say so in the commit; a failure after
+// a performance-only change is a regression.
 var goldenCollect = []struct {
 	name string
 	want uint64
@@ -26,7 +35,7 @@ var goldenCollect = []struct {
 }{
 	{
 		name: "shared-rail 433x4 @VF3",
-		want: 0x3fa780921d47346b,
+		want: 0x92749ec4951b7afc,
 		run: func(t *testing.T) *trace.Trace {
 			cfg := DefaultFX8320Config()
 			chip := New(cfg)
@@ -40,7 +49,7 @@ var goldenCollect = []struct {
 	},
 	{
 		name: "power-gated 433x1 @VF2",
-		want: 0xa921e1427fb03389,
+		want: 0x028f12352b1a954b,
 		run: func(t *testing.T) *trace.Trace {
 			cfg := DefaultFX8320Config()
 			cfg.PowerGating = true
@@ -56,7 +65,7 @@ var goldenCollect = []struct {
 	},
 	{
 		name: "boost 458x1 @VF5",
-		want: 0x5b920da60a1b14fe,
+		want: 0x48b8048aa10d2f46,
 		run: func(t *testing.T) *trace.Trace {
 			cfg := DefaultFX8320Config()
 			cfg.BoostEnabled = true
@@ -72,7 +81,7 @@ var goldenCollect = []struct {
 	},
 	{
 		name: "per-CU planes restart 433x2 @VF4",
-		want: 0x545e68a8edbbb47b,
+		want: 0x458e3d096e385c18,
 		run: func(t *testing.T) *trace.Trace {
 			cfg := DefaultFX8320Config()
 			cfg.PerCUPlanes = true
@@ -88,7 +97,7 @@ var goldenCollect = []struct {
 	},
 	{
 		name: "heatcool transient @VF4",
-		want: 0xcf31f202c61e7994,
+		want: 0x02e1f14a4d34e0a1,
 		run: func(t *testing.T) *trace.Trace {
 			cfg := DefaultFX8320Config()
 			cfg.SensorSeed = 17
@@ -114,5 +123,14 @@ func TestGoldenCollectEquivalence(t *testing.T) {
 				t.Errorf("fingerprint %#x, want %#x: fixed-seed run diverged from the golden interval sequence", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestGoldenSchemaVersion ties the goldens to the trace-cache schema:
+// whoever re-records them meets this pin and must bump both.
+func TestGoldenSchemaVersion(t *testing.T) {
+	if tracecodec.SchemaVersion != goldenSchemaVersion {
+		t.Errorf("tracecodec.SchemaVersion = %d, goldens recorded under %d: re-baselining the goldens must bump the cache schema with them",
+			tracecodec.SchemaVersion, goldenSchemaVersion)
 	}
 }

@@ -36,11 +36,17 @@ import (
 	"ppep/internal/trace"
 )
 
-// SchemaVersion identifies the encoding. Bump it whenever the layout,
-// the fingerprint algorithm feeding cache keys, or the semantics of any
-// encoded field change; old cache entries then decode as ErrSchema and
-// are re-simulated (docs/CACHE.md).
-const SchemaVersion = 1
+// SchemaVersion identifies the encoding and the simulator model behind
+// it. Bump it whenever the layout, the fingerprint algorithm feeding
+// cache keys, or the semantics of any encoded field change — and
+// whenever a change to the simulator moves the fxsim golden fingerprints
+// (internal/fxsim/golden_test.go pins the version next to them). The
+// cache key holds no other simulator-model component, so only this bump
+// keeps a warm cache from serving traces of the old model. Old entries
+// then miss (the version is part of the key) or decode as ErrSchema, and
+// are re-simulated (docs/CACHE.md). Version 2: jitter interpolated
+// linearly in the multiplier between segment knots.
+const SchemaVersion = 2
 
 const magic = "PPTC"
 

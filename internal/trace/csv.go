@@ -45,8 +45,10 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 
 // ReadCSV parses a trace written by WriteCSV. Oracle split fields that are
 // not serialized (core/NB breakdown) come back zero. Rows WriteCSV never
-// writes are rejected: non-finite numbers, VF states below 1, and
-// anything Validate refuses.
+// writes are rejected: non-finite numbers, VF states below 1, a row whose
+// chip fields (dur_s, temp_k, meas_w, true_w) differ from its interval's
+// first row, a core column that is not the interval's next core index,
+// and anything Validate refuses. Every field of every row is parsed.
 func ReadCSV(r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -63,25 +65,28 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 	t := &Trace{}
 	var cur *Interval
 	for i, row := range rows[1:] {
-		timeS, err := parseFinite(row[0])
+		// The chip-level columns, repeated on every row of an interval:
+		// time_s, dur_s, temp_k, meas_w, true_w.
+		var chip [5]float64
+		for k, col := range [...]int{0, 1, 5, 6, 7} {
+			if chip[k], err = parseFinite(row[col]); err != nil {
+				return nil, fmt.Errorf("trace: row %d: %v", i+1, err)
+			}
+		}
+		if cur == nil || cur.TimeS != chip[0] {
+			t.Intervals = append(t.Intervals, Interval{
+				TimeS: chip[0], DurS: chip[1], TempK: chip[2], MeasPowerW: chip[3], TruePowerW: chip[4],
+			})
+			cur = &t.Intervals[len(t.Intervals)-1]
+		} else if chip != [5]float64{cur.TimeS, cur.DurS, cur.TempK, cur.MeasPowerW, cur.TruePowerW} {
+			return nil, fmt.Errorf("trace: row %d: chip fields differ from the first row of the interval at %v s", i+1, cur.TimeS)
+		}
+		core, err := strconv.Atoi(row[2])
 		if err != nil {
 			return nil, fmt.Errorf("trace: row %d: %v", i+1, err)
 		}
-		if cur == nil || cur.TimeS != timeS {
-			t.Intervals = append(t.Intervals, Interval{TimeS: timeS})
-			cur = &t.Intervals[len(t.Intervals)-1]
-			if cur.DurS, err = parseFinite(row[1]); err != nil {
-				return nil, fmt.Errorf("trace: row %d: %v", i+1, err)
-			}
-			if cur.TempK, err = parseFinite(row[5]); err != nil {
-				return nil, fmt.Errorf("trace: row %d: %v", i+1, err)
-			}
-			if cur.MeasPowerW, err = parseFinite(row[6]); err != nil {
-				return nil, fmt.Errorf("trace: row %d: %v", i+1, err)
-			}
-			if cur.TruePowerW, err = parseFinite(row[7]); err != nil {
-				return nil, fmt.Errorf("trace: row %d: %v", i+1, err)
-			}
+		if core != len(cur.Counters) {
+			return nil, fmt.Errorf("trace: row %d: core %d, want %d (the interval's next core)", i+1, core, len(cur.Counters))
 		}
 		vf, err := strconv.Atoi(row[3])
 		if err != nil {

@@ -182,26 +182,40 @@ func TestReadCSVErrors(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader(corrupted)); err == nil {
 		t.Error("corrupt numeric accepted")
 	}
-	// Values WriteCSV never writes, each in the first data row's field
-	// (col is the column index: 1 dur_s, 3 vf, 5 temp_k, 6 meas_w, 8 e1).
+	// Values WriteCSV never writes, each in one field of one data row
+	// (row 1 is the first interval's core 0, row 2 its core 1; col is the
+	// column index: 1 dur_s, 2 core, 3 vf, 5 temp_k, 6 meas_w, 7 true_w,
+	// 8 e1).
 	for _, tc := range []struct {
 		name, val string
-		col       int
+		row, col  int
 	}{
-		{"vf 0", "0", 3},
-		{"negative vf", "-2", 3},
-		{"NaN power", "NaN", 6},
-		{"Inf temperature", "+Inf", 5},
-		{"Inf event count", "-Inf", 8},
-		{"NaN event count", "nan", 8},
-		{"negative duration", "-1", 1},
-		{"zero duration", "0", 1},
-		{"negative power", "-75", 6},
+		{"vf 0", "0", 1, 3},
+		{"negative vf", "-2", 1, 3},
+		{"NaN power", "NaN", 1, 6},
+		{"Inf temperature", "+Inf", 1, 5},
+		{"Inf event count", "-Inf", 1, 8},
+		{"NaN event count", "nan", 1, 8},
+		{"negative duration", "-1", 1, 1},
+		{"zero duration", "0", 1, 1},
+		{"negative power", "-75", 1, 6},
+		// Chip fields are parsed on every row, not only an interval's
+		// first, and must repeat that row's values.
+		{"NaN power on a later row", "NaN", 2, 6},
+		{"garbage duration on a later row", "xyz", 2, 1},
+		{"Inf true power on a later row", "Inf", 2, 7},
+		{"temperature differing within an interval", "321", 2, 5},
+		{"power differing within an interval", "76", 2, 6},
+		// Cores run 0, 1, ... within each interval.
+		{"non-numeric core", "x", 1, 2},
+		{"first core not 0", "1", 1, 2},
+		{"core skipped", "2", 2, 2},
+		{"core repeated", "0", 2, 2},
 	} {
 		rows := strings.Split(buf.String(), "\n")
-		fields := strings.Split(rows[1], ",")
+		fields := strings.Split(rows[tc.row], ",")
 		fields[tc.col] = tc.val
-		rows[1] = strings.Join(fields, ",")
+		rows[tc.row] = strings.Join(fields, ",")
 		if _, err := ReadCSV(strings.NewReader(strings.Join(rows, "\n"))); err == nil {
 			t.Errorf("%s accepted", tc.name)
 		}

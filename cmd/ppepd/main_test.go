@@ -94,3 +94,23 @@ func TestBatchRunsDaemon(t *testing.T) {
 		t.Errorf("capper retained %d steps after 10 intervals, want at most 1", len(h))
 	}
 }
+
+// TestAttachRejectsForeignModels pins that a models file for another VF
+// table (here 3 states against the FX-8320's 5) fails the daemon
+// assembly both modes share, so ppepd exits at startup instead of
+// serving analysis errors with a healthy /healthz.
+func TestAttachRejectsForeignModels(t *testing.T) {
+	models, err := fleet.SlimModels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := *models
+	m.Table = m.Table[:3]
+	run, err := workload.ParseRunSpec("433x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := attach(&m, run, goodFlags()); err == nil || !strings.Contains(err.Error(), "VF states") {
+		t.Errorf("attach with 3-state models: err = %v, want a VF-table mismatch", err)
+	}
+}

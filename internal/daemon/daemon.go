@@ -3,6 +3,7 @@ package daemon
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -81,8 +82,14 @@ type Daemon struct {
 
 // AttachOpts wires the daemon onto a simulated chip through the MSR and
 // hwmon device paths. The zero Options (unbounded history, no retries)
-// is the batch-experiment configuration.
+// is the batch-experiment configuration. Models trained on another VF
+// table than the chip's are refused here: every interval would otherwise
+// fail analysis while the daemon kept running.
 func AttachOpts(chip *fxsim.Chip, models *core.Models, policy Policy, opts Options) (*Daemon, error) {
+	if models != nil && !slices.Equal(models.Table, chip.VFTable()) {
+		return nil, fmt.Errorf("daemon: models cover %d VF states %v, the chip has %d %v",
+			len(models.Table), models.Table, len(chip.VFTable()), chip.VFTable())
+	}
 	dev := msr.Open(chip)
 	d := &Daemon{
 		Models:  models,

@@ -211,6 +211,26 @@ func TestDaemonRequiresModels(t *testing.T) {
 	}
 }
 
+// TestAttachRejectsForeignVFTable pins the startup check: models trained
+// on a VF table other than the chip's — fewer states, or the same count
+// at other operating points — are refused at attach time instead of
+// failing the analysis of every interval.
+func TestAttachRejectsForeignVFTable(t *testing.T) {
+	for name, table := range map[string]arch.VFTable{
+		"3 of 5 states": arch.FX8320VFTable[:3],
+		"Phenom II":     arch.PhenomIIVFTable,
+	} {
+		m := *models(t)
+		m.Table = table
+		if _, err := AttachOpts(fxsim.New(fxsim.DefaultFX8320Config()), &m, nil, Options{}); err == nil {
+			t.Errorf("%s: models for another VF table attached", name)
+		}
+	}
+	if _, err := AttachOpts(fxsim.New(fxsim.DefaultFX8320Config()), models(t), nil, Options{}); err != nil {
+		t.Errorf("models for the chip's own table refused: %v", err)
+	}
+}
+
 // TestDaemonHistoryRing pins the service-mode memory bound: with a
 // HistoryCap the daemon retains exactly the newest cap records while
 // sequence numbers keep counting every completed interval.

@@ -84,8 +84,11 @@ type Phase struct {
 	// MLP is the memory-level parallelism: how many leading-load
 	// latencies overlap, dividing exposed memory time. ≥ 1.
 	MLP float64
-	// Noise is the relative σ of the slowly-varying AR(1) jitter applied
-	// to this phase's rates each interval.
+	// Noise is the σ of the phase's position-locked jitter: each rate
+	// and BaseCPI is scaled by exp(σ·g) at the knots of fixed-length
+	// instruction segments (g a hashed ≈N(0,1) draw per benchmark,
+	// dimension and knot), interpolated linearly in between
+	// (internal/uarch). Zero makes the phase steady.
 	Noise float64
 }
 

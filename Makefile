@@ -7,7 +7,7 @@ GO ?= go
 # directory with actions/cache.
 GCFLAGS_CACHE ?= .gcflags-cache
 
-.PHONY: all test lint lint-perf fmt-check ci smoke smoke-cache loadgen-smoke fleet-smoke bench-guard bench-all experiments flagship fmt vet tools
+.PHONY: all test lint lint-perf fmt-check ci smoke smoke-cache loadgen-smoke fleet-smoke bench-guard fuzz-smoke bench-all experiments flagship fmt vet tools
 
 all: test
 
@@ -44,6 +44,7 @@ ci: fmt-check
 	$(MAKE) loadgen-smoke
 	$(MAKE) fleet-smoke
 	$(MAKE) bench-guard
+	$(MAKE) fuzz-smoke
 	cd perfbench && $(GO) vet ./...
 	cd perfbench && $(GO) test ./...
 	$(GO) run ./cmd/ppeplint -C perfbench
@@ -95,6 +96,14 @@ fleet-smoke:
 bench-guard:
 	$(GO) test -count=1 -run 'TestGoldenCollectEquivalence|TestEngineEquivalence|TestEngineFuzz|TestFastTickZeroAlloc' ./internal/fxsim
 	$(GO) test -count=1 -run 'TestRepoClean|TestHotRootsAnnotated' ./internal/lint
+
+# Fuzz smoke test: every Fuzz* target under internal/ and cmd/ runs its
+# seed corpus and then fuzzes for a few seconds. go test -fuzz takes one
+# target in one package per run, hence the loop. A finding fails the
+# target and go test writes the failing input under the package's
+# testdata/fuzz/ directory.
+fuzz-smoke:
+	@set -e; for f in $$(grep -rl --include='*_test.go' '^func Fuzz' internal cmd); do 		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\).*/\1/p' $$f); do 			echo "fuzz-smoke: $$t in $$(dirname $$f)"; 			$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime 3s ./$$(dirname $$f); 		done; 	done
 
 # Every benchmark, including the figure/table regenerations.
 bench-all:

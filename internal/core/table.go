@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+
 	"ppep/internal/arch"
 	"ppep/internal/trace"
 	"ppep/internal/units"
@@ -53,6 +56,67 @@ type PredictionTable struct {
 
 // Row returns the summary for a state.
 func (t *PredictionTable) Row(s arch.VFState) PredictionRow { return t.Rows[int(s)-1] }
+
+// Validate reports the first value in t that no reader can use: a NaN
+// or ±Inf anywhere (JSON has no spelling for either), or a negative
+// power or energy. The daemon publishes only tables that pass.
+func (t *PredictionTable) Validate() error {
+	head := [...]tableValue{
+		{"time_s", float64(t.TimeS), false},
+		{"dur_s", float64(t.DurS), false},
+		{"measured_power_w", float64(t.MeasPowerW), true},
+		{"temp_k", float64(t.TempK), false},
+	}
+	if err := checkValues(0, head[:]); err != nil {
+		return err
+	}
+	for i := range t.Rows {
+		r := &t.Rows[i]
+		row := [...]tableValue{
+			{"cpi", float64(r.CPI), false},
+			{"ips", float64(r.TotalIPS), false},
+			{"chip_w", float64(r.ChipW), true},
+			{"idle_w", float64(r.IdleW), true},
+			{"dyn_w", float64(r.DynW), true},
+			{"interval_energy_j", float64(r.IntervalEnergyJ), true},
+			{"j_per_inst", float64(r.JPerInst), true},
+			{"edp", float64(r.EDP), true},
+		}
+		if err := checkValues(r.VF, row[:]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// tableValue is one named PredictionTable number for Validate; nonNeg
+// marks the powers and energies.
+type tableValue struct {
+	name   string
+	v      float64
+	nonNeg bool
+}
+
+// checkValues checks the values of one row (vf) or of the table's
+// measured context (vf 0).
+func checkValues(vf arch.VFState, vals []tableValue) error {
+	for _, x := range vals {
+		want := ""
+		switch {
+		case math.IsNaN(x.v) || math.IsInf(x.v, 0):
+			want = "finite"
+		case x.nonNeg && x.v < 0:
+			want = "non-negative"
+		default:
+			continue
+		}
+		if vf == 0 {
+			return fmt.Errorf("core: prediction table %s is %g, want a %s value", x.name, x.v, want)
+		}
+		return fmt.Errorf("core: prediction table %s %s is %g, want a %s value", vf, x.name, x.v, want)
+	}
+	return nil
+}
 
 // PredictionTable flattens a Report into the immutable per-VF table the
 // serving layer publishes. It performs no model evaluation — every

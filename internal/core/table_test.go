@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"ppep/internal/arch"
@@ -95,6 +96,46 @@ func TestPredictionTableIdle(t *testing.T) {
 		}
 		if math.IsInf(float64(row.EDP), 0) || math.IsNaN(float64(row.EDP)) {
 			t.Errorf("%v: EDP not finite", row.VF)
+		}
+	}
+}
+
+// TestPredictionTableValidate pins the publish gate's rule: a trained
+// table passes, and a NaN or infinity in any field, or a negative power
+// or energy, is reported with the field that carries it.
+func TestPredictionTableValidate(t *testing.T) {
+	m, ts := miniCampaign(t)
+	iv := ts.Runs[0].Trace.Intervals[1]
+	rep, err := m.Analyze(iv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := m.PredictionTable(1, iv, rep)
+	if err := good.Validate(); err != nil {
+		t.Fatalf("trained table refused: %v", err)
+	}
+	cases := map[string]struct {
+		set  func(*PredictionTable)
+		want string
+	}{
+		"NaN time":        {func(t *PredictionTable) { t.TimeS = units.Seconds(math.NaN()) }, "time_s is NaN"},
+		"Inf temperature": {func(t *PredictionTable) { t.TempK = units.Kelvin(math.Inf(1)) }, "temp_k is +Inf"},
+		"negative meas":   {func(t *PredictionTable) { t.MeasPowerW = -1 }, "measured_power_w is -1, want a non-negative"},
+		"NaN CPI":         {func(t *PredictionTable) { t.Rows[2].CPI = units.CPI(math.NaN()) }, "VF3 cpi is NaN"},
+		"-Inf IPS":        {func(t *PredictionTable) { t.Rows[0].TotalIPS = units.InstPerSec(math.Inf(-1)) }, "VF1 ips is -Inf"},
+		"negative chip":   {func(t *PredictionTable) { t.Rows[4].ChipW = -0.5 }, "VF5 chip_w is -0.5"},
+		"negative idle":   {func(t *PredictionTable) { t.Rows[1].IdleW = -2 }, "VF2 idle_w"},
+		"negative dyn":    {func(t *PredictionTable) { t.Rows[1].DynW = -2 }, "VF2 dyn_w"},
+		"negative energy": {func(t *PredictionTable) { t.Rows[3].IntervalEnergyJ = -2 }, "VF4 interval_energy_j"},
+		"negative J/inst": {func(t *PredictionTable) { t.Rows[3].JPerInst = -2 }, "VF4 j_per_inst"},
+		"NaN EDP":         {func(t *PredictionTable) { t.Rows[3].EDP = units.EDP(math.NaN()) }, "VF4 edp is NaN"},
+	}
+	for name, c := range cases {
+		tab := *good
+		tab.Rows = append([]PredictionRow(nil), good.Rows...)
+		c.set(&tab)
+		if err := tab.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate() = %v, want it to mention %q", name, err, c.want)
 		}
 	}
 }

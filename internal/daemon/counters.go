@@ -15,7 +15,9 @@ type Counters struct {
 	// device error (retries exhausted); the loop resets the sampler and
 	// keeps running.
 	SkippedIntervals atomic.Uint64
-	// AnalyzeErrors counts intervals the PPEP pipeline rejected.
+	// AnalyzeErrors counts intervals the PPEP pipeline rejected, and
+	// intervals whose prediction table was refused at publish for a
+	// non-finite value or a negative power or energy.
 	AnalyzeErrors atomic.Uint64
 	// MSRRetries / MSRFailures count transient MSR read/write faults that
 	// were retried, and register operations that failed even after the

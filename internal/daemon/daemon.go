@@ -194,6 +194,15 @@ func (d *Daemon) step() (Record, error) {
 		d.counters.AnalyzeErrors.Add(1)
 		return Record{}, err
 	}
+	// A table with a NaN, an infinity or a negative power is refused
+	// like an analysis error: readers could not use it, and JSON cannot
+	// even spell the non-finite ones. step is the only writer of seq, so
+	// it reads it without the lock.
+	table := d.Models.PredictionTable(d.seq+1, iv, rep)
+	if err := table.Validate(); err != nil {
+		d.counters.AnalyzeErrors.Add(1)
+		return Record{}, fmt.Errorf("daemon: interval not published: %w", err)
+	}
 	d.mu.Lock()
 	d.seq++
 	rec := Record{Seq: d.seq, Interval: iv, Report: rep}
@@ -202,7 +211,7 @@ func (d *Daemon) step() (Record, error) {
 	// Publish before the observer hook runs so OnInterval consumers
 	// (the HTTP layer's response pre-rendering) see this interval's
 	// table, never the previous one.
-	d.published.Store(d.Models.PredictionTable(rec.Seq, iv, rep))
+	d.published.Store(table)
 	d.counters.Intervals.Add(1)
 	if d.Policy != nil {
 		d.Policy.Apply(d.chip, iv, rep)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -228,6 +229,38 @@ func TestAttachRejectsForeignVFTable(t *testing.T) {
 	}
 	if _, err := AttachOpts(fxsim.New(fxsim.DefaultFX8320Config()), models(t), nil, Options{}); err != nil {
 		t.Errorf("models for the chip's own table refused: %v", err)
+	}
+}
+
+// TestDaemonRefusesUnusableTable pins the publish gate: an interval
+// whose prediction table holds a NaN or a negative power is counted as
+// an analysis error and returned as one, and it is neither published nor
+// recorded. A model coefficient forced to NaN, or an idle offset pushed
+// far below zero, produces each case.
+func TestDaemonRefusesUnusableTable(t *testing.T) {
+	for name, w0 := range map[string]float64{
+		"NaN idle offset":      math.NaN(),
+		"negative idle offset": -1e6,
+	} {
+		m := *models(t)
+		idle := *m.Idle
+		idle.W0 = append(stats.Poly(nil), m.Idle.W0...)
+		idle.W0[0] = w0
+		m.Idle = &idle
+		d, err := AttachOpts(busyChip(t, false), &m, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = d.RunIntervals(1)
+		if err == nil || !strings.Contains(err.Error(), "interval not published") {
+			t.Errorf("%s: RunIntervals = %v, want a refused table", name, err)
+		}
+		if got := d.Counters().AnalyzeErrors.Load(); got != 1 {
+			t.Errorf("%s: %d analyze errors counted, want 1", name, got)
+		}
+		if d.Predictions() != nil || len(d.Records()) != 0 {
+			t.Errorf("%s: refused interval was published or recorded", name)
+		}
 	}
 }
 

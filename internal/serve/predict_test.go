@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ppep/internal/arch"
@@ -358,4 +360,35 @@ func TestQueryValue(t *testing.T) {
 			t.Errorf("queryValue(%q, %q) = %q/%v, want %q/%v", c.raw, c.key, got, found, c.want, c.found)
 		}
 	}
+}
+
+// FuzzQueryValue checks the hand-written scanner against url.ParseQuery
+// — the first value of the key, and whether the key is present at all —
+// on every query ParseQuery accepts whose bytes need no unescaping.
+// Keys are non-empty and contain no separator, as every key the
+// handlers ask for does.
+func FuzzQueryValue(f *testing.F) {
+	for _, s := range []struct{ raw, key string }{
+		{"vf=3", "vf"}, {"vf=", "vf"}, {"vf", "vf"}, {"", "vf"}, {"a=1&vf=4&b=2", "vf"},
+		{"vff=9", "vf"}, {"x=vf", "vf"}, {"vf=1&vf=2", "vf"}, {"&&vf=1=2&", "vf"}, {"n=0", "n"},
+	} {
+		f.Add(s.raw, s.key)
+	}
+	f.Fuzz(func(t *testing.T, raw, key string) {
+		if key == "" || strings.ContainsAny(key, "=&;%+") || strings.ContainsAny(raw, "%+") {
+			return
+		}
+		vals, err := url.ParseQuery(raw)
+		if err != nil {
+			return
+		}
+		got, found := queryValue(raw, key)
+		want, wantFound := "", len(vals[key]) > 0
+		if wantFound {
+			want = vals[key][0]
+		}
+		if got != want || found != wantFound {
+			t.Fatalf("queryValue(%q, %q) = %q/%v, url.ParseQuery gives %q/%v", raw, key, got, found, want, wantFound)
+		}
+	})
 }

@@ -15,7 +15,11 @@
 // daemon publishes an immutable per-VF projection table
 // (core.PredictionTable) and Observe pre-renders every response body —
 // one JSON blob per VF state, the batch JSON, and the batch binary
-// frame — into an immutable snapshot behind an atomic pointer. A
+// frame — into an immutable snapshot behind an atomic pointer. The JSON
+// bodies are written without reflection (render.go): each number is
+// formatted once, the keys and indentation are constants, and all the
+// bodies share one buffer, byte-identical to encoding/json's indented
+// output for the same table. A
 // /predict or /predict/batch request is then a pointer load and a
 // buffer write: zero model work, zero encoding, and at most two heap
 // allocations per request (pinned by TestPredictAllocs). The paper's
@@ -38,7 +42,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ppep/internal/arch"
 	"ppep/internal/core"
 	"ppep/internal/daemon"
 	"ppep/internal/fxsim"
@@ -130,7 +133,9 @@ func New(d *daemon.Daemon, opts Options) *Server {
 // published table. It is the daemon's OnInterval hook; exported so
 // alternative loop drivers (tests, benchmarks) can call it directly.
 // It runs on the sampling goroutine once per 200 ms interval — the
-// rendering cost lives here precisely so no request ever pays it.
+// rendering cost lives here precisely so no request ever pays it. The
+// daemon publishes only tables whose numbers are all finite, which is
+// what lets renderBodies spell every one of them in JSON.
 func (s *Server) Observe(daemon.Record) {
 	s.lastWallNanos.Store(s.opts.Now().UnixNano())
 	t := s.d.Predictions()
@@ -140,34 +145,13 @@ func (s *Server) Observe(daemon.Record) {
 	if old := s.pub.Load(); old != nil && old.table == t {
 		return // driver called Observe twice for one interval
 	}
-	p := &published{
+	batchJSON, perVF := renderBodies(t)
+	s.pub.Store(&published{
 		table:     t,
-		perVF:     make([][]byte, len(t.Rows)),
-		batchJSON: renderJSON(t),
+		perVF:     perVF,
+		batchJSON: batchJSON,
 		batchBin:  EncodeBatch(t),
-	}
-	for i := range t.Rows {
-		p.perVF[i] = renderJSON(prediction{
-			Seq:        t.Seq,
-			TimeS:      t.TimeS,
-			MeasuredVF: t.MeasuredVF,
-			Projection: t.Rows[i],
-		})
-	}
-	s.pub.Store(p)
-}
-
-// renderJSON encodes v in the package's response style (two-space
-// indent, trailing newline). The encoded values are plain finite
-// numbers by construction (core.PredictionTable carries no ±Inf/NaN),
-// so an encode error is a programming bug — it degrades to an empty
-// body rather than a panic on the sampling goroutine.
-func renderJSON(v any) []byte {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return nil
-	}
-	return append(b, '\n')
+	})
 }
 
 // Handler returns the route mux.
@@ -291,15 +275,6 @@ func (s *Server) handleLatest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, rec)
-}
-
-// prediction is the /predict response: one VF state's published
-// projection row from the latest interval.
-type prediction struct {
-	Seq        uint64             `json:"seq"`
-	TimeS      units.Seconds      `json:"time_s"`
-	MeasuredVF arch.VFState       `json:"measured_vf"`
-	Projection core.PredictionRow `json:"projection"`
 }
 
 // queryValue extracts one key's value from a raw query string without

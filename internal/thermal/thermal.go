@@ -22,6 +22,11 @@ type Model struct {
 	AmbientK units.Kelvin
 
 	tempK units.Kelvin
+	// decay caches e^(−dt/τ) for the ratio decayX: the tick loop steps
+	// with one dt and a fixed τ, so Step recomputes the exponential only
+	// when the ratio changes. decay == 0 marks the cache empty (it also
+	// sends a ratio whose exponential underflows to 0 back to expNeg).
+	decayX, decay float64
 }
 
 // DefaultFX8320 returns the thermal model used for the FX-8320 platform:
@@ -48,7 +53,10 @@ func (m *Model) Step(powerW units.Watts, dt units.Seconds) {
 	tss := m.AmbientK + m.RthKPerW.Times(powerW)
 	tau := m.RthKPerW.TimesHeatCap(m.CthJPerK)
 	// T(t+dt) = Tss + (T−Tss)·e^(−dt/τ)
-	m.tempK = tss + units.Kelvin(float64(m.tempK-tss)*expNeg(dt.Per(tau)))
+	if x := dt.Per(tau); x != m.decayX || m.decay == 0 {
+		m.decayX, m.decay = x, expNeg(x)
+	}
+	m.tempK = tss + units.Kelvin(float64(m.tempK-tss)*m.decay)
 }
 
 // TempK returns the current junction temperature.

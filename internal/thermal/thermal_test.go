@@ -73,6 +73,40 @@ func TestStepSizeIndependence(t *testing.T) {
 	}
 }
 
+// TestStepDecayCache pins the cached decay factor: a model whose step
+// size or time constant changes between steps lands bit-for-bit where a
+// fresh model stepped once from the same temperature lands, including
+// steps long enough for the factor to underflow to zero; and a first
+// step so short that dt/τ itself underflows to zero leaves the
+// temperature where it was.
+func TestStepDecayCache(t *testing.T) {
+	m := New(200, 0.3, 300)
+	steps := []struct {
+		p   units.Watts
+		dt  units.Seconds
+		rth units.KelvinPerWatt
+	}{
+		{100, 0.001, 0.3}, {100, 0.001, 0.3}, {90, 0.2, 0.3}, {90, 0.001, 0.3},
+		{80, 0.001, 0.25}, {80, 1e6, 0.25}, {80, 1e6, 0.25}, {70, 0.001, 0.25},
+	}
+	for i, s := range steps {
+		m.RthKPerW = s.rth
+		fresh := New(200, s.rth, 300)
+		fresh.SetTempK(m.TempK())
+		m.Step(s.p, s.dt)
+		fresh.Step(s.p, s.dt)
+		if m.TempK() != fresh.TempK() {
+			t.Fatalf("step %d: cached model at %v K, fresh model at %v K", i, m.TempK(), fresh.TempK())
+		}
+	}
+	m = New(200, 0.3, 300)
+	m.SetTempK(320)
+	m.Step(100, 5e-324)
+	if m.TempK() != 320 {
+		t.Errorf("a step of e^(−0) moved the temperature to %v K", m.TempK())
+	}
+}
+
 func TestZeroOrNegativeDtIsNoop(t *testing.T) {
 	m := New(200, 0.3, 300)
 	m.SetTempK(320)

@@ -57,6 +57,12 @@ type Core struct {
 	jitM1    [numJitterDims]float64 // exp(σ·hashGauss) at the segment end
 	epiPhase *workload.Phase
 	epiVal   float64
+	// phase is the phase in effect at Done, valid while Done < phaseEnd
+	// (a StepUntilEvent DoneBound, which under-approximates the phase's
+	// end). Done only grows, so PhaseAt runs again only once a tick
+	// crosses the bound; nil until the first Step.
+	phase    *workload.Phase
+	phaseEnd float64
 
 	// Step's scratch: the jitter multipliers and the jittered rates of
 	// the current tick, kept on the core so the tick path neither copies
@@ -135,7 +141,11 @@ func (c *Core) Step(fGHz, dtS float64, lat *mem.Latencies, r *TickResult) {
 		*r = TickResult{Finished: c.finished}
 		return
 	}
-	phase := c.Bench.PhaseAt(c.Done)
+	if c.phase == nil || c.Done >= c.phaseEnd {
+		la := c.StepUntilEvent()
+		c.phase, c.phaseEnd = la.Phase, la.DoneBound
+	}
+	phase := c.phase
 	c.jitterMuls(phase.Noise)
 	rt := &c.rates
 	c.jitteredRates(phase, fGHz, rt)

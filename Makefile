@@ -50,12 +50,15 @@ ci: fmt-check
 	$(GO) run ./cmd/ppeplint -C perfbench
 
 # Service-mode smoke test: the httptest endpoint suite, the end-to-end
-# faulted-loop integration test, and the ppepd command's own tests (flag
-# validation and a batch run of the daemon assembly -serve shares), run
-# fresh (-count=1) so a cached `go test ./...` pass can't mask a ppepd
+# faulted-loop integration test, the daemon's sampler and loop tests
+# (the pinned register trace, the counts-vs-mux oracle, refusals versus
+# device faults), and the ppepd command's own tests (flag validation and
+# a batch run of the daemon assembly -serve shares), run fresh
+# (-count=1) so a cached `go test ./...` pass can't mask a ppepd
 # regression.
 smoke:
 	$(GO) test -count=1 -run 'TestServe|TestListenAndServe' ./internal/serve
+	$(GO) test -count=1 -run 'TestSampler|TestDaemon' ./internal/daemon
 	$(GO) test -count=1 ./cmd/ppepd
 
 # Trace-cache smoke test: run a reduced campaign twice into the same

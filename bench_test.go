@@ -206,9 +206,10 @@ func BenchmarkTickNJittered(b *testing.B) {
 // prediction — the inner loop of step ② of the PPEP pipeline.
 func BenchmarkEventPrediction(b *testing.B) {
 	ev := benchmarkRates()
+	pred := ev
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := eventpred.PredictRates(ev, 3.5, 1.4); !ok {
+		if !eventpred.PredictRates(&ev, 3.5, 1.4, &pred) {
 			b.Fatal("prediction rejected")
 		}
 	}
@@ -266,7 +267,7 @@ func BenchmarkDynEstimate(b *testing.B) {
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		sink += float64(c.Models.Dyn.EstimateCore(ev, 1.008))
+		sink += float64(c.Models.Dyn.EstimateCore(&ev, 1.008))
 	}
 	_ = sink
 }

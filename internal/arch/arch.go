@@ -148,8 +148,10 @@ func Info(id EventID) EventInfo { return Events[int(id)-1] }
 // EventID-1. The zero value is all-zero counts.
 type EventVec [NumEvents]float64
 
-// Get returns the entry for id.
-func (v EventVec) Get(id EventID) float64 { return v[int(id)-1] }
+// Get returns the entry for id. The pointer receiver keeps a call from
+// copying the 96-byte vector; a non-addressable vector (a call result,
+// a map value) is read through a local.
+func (v *EventVec) Get(id EventID) float64 { return v[int(id)-1] }
 
 // Set assigns the entry for id.
 func (v *EventVec) Set(id EventID, x float64) { v[int(id)-1] = x }
@@ -170,7 +172,7 @@ func (v EventVec) Scale(k float64) EventVec {
 }
 
 // PowerEvents returns the E1–E9 prefix used by the dynamic power model.
-func (v EventVec) PowerEvents() [NumPowerEvents]float64 {
+func (v *EventVec) PowerEvents() [NumPowerEvents]float64 {
 	var out [NumPowerEvents]float64
 	copy(out[:], v[:NumPowerEvents])
 	return out

@@ -61,7 +61,7 @@ func (m *Model) EstimateRates(rates [arch.NumPowerEvents]float64, v units.Volts)
 // EstimateCore returns one core's attributed dynamic power from its event
 // rates at its voltage. Equation 3 uses the same weights for every core,
 // so the chip estimate is the sum of per-core estimates.
-func (m *Model) EstimateCore(ev arch.EventVec, v units.Volts) units.Watts {
+func (m *Model) EstimateCore(ev *arch.EventVec, v units.Volts) units.Watts {
 	return m.EstimateRates(ev.PowerEvents(), v)
 }
 

@@ -129,7 +129,7 @@ func TestEstimateCoreMatchesRates(t *testing.T) {
 	for i := 0; i < arch.NumPowerEvents; i++ {
 		ev[i] = float64(i) * 1e8
 	}
-	if m.EstimateCore(ev, 1.1) != m.EstimateRates(ev.PowerEvents(), 1.1) {
+	if m.EstimateCore(&ev, 1.1) != m.EstimateRates(ev.PowerEvents(), 1.1) {
 		t.Error("EstimateCore and EstimateRates disagree")
 	}
 }

@@ -22,12 +22,14 @@ import (
 )
 
 // PredictRates converts one core's event rates (events/second) at fFrom
-// into predicted rates at fTo. ok is false for an idle core (no retired
-// instructions — nothing to predict).
-func PredictRates(ev arch.EventVec, fFrom, fTo units.GigaHertz) (arch.EventVec, bool) {
+// into predicted rates at fTo, written into out. It returns false, and
+// leaves out as it was, for an idle core (no retired instructions —
+// nothing to predict). Both vectors are passed by pointer, so a caller
+// looping over cores and states copies none.
+func PredictRates(ev *arch.EventVec, fFrom, fTo units.GigaHertz, out *arch.EventVec) bool {
 	instRate := ev.Get(arch.RetiredInstructions)
 	if instRate <= 0 || fFrom <= 0 || fTo <= 0 {
-		return arch.EventVec{}, false
+		return false
 	}
 	s := cpimodel.Sample{
 		CPI:     units.CPI(ev.Get(arch.CPUClocksNotHalted) / instRate),
@@ -36,11 +38,10 @@ func PredictRates(ev arch.EventVec, fFrom, fTo units.GigaHertz) (arch.EventVec, 
 	}
 	cpiTo := s.Predict(fTo)
 	if cpiTo <= 0 {
-		return arch.EventVec{}, false
+		return false
 	}
 	instRateTo := float64(fTo.OverCPI(cpiTo))
 
-	var out arch.EventVec
 	// Observation 1: E1–E8 per instruction carry over unchanged.
 	for i := 0; i < 8; i++ {
 		perInst := ev[i] / instRate
@@ -59,7 +60,7 @@ func PredictRates(ev arch.EventVec, fFrom, fTo units.GigaHertz) (arch.EventVec, 
 	out.Set(arch.CPUClocksNotHalted, float64(cpiTo)*instRateTo)
 	out.Set(arch.RetiredInstructions, instRateTo)
 	out.Set(arch.MABWaitCycles, float64(s.MCPI)*fTo.Per(fFrom)*instRateTo)
-	return out, true
+	return true
 }
 
 // Gap returns the Observation 2 invariant, CPI − DispatchStalls/inst, for

@@ -29,8 +29,8 @@ func mkRates(f, ccpi, memNS, dsCore float64) arch.EventVec {
 
 func TestPredictIdentity(t *testing.T) {
 	ev := mkRates(3.5, 0.7, 0.1, 0.2)
-	got, ok := PredictRates(ev, 3.5, 3.5)
-	if !ok {
+	var got arch.EventVec
+	if !PredictRates(&ev, 3.5, 3.5, &got) {
 		t.Fatal("rejected valid rates")
 	}
 	for i := range ev {
@@ -47,8 +47,8 @@ func TestPredictMatchesGroundTruth(t *testing.T) {
 		from, to := pair[0], pair[1]
 		src := mkRates(from, 0.7, 0.1, 0.2)
 		want := mkRates(to, 0.7, 0.1, 0.2)
-		got, ok := PredictRates(src, units.GigaHertz(from), units.GigaHertz(to))
-		if !ok {
+		var got arch.EventVec
+		if !PredictRates(&src, units.GigaHertz(from), units.GigaHertz(to), &got) {
 			t.Fatalf("%v→%v rejected", from, to)
 		}
 		for i := range want {
@@ -61,14 +61,14 @@ func TestPredictMatchesGroundTruth(t *testing.T) {
 }
 
 func TestPredictIdleCore(t *testing.T) {
-	if _, ok := PredictRates(arch.EventVec{}, 3.5, 1.4); ok {
+	if PredictRates(&arch.EventVec{}, 3.5, 1.4, &arch.EventVec{}) {
 		t.Error("idle core accepted")
 	}
 	ev := mkRates(3.5, 0.7, 0.1, 0.2)
-	if _, ok := PredictRates(ev, 0, 1.4); ok {
+	if PredictRates(&ev, 0, 1.4, &arch.EventVec{}) {
 		t.Error("zero source frequency accepted")
 	}
-	if _, ok := PredictRates(ev, 3.5, 0); ok {
+	if PredictRates(&ev, 3.5, 0, &arch.EventVec{}) {
 		t.Error("zero target frequency accepted")
 	}
 }
@@ -79,8 +79,10 @@ func TestMemoryBoundRatesDropLessAtLowFreq(t *testing.T) {
 	// predictor must reproduce that.
 	cpu := mkRates(3.5, 0.9, 0.005, 0.2)
 	mem := mkRates(3.5, 0.5, 0.35, 0.1)
-	cpuTo, _ := PredictRates(cpu, 3.5, 1.4)
-	memTo, _ := PredictRates(mem, 3.5, 1.4)
+	var cpuTo arch.EventVec
+	PredictRates(&cpu, 3.5, 1.4, &cpuTo)
+	var memTo arch.EventVec
+	PredictRates(&mem, 3.5, 1.4, &memTo)
 	cpuRatio := cpuTo.Get(arch.RetiredInstructions) / cpu.Get(arch.RetiredInstructions)
 	memRatio := memTo.Get(arch.RetiredInstructions) / mem.Get(arch.RetiredInstructions)
 	if memRatio <= cpuRatio {
@@ -98,7 +100,8 @@ func TestGapInvariantAcrossPredictions(t *testing.T) {
 		t.Fatal("gap rejected")
 	}
 	for _, f := range []float64{1.4, 1.7, 2.3, 2.9} {
-		pred, _ := PredictRates(ev, 3.5, units.GigaHertz(f))
+		var pred arch.EventVec
+		PredictRates(&ev, 3.5, units.GigaHertz(f), &pred)
 		g, ok := Gap(pred)
 		if !ok {
 			t.Fatalf("gap at %v rejected", f)
@@ -141,12 +144,12 @@ func TestPredictRoundTripProperty(t *testing.T) {
 		from := freqs[int(fi)%len(freqs)]
 		to := freqs[int(fj)%len(freqs)]
 		ev := mkRates(from, ccpi, memNS, 0.15)
-		fwd, ok := PredictRates(ev, units.GigaHertz(from), units.GigaHertz(to))
-		if !ok {
+		var fwd arch.EventVec
+		if !PredictRates(&ev, units.GigaHertz(from), units.GigaHertz(to), &fwd) {
 			return false
 		}
-		back, ok := PredictRates(fwd, units.GigaHertz(to), units.GigaHertz(from))
-		if !ok {
+		var back arch.EventVec
+		if !PredictRates(&fwd, units.GigaHertz(to), units.GigaHertz(from), &back) {
 			return false
 		}
 		for i := range ev {
@@ -169,8 +172,8 @@ func TestDispatchStallsClampedNonNegative(t *testing.T) {
 	ev.Set(arch.CPUClocksNotHalted, 2e9) // CPI 2
 	ev.Set(arch.MABWaitCycles, 1.9e9)    // almost all memory
 	ev.Set(arch.DispatchStalls, 0)       // gap = 2.0
-	pred, ok := PredictRates(ev, 3.5, 1.4)
-	if !ok {
+	var pred arch.EventVec
+	if !PredictRates(&ev, 3.5, 1.4, &pred) {
 		t.Fatal("rejected")
 	}
 	if pred.Get(arch.DispatchStalls) < 0 {

@@ -19,7 +19,8 @@ func ExamplePredictRates() {
 	ev.Set(arch.MABWaitCycles, 0.7*instRate)       // MCPI 0.7
 	ev.Set(arch.DispatchStalls, 0.9*instRate)
 
-	pred, ok := eventpred.PredictRates(ev, 3.5, 1.75)
+	var pred arch.EventVec
+	ok := eventpred.PredictRates(&ev, 3.5, 1.75, &pred)
 	inst := pred.Get(arch.RetiredInstructions)
 	fmt.Println(ok)
 	// Memory cycles halve at half the clock: CPI 1.05+0.35 = 1.40.

@@ -132,6 +132,7 @@ func (m *Models) AnalyzeInto(iv trace.Interval, rep *Report) error {
 	// (TestServeIntervalAllocs).
 	nCores := len(iv.Counters)
 	nStates := len(m.Table)
+	var rates, pred arch.EventVec // one core's measured and predicted rates
 	if !reportFits(rep, nStates, nCores) {
 		rep.PerVF = make([]Projection, nStates)
 		cpiBuf := make([]units.CPI, nStates*nCores)
@@ -145,21 +146,18 @@ func (m *Models) AnalyzeInto(iv trace.Interval, rep *Report) error {
 	for si := 0; si < nStates; si++ {
 		s := arch.VFState(si + 1)
 		pt := m.Table.Point(s)
-		cpiCol := rep.PerVF[si].PerCoreCPI
-		dynCol := rep.PerVF[si].PerCoreDynW
-		for i := range cpiCol {
-			cpiCol[i] = 0
-			dynCol[i] = 0
+		// The projection is filled in place, its per-core columns
+		// included; every other field is written below.
+		proj := &rep.PerVF[si]
+		for i := range proj.PerCoreCPI {
+			proj.PerCoreCPI[i] = 0
+			proj.PerCoreDynW[i] = 0
 		}
-		proj := Projection{
-			VF:          s,
-			PerCoreCPI:  cpiCol,
-			PerCoreDynW: dynCol,
-		}
+		proj.VF = s
+		proj.TotalIPS, proj.DynW = 0, 0
 		for c := range iv.Counters {
-			rates := iv.CoreRates(c)
-			pred, ok := eventpred.PredictRates(rates, fFrom, pt.Freq)
-			if !ok {
+			iv.CoreRatesInto(c, &rates)
+			if !eventpred.PredictRates(&rates, fFrom, pt.Freq, &pred) {
 				continue // idle core
 			}
 			inst := pred.Get(arch.RetiredInstructions)
@@ -167,26 +165,24 @@ func (m *Models) AnalyzeInto(iv trace.Interval, rep *Report) error {
 				proj.PerCoreCPI[c] = units.CPI(pred.Get(arch.CPUClocksNotHalted) / inst)
 			}
 			proj.TotalIPS += units.InstPerSec(inst)
-			dynW := m.Dyn.EstimateCore(pred, pt.Voltage)
+			dynW := m.Dyn.EstimateCore(&pred, pt.Voltage)
 			proj.PerCoreDynW[c] = dynW
 			proj.DynW += dynW
 		}
-		proj.IdleW = m.idleAt(s, pt.Voltage, iv)
+		proj.IdleW = m.idleAt(s, pt.Voltage, &iv)
 		proj.ChipW = proj.IdleW + proj.DynW
 		// Thermal feedback: for states other than the measured one,
 		// re-evaluate the idle model at the temperature the predicted
 		// power would settle at (two fixed-point iterations converge to
 		// well under the model's own error).
 		if m.Thermal != nil && s != rep.MeasuredVF && !m.PGEnabled {
-			adj := iv
 			for it := 0; it < 2; it++ {
-				adj.TempK = float64(m.Thermal.SteadyTempK(proj.ChipW))
-				proj.IdleW = m.Idle.Estimate(pt.Voltage, units.Kelvin(adj.TempK))
+				tempK := float64(m.Thermal.SteadyTempK(proj.ChipW))
+				proj.IdleW = m.Idle.Estimate(pt.Voltage, units.Kelvin(tempK))
 				proj.ChipW = proj.IdleW + proj.DynW
 			}
 		}
 		proj.IntervalEnergyJ = proj.ChipW.Over(units.Seconds(iv.DurS))
-		rep.PerVF[si] = proj
 	}
 	return nil
 }
@@ -209,7 +205,7 @@ func reportFits(rep *Report, nStates, nCores int) bool {
 // gating enabled and a Figure 4 decomposition available, gated compute
 // units are excluded (the Section IV-D "new power model"); otherwise the
 // temperature-aware Equation 2 model applies.
-func (m *Models) idleAt(s arch.VFState, v units.Volts, iv trace.Interval) units.Watts {
+func (m *Models) idleAt(s arch.VFState, v units.Volts, iv *trace.Interval) units.Watts {
 	if m.PGEnabled {
 		if d, ok := m.PG[s]; ok {
 			return d.ChipIdleW(true, cusOf(m, iv), busyCUCount(iv, m))
@@ -247,6 +243,7 @@ func (m *Models) PredictChipW(iv trace.Interval, topo arch.Topology, assign []ar
 			maxV = v
 		}
 	}
+	var rates, pred arch.EventVec
 	for c := range iv.Counters {
 		st := assign[topo.CUOf(c)]
 		pt := m.Table.Point(st)
@@ -256,11 +253,11 @@ func (m *Models) PredictChipW(iv trace.Interval, topo arch.Topology, assign []ar
 		if len(iv.PerCoreVF) == len(iv.Counters) {
 			from = m.Table.Point(iv.PerCoreVF[c]).Freq
 		}
-		pred, ok := eventpred.PredictRates(iv.CoreRates(c), from, pt.Freq)
-		if !ok {
+		iv.CoreRatesInto(c, &rates)
+		if !eventpred.PredictRates(&rates, from, pt.Freq, &pred) {
 			continue
 		}
-		dyn += m.Dyn.EstimateCore(pred, pt.Voltage)
+		dyn += m.Dyn.EstimateCore(&pred, pt.Voltage)
 	}
 	// Idle at the highest assigned state; PG-aware when applicable.
 	topState := assign[0]
@@ -269,7 +266,7 @@ func (m *Models) PredictChipW(iv trace.Interval, topo arch.Topology, assign []ar
 			topState = s
 		}
 	}
-	idle := m.idleAt(topState, maxV, iv)
+	idle := m.idleAt(topState, maxV, &iv)
 	total := idle + dyn
 	// Mirror Analyze's thermal feedback so uniform assignments agree
 	// with the corresponding projection exactly.
@@ -311,22 +308,23 @@ func (m *Models) SplitDetail(iv trace.Interval, proj Projection) SplitPower {
 	var s SplitPower
 	pt := m.Table.Point(proj.VF)
 	fFrom := m.Table.Point(iv.VF()).Freq
+	var rates, pred arch.EventVec
 	for c := range iv.Counters {
-		pred, ok := eventpred.PredictRates(iv.CoreRates(c), fFrom, pt.Freq)
-		if !ok {
+		iv.CoreRatesInto(c, &rates)
+		if !eventpred.PredictRates(&rates, fFrom, pt.Freq, &pred) {
 			continue
 		}
-		total := m.Dyn.EstimateCore(pred, pt.Voltage)
+		total := m.Dyn.EstimateCore(&pred, pt.Voltage)
 		var nbOnly arch.EventVec
 		nbOnly.Set(arch.L2CacheMisses, pred.Get(arch.L2CacheMisses))
 		nbOnly.Set(arch.DispatchStalls, pred.Get(arch.DispatchStalls))
-		nb := m.Dyn.EstimateCore(nbOnly, pt.Voltage)
+		nb := m.Dyn.EstimateCore(&nbOnly, pt.Voltage)
 		s.CoreDynW += total - nb
 		s.NBDynW += nb
 	}
 	if d, ok := m.PG[proj.VF]; ok {
-		busyCUs := busyCUCount(iv, m)
-		s.CoreIdleW = d.ChipIdleW(m.PGEnabled, cusOf(m, iv), busyCUs) - d.PidleNB - d.PidleBase
+		busyCUs := busyCUCount(&iv, m)
+		s.CoreIdleW = d.ChipIdleW(m.PGEnabled, cusOf(m, &iv), busyCUs) - d.PidleNB - d.PidleBase
 		s.NBIdleW = d.PidleNB
 		s.BaseW = d.PidleBase
 	} else {
@@ -343,7 +341,7 @@ func (m *Models) SplitCoreNB(iv trace.Interval, proj Projection) (coreW, nbW uni
 
 // cusOf infers the CU count from the interval size assuming the FX
 // two-cores-per-CU pairing when the counter count is even, else 1:1.
-func cusOf(m *Models, iv trace.Interval) int {
+func cusOf(m *Models, iv *trace.Interval) int {
 	n := len(iv.Counters)
 	if n%2 == 0 {
 		return n / 2
@@ -352,7 +350,7 @@ func cusOf(m *Models, iv trace.Interval) int {
 }
 
 // busyCUCount counts CUs with at least one busy core.
-func busyCUCount(iv trace.Interval, m *Models) int {
+func busyCUCount(iv *trace.Interval, m *Models) int {
 	per := 2
 	if len(iv.Busy)%2 != 0 {
 		per = 1

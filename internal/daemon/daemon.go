@@ -67,6 +67,10 @@ type Daemon struct {
 
 	counters  Counters
 	lastTempK float64
+	// oracle receives the chip's own interval record every interval; on
+	// a chip with counter files it carries power, thermal and VF fields
+	// only. Reused, so closing an interval allocates nothing here.
+	oracle trace.Interval
 
 	// published is the latest per-VF projection table, swapped in whole
 	// at every interval end. Readers (the HTTP layer, policies on other
@@ -169,26 +173,44 @@ func (d *Daemon) readTempK() float64 {
 }
 
 // step drives one 200 ms decision interval through the device path:
-// tick the hardware, rotate counter groups every 20 ms, assemble the
-// interval, analyze, record, and apply the policy.
+// sample it, then analyze, record, publish and apply the policy. A
+// device failure is returned by sample and an analysis refusal by
+// publish; Run treats the two differently.
 func (d *Daemon) step() (Record, error) {
+	iv, err := d.sample()
+	if err != nil {
+		return Record{}, err
+	}
+	return d.publish(iv)
+}
+
+// sample ticks the hardware, rotates the counter groups every 20 ms and
+// assembles the interval. Every error it returns is a device failure.
+func (d *Daemon) sample() (trace.Interval, error) {
 	windows := arch.DecisionIntervalMS / arch.PowerSamplePeriodMS
 	for w := 0; w < windows; w++ {
 		d.chip.TickN(arch.PowerSamplePeriodMS)
 		if err := d.sampler.OnWindow(arch.PowerSamplePeriodMS); err != nil {
-			return Record{}, err
+			return trace.Interval{}, err
 		}
 	}
 	iv, err := d.sampler.EndInterval(d.chip.TimeS(), arch.DecisionIntervalMS, d.readTempK())
 	if err != nil {
-		return Record{}, err
+		return trace.Interval{}, err
 	}
 	// Consume the chip's internal interval bookkeeping so oracle
 	// power is available to callers for validation.
-	oracle := d.chip.ReadInterval()
-	iv.TruePowerW = oracle.TruePowerW
-	iv.MeasPowerW = oracle.MeasPowerW
+	d.chip.ReadIntervalInto(&d.oracle)
+	iv.TruePowerW = d.oracle.TruePowerW
+	iv.MeasPowerW = d.oracle.MeasPowerW
+	return iv, nil
+}
 
+// publish analyzes a sampled interval, records it, publishes its
+// prediction table and applies the policy. Every error it returns is an
+// analysis refusal, counted in AnalyzeErrors: the interval is dropped,
+// and the device state is sound.
+func (d *Daemon) publish(iv trace.Interval) (Record, error) {
 	rep, err := d.Models.Analyze(iv)
 	if err != nil {
 		d.counters.AnalyzeErrors.Add(1)
@@ -196,8 +218,8 @@ func (d *Daemon) step() (Record, error) {
 	}
 	// A table with a NaN, an infinity or a negative power is refused
 	// like an analysis error: readers could not use it, and JSON cannot
-	// even spell the non-finite ones. step is the only writer of seq, so
-	// it reads it without the lock.
+	// even spell the non-finite ones. publish is the only writer of seq,
+	// so it reads it without the lock.
 	table := d.Models.PredictionTable(d.seq+1, iv, rep)
 	if err := table.Validate(); err != nil {
 		d.counters.AnalyzeErrors.Add(1)
@@ -240,10 +262,13 @@ func (d *Daemon) RunIntervals(n int) error {
 
 // Run drives the loop until the context is cancelled — the always-on
 // service mode (paper Section IV-E). Unlike RunIntervals, errors never
-// abort the loop: an interval that fails even after the retry budget is
-// counted as skipped, the sampler is re-programmed from scratch, and
-// sampling continues. A transient fault during the re-program itself
-// just skips further intervals until the reset lands — the loop only
+// abort the loop. An interval whose device access fails even after the
+// retry budget is counted as skipped, the sampler is re-programmed from
+// scratch, and sampling continues; a transient fault during the
+// re-program itself just skips further intervals until the reset lands.
+// An interval the analysis refuses (or whose table fails the publish
+// gate) is counted in AnalyzeErrors only and dropped: the device state
+// is sound, so the sampler carries on without a reset. The loop only
 // ever exits with the context's error on cancellation.
 func (d *Daemon) Run(ctx context.Context) error {
 	if d.Models == nil {
@@ -268,12 +293,15 @@ func (d *Daemon) Run(ctx context.Context) error {
 			}
 			// Drain the chip's interval accumulation the failed interval
 			// left behind so the next one starts on a clean boundary.
-			d.chip.ReadInterval()
+			d.chip.ReadIntervalInto(&d.oracle)
 			needReset = false
 		}
-		if _, err := d.step(); err != nil {
+		if iv, err := d.sample(); err != nil {
 			d.counters.SkippedIntervals.Add(1)
 			needReset = true
+		} else {
+			// A refusal is already counted in AnalyzeErrors.
+			_, _ = d.publish(iv)
 		}
 		if d.Throttle != nil {
 			d.Throttle()

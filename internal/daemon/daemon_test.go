@@ -13,6 +13,7 @@ import (
 	"ppep/internal/core"
 	"ppep/internal/dvfs"
 	"ppep/internal/fxsim"
+	"ppep/internal/pmc"
 	"ppep/internal/stats"
 	"ppep/internal/trace"
 	"ppep/internal/units"
@@ -139,29 +140,63 @@ func TestDaemonEstimatesTrackMeasuredPower(t *testing.T) {
 	}
 }
 
+// TestDaemonMultiplexedCountsMatchOracle runs the daemon's chip next to
+// a twin built the same way but without counter files: same sensor
+// seed, workload and VF sequence, ticked in lockstep. The twin's
+// multiplexed counters are the oracle for the register path. Every
+// counter file truncates each tick's increment to a whole count, so the
+// register path reads at most one count per tick low; over the 100
+// ticks a group is live, extrapolated ×2 to the interval, the sampler
+// may read up to 200 below the mux and never above it. The MSR chip's
+// power fields must equal the twin's bit for bit: counter files must
+// not perturb the simulation.
 func TestDaemonMultiplexedCountsMatchOracle(t *testing.T) {
-	// Device-sampled, extrapolated counts must agree with the chip's own
-	// mux bookkeeping within a few percent for a steady workload.
-	d, chip := attach(t, nil)
-	_ = chip
-	if err := d.RunIntervals(5); err != nil {
+	cycle := []arch.VFState{arch.VF5, arch.VF2, arch.VF4, arch.VF1, arch.VF3}
+	chip, twin := busyChip(t, false), busyChip(t, false)
+	next := 0
+	policy := PolicyFunc(func(c *fxsim.Chip, _ trace.Interval, _ *core.Report) {
+		next++
+		if err := c.SetAllPStates(cycle[next%len(cycle)]); err != nil {
+			t.Error(err)
+		}
+	})
+	d, err := AttachOpts(chip, models(t), policy, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	iv := d.Records()[3].Interval
-	inst := iv.Counters[0].Get(arch.RetiredInstructions)
-	cyc := iv.Counters[0].Get(arch.CPUClocksNotHalted)
-	if inst <= 0 || cyc <= 0 {
-		t.Fatal("no activity sampled")
-	}
-	cpi := cyc / inst
-	if cpi < 0.5 || cpi > 6 {
-		t.Errorf("device-sampled CPI %v implausible", cpi)
-	}
-	// Instruction rate should be in the right ballpark for milc at VF5:
-	// ~1e9 inst/s per instance.
-	rate := inst / iv.DurS
-	if rate < 3e8 || rate > 4e9 {
-		t.Errorf("instruction rate %v implausible", rate)
+	const maxDeficit = 2 * 100 // one count per live tick, extrapolated ×2
+	for n := 0; n < 8; n++ {
+		if err := d.RunIntervals(1); err != nil {
+			t.Fatal(err)
+		}
+		twin.TickN(arch.DecisionIntervalMS)
+		want := twin.ReadInterval()
+		if err := twin.SetAllPStates(cycle[(n+1)%len(cycle)]); err != nil {
+			t.Fatal(err)
+		}
+		rec, _ := d.Latest()
+		got := rec.Interval
+		if got.VF() != want.VF() {
+			t.Fatalf("interval %d: daemon at %v, twin at %v", n, got.VF(), want.VF())
+		}
+		if math.Float64bits(got.TruePowerW) != math.Float64bits(want.TruePowerW) ||
+			math.Float64bits(got.MeasPowerW) != math.Float64bits(want.MeasPowerW) ||
+			chip.TempK() != twin.TempK() {
+			t.Errorf("interval %d: MSR chip true/measured power %v/%v at %v K, twin %v/%v at %v K",
+				n, got.TruePowerW, got.MeasPowerW, chip.TempK(), want.TruePowerW, want.MeasPowerW, twin.TempK())
+		}
+		for c := range want.Counters {
+			for e := range want.Counters[c] {
+				mux, reg := want.Counters[c][e], got.Counters[c][e]
+				if deficit := mux - reg; deficit < -1e-9*mux || deficit >= maxDeficit {
+					t.Errorf("interval %d core %d E%d: sampler %v, mux %v", n, c, e+1, reg, mux)
+				}
+			}
+		}
+		// The comparison must cover live counts, not two zero vectors.
+		if got.Counters[0][int(arch.RetiredInstructions)-1] < 1e8 {
+			t.Fatalf("interval %d: core 0 retired %v instructions", n, got.Counters[0][int(arch.RetiredInstructions)-1])
+		}
 	}
 }
 
@@ -260,6 +295,64 @@ func TestDaemonRefusesUnusableTable(t *testing.T) {
 		}
 		if d.Predictions() != nil || len(d.Records()) != 0 {
 			t.Errorf("%s: refused interval was published or recorded", name)
+		}
+	}
+}
+
+// TestDaemonRunTellsRefusalsFromDeviceFaults drives the service loop
+// with an idle offset of −1e6, so analysis refuses every interval, and
+// counts the register operations through a recording device. A refusal
+// must be counted as an analysis error only, and the sampler kept: no
+// interval is skipped, and no re-program runs, so the device sees
+// exactly one interval's operations per interval. A device failure in
+// the same loop still skips the interval and re-programs the sampler.
+func TestDaemonRunTellsRefusalsFromDeviceFaults(t *testing.T) {
+	m := *models(t)
+	idle := *m.Idle
+	idle.W0 = append(stats.Poly(nil), m.Idle.W0...)
+	idle.W0[0] = -1e6
+	m.Idle = &idle
+	for _, fail := range []bool{false, true} {
+		d, err := AttachOpts(busyChip(t, false), &m, nil, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &recordingMSR{dev: d.sampler.dev, failOp: -1}
+		if fail {
+			rec.failOp = 100 // a counter read in the first interval's first window
+		}
+		d.sampler.dev = rec
+		const intervals = 6
+		ctx, cancel := context.WithCancel(context.Background())
+		throttles := 0
+		d.Throttle = func() {
+			if throttles++; throttles == intervals {
+				cancel()
+			}
+		}
+		if err := d.Run(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run returned %v, want context.Canceled", err)
+		}
+		s := d.Counters().Snapshot()
+		ops := len(rec.ops)
+		if !fail {
+			if s.AnalyzeErrors != intervals || s.SkippedIntervals != 0 {
+				t.Errorf("refusals: %d analyze errors, %d skipped, want %d and 0", s.AnalyzeErrors, s.SkippedIntervals, intervals)
+			}
+			if ops != intervals*opsPerInterval {
+				t.Errorf("refusals: %d register operations, want %d: the sampler was re-programmed", ops, intervals*opsPerInterval)
+			}
+			continue
+		}
+		// The failed interval stops at its 101st operation; the reset
+		// writes every core's group-0 selects and counters; the other
+		// intervals sample in full and are refused.
+		reset := 8 * 2 * pmc.CountersPerCore
+		if s.SkippedIntervals != 1 || s.AnalyzeErrors != intervals-1 {
+			t.Errorf("device fault: %d skipped, %d analyze errors, want 1 and %d", s.SkippedIntervals, s.AnalyzeErrors, intervals-1)
+		}
+		if want := (rec.failOp + 1) + reset + (intervals-1)*opsPerInterval; ops != want {
+			t.Errorf("device fault: %d register operations, want %d", ops, want)
 		}
 	}
 }
@@ -413,10 +506,11 @@ func TestSamplerGroupRotation(t *testing.T) {
 // budget is 3 allocs for the interval's owned slices (Counters,
 // PerCoreVF, Busy — the history ring retains them, so they cannot be
 // pooled), 4 fixed allocs in Models.Analyze (Report + PerVF backing
-// plus the two shared projection arrays), the ring's boxed Record, and
-// 2 for the published prediction table (the table and its rows — both
-// retained by lock-free readers, so they cannot be pooled either);
-// everything else must come from pre-sized or reused buffers.
+// plus the two shared projection arrays), and 2 for the published
+// prediction table (the table and its rows — both retained by lock-free
+// readers, so they cannot be pooled either); everything else must come
+// from pre-sized or reused buffers, the chip's own interval record
+// included.
 func TestServeIntervalAllocs(t *testing.T) {
 	chip := busyChip(t, false)
 	d, err := AttachOpts(chip, models(t), nil, Options{HistoryCap: 8})
@@ -433,7 +527,7 @@ func TestServeIntervalAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const ceiling = 13 // was 29 before the encode/analyze buffer reuse; +2 for the published table
+	const ceiling = 9 // 29 before the encode/analyze buffer reuse, 13 before the reused chip record
 	if n > ceiling {
 		t.Errorf("service interval allocates %.1f times, want <= %d", n, ceiling)
 	}

@@ -83,6 +83,8 @@ type Sampler struct {
 	counters *Counters
 
 	groups [2][pmc.CountersPerCore]arch.EventID
+	// ctl holds each group's PERF_CTL values, encoded once by NewSampler.
+	ctl    [2][pmc.CountersPerCore]uint64
 	active int
 	// counts accumulates raw per-core counts per event this interval.
 	counts []arch.EventVec
@@ -102,6 +104,11 @@ func NewSampler(dev MSR, numCores int, tbl arch.VFTable) (*Sampler, error) {
 	for i := 0; i < pmc.CountersPerCore; i++ {
 		s.groups[0][i] = arch.EventID(i + 1)
 		s.groups[1][i] = arch.EventID(i + 1 + pmc.CountersPerCore)
+	}
+	for g := range s.groups {
+		for slot, ev := range s.groups[g] {
+			s.ctl[g][slot] = msr.EncodeCtl(arch.Info(ev).Code)
+		}
 	}
 	if err := s.program(0); err != nil {
 		return nil, err
@@ -155,8 +162,7 @@ func (s *Sampler) wrmsr(core int, addr uint32, val uint64) error {
 // zeroes the counters.
 func (s *Sampler) program(group int) error {
 	for core := 0; core < s.numCores; core++ {
-		for slot, ev := range s.groups[group] {
-			ctl := msr.EncodeCtl(arch.Info(ev).Code)
+		for slot, ctl := range s.ctl[group] {
 			if err := s.wrmsr(core, msr.PerfCtl(slot), ctl); err != nil {
 				return fmt.Errorf("daemon: program core %d slot %d: %w", core, slot, err)
 			}

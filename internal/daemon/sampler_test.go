@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ppep/internal/arch"
+	"ppep/internal/fxsim"
 	"ppep/internal/msr"
 )
 
@@ -201,4 +202,118 @@ func TestRetryDefaults(t *testing.T) {
 		t.Errorf("zero Retry attempts() = %d, want 1", r.attempts())
 	}
 	r.sleep(1) // must not panic or call time.Sleep for zero backoff
+}
+
+// regOp is one register operation as a device saw it.
+type regOp struct {
+	write bool
+	core  int
+	addr  uint32
+	val   uint64
+}
+
+// recordingMSR forwards every operation to dev and logs it. The
+// operation with index failOp (counting from 0) fails instead of being
+// forwarded; failOp < 0 fails none.
+type recordingMSR struct {
+	dev    MSR
+	ops    []regOp
+	failOp int
+}
+
+func (r *recordingMSR) Rdmsr(core int, addr uint32) (uint64, error) {
+	r.ops = append(r.ops, regOp{core: core, addr: addr})
+	if len(r.ops)-1 == r.failOp {
+		return 0, errFakeTransient
+	}
+	return r.dev.Rdmsr(core, addr)
+}
+
+func (r *recordingMSR) Wrmsr(core int, addr uint32, val uint64) error {
+	r.ops = append(r.ops, regOp{write: true, core: core, addr: addr, val: val})
+	if len(r.ops)-1 == r.failOp {
+		return errFakeTransient
+	}
+	return r.dev.Wrmsr(core, addr, val)
+}
+
+// opsPerInterval is the register traffic of one 200 ms interval on the
+// 8-core FX-8320: every 20 ms window reads the live group's six counters
+// and programs the other group's six selects and zeroes its six
+// counters on each core, and the interval ends with one P-state status
+// read per core.
+const opsPerInterval = 10*8*(6+12) + 8
+
+// TestSamplerRegisterTrace pins the register path of one interval: the
+// order, the addresses and the written values of every operation, as
+// the AMD family-15h layout and Table I spell them. The fault-injection
+// stream draws once per operation, so a seeded faulted run reproduces
+// only while this sequence holds.
+func TestSamplerRegisterTrace(t *testing.T) {
+	const cores = 8
+	rec := &recordingMSR{dev: &fakeMSR{ctrVal: 7}, failOp: -1}
+	s := newTestSampler(t, rec, cores)
+	rec.ops = nil // the initial group-0 programming is not part of the interval
+	for w := 0; w < 10; w++ {
+		if err := s.OnWindow(20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.EndInterval(1.0, 200, 318); err != nil {
+		t.Fatal(err)
+	}
+
+	// Table I event-select codes, group 0 (E1–E6) and group 1 (E7–E12),
+	// with the family-15h enable bit 22.
+	codes := [2][6]uint64{
+		{0x0c1, 0x000, 0x080, 0x040, 0x07d, 0x0c2},
+		{0x0c3, 0x07e, 0x0d1, 0x076, 0x0c0, 0x069},
+	}
+	var want []regOp
+	for w := 0; w < 10; w++ {
+		for c := 0; c < cores; c++ {
+			for slot := uint32(0); slot < 6; slot++ {
+				want = append(want, regOp{core: c, addr: 0xC0010201 + 2*slot})
+			}
+		}
+		next := 1 - w%2
+		for c := 0; c < cores; c++ {
+			for slot := uint32(0); slot < 6; slot++ {
+				want = append(want,
+					regOp{write: true, core: c, addr: 0xC0010200 + 2*slot, val: codes[next][slot] | 1<<22},
+					regOp{write: true, core: c, addr: 0xC0010201 + 2*slot})
+			}
+		}
+	}
+	for c := 0; c < cores; c++ {
+		want = append(want, regOp{core: c, addr: 0xC0010063})
+	}
+	if len(want) != opsPerInterval {
+		t.Fatalf("expected trace has %d operations, opsPerInterval says %d", len(want), opsPerInterval)
+	}
+	if len(rec.ops) != len(want) {
+		t.Fatalf("interval issued %d register operations, want %d", len(rec.ops), len(want))
+	}
+	for i := range want {
+		if rec.ops[i] != want[i] {
+			t.Fatalf("operation %d is %+v, want %+v", i, rec.ops[i], want[i])
+		}
+	}
+}
+
+// TestSamplerOnWindowAllocs pins the window path at zero allocations:
+// 48 counter reads and 96 register writes through the real MSR device.
+func TestSamplerOnWindowAllocs(t *testing.T) {
+	cfg := fxsim.DefaultFX8320Config()
+	cfg.IdealSensor = true
+	chip := fxsim.New(cfg)
+	s := newTestSampler(t, msr.Open(chip), chip.Topology().NumCores())
+	n := testing.AllocsPerRun(100, func() {
+		if err := s.OnWindow(20); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("OnWindow allocates %.1f times, want 0", n)
+	}
 }

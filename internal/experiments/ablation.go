@@ -42,7 +42,8 @@ func (c *Campaign) AblationAlpha() (*Result, error) {
 			}
 			for _, iv := range core.SteadyIntervals(rt.Trace) {
 				idleEst := c.Models.Idle.Estimate(v, units.Kelvin(iv.TempK))
-				rates := iv.TotalRates().PowerEvents()
+				total := iv.TotalRates()
+				rates := total.PowerEvents()
 				fitErrs = append(fitErrs, stats.AbsPctErr(float64(idleEst+fitted.EstimateRates(rates, v)), iv.MeasPowerW))
 				fixErrs = append(fixErrs, stats.AbsPctErr(float64(idleEst+fixed.EstimateRates(rates, v)), iv.MeasPowerW))
 			}
@@ -97,7 +98,8 @@ func (c *Campaign) AblationNoNBEvents() (*Result, error) {
 			for _, iv := range core.SteadyIntervals(rt.Trace) {
 				idleEst := c.Models.Idle.Estimate(v, units.Kelvin(iv.TempK))
 				measDyn := iv.MeasPowerW - float64(idleEst)
-				rates := iv.TotalRates().PowerEvents()
+				total := iv.TotalRates()
+				rates := total.PowerEvents()
 				if blind {
 					rates[7], rates[8] = 0, 0
 				}

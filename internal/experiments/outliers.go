@@ -41,7 +41,8 @@ func (c *Campaign) Outliers() (*Result, error) {
 				if measDyn <= 0.5 {
 					continue
 				}
-				estDyn := fm.models.Dyn.EstimateRates(iv.TotalRates().PowerEvents(), v)
+				total := iv.TotalRates()
+				estDyn := fm.models.Dyn.EstimateRates(total.PowerEvents(), v)
 				errs = append(errs, stats.AbsPctErr(float64(estDyn), measDyn))
 			}
 			if len(errs) == 0 {

@@ -1,6 +1,7 @@
 package fxsim
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -170,5 +171,38 @@ func TestConfigNBNotShared(t *testing.T) {
 	}
 	if a.cfg.NB == b.cfg.NB || a.cfg.NB == cfg.NB {
 		t.Error("chips share an NB instance with each other or the caller")
+	}
+}
+
+// TestCounterFilesFeedOneModel pins the one-counter-model rule: once
+// counter files are attached, a core's events feed its counter file
+// and not its mux, and ReadInterval returns no counters — while every
+// power, thermal and VF field stays equal to a chip without
+// counter files.
+func TestCounterFilesFeedOneModel(t *testing.T) {
+	files, plain := busyChip(t), busyChip(t)
+	files.EnableCounterFiles()
+	if err := files.CounterFile(0).Program(0, arch.Info(arch.RetiredInstructions).Code); err != nil {
+		t.Fatal(err)
+	}
+	var reuse trace.Interval
+	for n := 0; n < 3; n++ {
+		files.TickN(arch.DecisionIntervalMS)
+		plain.TickN(arch.DecisionIntervalMS)
+		if files.mux[0].ReadInterval(1) != (arch.EventVec{}) {
+			t.Fatal("a chip with counter files still feeds its mux")
+		}
+		files.ReadIntervalInto(&reuse)
+		want := plain.ReadInterval()
+		if len(reuse.Counters) != 0 || len(want.Counters) != len(want.Busy) {
+			t.Fatalf("interval %d: %d counter vectors with counter files, %d without", n, len(reuse.Counters), len(want.Counters))
+		}
+		reuse.Counters = want.Counters
+		if !reflect.DeepEqual(reuse, want) {
+			t.Errorf("interval %d: counter files perturbed the simulation:\n%+v\n%+v", n, reuse, want)
+		}
+	}
+	if v, _ := files.CounterFile(0).Read(0); v == 0 {
+		t.Error("programmed counter file did not count")
 	}
 }

@@ -107,6 +107,10 @@ type Chip struct {
 	// counter file the MSR device exposes (EnableCounterFiles).
 	mux      []pmc.Mux
 	counters []*pmc.CounterFile
+	// counterFiles is set once EnableCounterFiles has run. From then on
+	// a core's events feed its counter file only: the mux is no longer
+	// fed, and ReadIntervalInto returns no counters.
+	counterFiles bool
 
 	pstates []arch.VFState // per CU
 	nbPoint arch.VFPoint
@@ -142,8 +146,16 @@ type Chip struct {
 	sharedV     units.Volts     // shared-rail voltage (highest requested state)
 	nbLat       mem.LatencyParams
 	nbDyn       powertruth.NBDynCoeffs
-	nbLeakVolt  float64       // NB leakage voltage factor
-	cuOp        []cuOpCache   // per-CU operating-point coefficient memo
+	nbLeakVolt  float64 // NB leakage voltage factor
+	// cuOp is every CU's operating point for the current tick and its
+	// power-model coefficients: refreshCUOps derives it at the top of
+	// the tick and again whenever a thread finishes mid-sweep.
+	// cuOpStale marks it out of date. Without boost a CU's point moves
+	// only through SetPState, which sets the mark; with boost the
+	// temperature and the busy counts move it too, so a chip with boost
+	// enabled re-derives it every tick.
+	cuOp        []cuOpCache
+	cuOpStale   bool
 	scratchDyn  []units.Watts // Breakdown.CoreDynW backing store
 	scratchLeak []units.Watts // Breakdown.CULeakW backing store
 	// The reference tick's scratch: every busy core's Step writes
@@ -160,14 +172,15 @@ type Chip struct {
 	eng engine
 }
 
-// cuOpCache memoises the power-model coefficients for one CU's current
-// (voltage, frequency). Boost can flip a CU's operating point from one
-// tick to the next, so the memo is keyed by value rather than invalidated
-// explicitly.
+// cuOpCache is one CU's operating point (voltage, frequency) and the
+// power-model coefficients memoised for it. Boost can flip a CU's
+// operating point from one tick to the next, so the coefficients are
+// keyed by value rather than invalidated explicitly.
 type cuOpCache struct {
 	v        units.Volts
 	f        units.GigaHertz
 	dyn      powertruth.CoreDynCoeffs
+	haltedW  units.Watts // dynamic power of a halted, ungated core
 	leakVolt float64
 	ok       bool
 }
@@ -220,6 +233,7 @@ func New(cfg Config) *Chip {
 	}
 	c.fTopGHz = topPoint.Freq
 	c.sharedV = topPoint.Voltage
+	c.cuOpStale = true
 	c.refreshNBCaches()
 	c.snapshotVF()
 	return c
@@ -282,6 +296,7 @@ func (c *Chip) SetPState(cu int, s arch.VFState) error {
 	c.pstates[cu] = s
 	c.cuPoints[cu] = c.cfg.Topology.VF.Point(s)
 	c.refreshSharedRail()
+	c.cuOpStale = true
 	c.eng.invalidate()
 	return nil
 }
@@ -352,33 +367,6 @@ func (c *Chip) SetNBPoint(p arch.VFPoint) {
 	c.eng.invalidate()
 }
 
-// railVoltage returns the voltage a CU runs at: its own point with per-CU
-// planes, otherwise the shared rail at the highest requested state.
-// A boosting CU pulls the rail to the boost voltage.
-func (c *Chip) railVoltage(cu int) units.Volts {
-	if c.cfg.PerCUPlanes {
-		if c.boosting(cu) {
-			return c.boostPoint().Voltage
-		}
-		return c.cuPoints[cu].Voltage
-	}
-	v := c.sharedV
-	if c.anyBoosting() {
-		if bv := c.boostPoint().Voltage; bv > v {
-			v = bv
-		}
-	}
-	return v
-}
-
-// cuFreq returns a CU's clock in GHz, including any active boost.
-func (c *Chip) cuFreq(cu int) units.GigaHertz {
-	if c.boosting(cu) {
-		return c.boostPoint().Freq
-	}
-	return c.cuPoints[cu].Freq
-}
-
 // boostPoint returns the configured boost operating point.
 func (c *Chip) boostPoint() arch.VFPoint {
 	if c.cfg.BoostPoint.Freq > 0 {
@@ -400,30 +388,14 @@ func (c *Chip) boostLimits() (maxBusy int, tMaxK units.Kelvin) {
 	return maxBusy, tMaxK
 }
 
-// boosting reports whether a CU is in a hardware boost state this tick:
-// boost is enabled, the CU sits at the top P-state with work, few CUs
-// are busy, and the package is cool. Software cannot observe or control
-// this — the measurement hazard the paper avoids by disabling boost.
-// The busy conditions read the incrementally-maintained CU counters, so
-// the check is O(1).
-func (c *Chip) boosting(cu int) bool {
+// boostOpen reports whether the chip-wide boost conditions hold this
+// tick: boost is enabled, few CUs are busy, and the package is cool. A
+// CU then boosts when it also sits at the top P-state with work.
+// Software cannot observe or control this — the measurement hazard the
+// paper avoids by disabling boost. The busy conditions read the
+// incrementally-maintained CU counters, so the check is O(1).
+func (c *Chip) boostOpen() bool {
 	if !c.cfg.BoostEnabled {
-		return false
-	}
-	if c.pstates[cu] != c.cfg.Topology.VF.Top() {
-		return false
-	}
-	maxBusy, tMax := c.boostLimits()
-	if c.therm.TempK() >= tMax {
-		return false
-	}
-	return c.cuBusyCores[cu] > 0 && c.busyCUs <= maxBusy
-}
-
-// anyBoosting reports whether at least one CU is boosting this tick (the
-// shared-rail voltage pull). Equivalent to ∃u: boosting(u).
-func (c *Chip) anyBoosting() bool {
-	if !c.cfg.BoostEnabled || c.topBusyCUs == 0 {
 		return false
 	}
 	maxBusy, tMax := c.boostLimits()
@@ -484,18 +456,6 @@ func (c *Chip) AllIdle() bool { return c.busyCUs == 0 }
 //ppep:inline
 func (c *Chip) cuOf(core int) int { return core / c.cfg.Topology.CoresPerCU }
 
-// siblingBusy reports whether the other core of this core's CU is busy.
-func (c *Chip) siblingBusy(core int) bool {
-	if c.cfg.Topology.CoresPerCU < 2 {
-		return false
-	}
-	n := c.cuBusyCores[c.cuOf(core)]
-	if c.Busy(core) {
-		n--
-	}
-	return n > 0
-}
-
 // cuGated reports whether a CU is power gated this tick.
 //
 //ppep:inline
@@ -521,6 +481,39 @@ func (c *Chip) snapshotVF() {
 	}
 }
 
+// refreshCUOps derives every CU's operating point for this tick into
+// cuOp, with its coefficients. A CU's clock is its P-state's, or the
+// boost clock while it boosts. Its voltage is its own point's with per-CU
+// planes, otherwise the shared rail at the highest requested state; a
+// boosting CU pulls its plane, or the shared rail, up to the boost
+// voltage. Within a tick the point moves only when a finishing thread
+// changes the busy counts boost reads, so the sweep calls this again
+// after markIdle.
+func (c *Chip) refreshCUOps() {
+	c.cuOpStale = false
+	boost := c.boostOpen()
+	bp := c.boostPoint()
+	sharedV := c.sharedV
+	if boost && c.topBusyCUs > 0 && bp.Voltage > sharedV {
+		sharedV = bp.Voltage
+	}
+	top := c.cfg.Topology.VF.Top()
+	for cu := range c.cuOp {
+		p := c.cuPoints[cu]
+		v, f := sharedV, p.Freq
+		if c.cfg.PerCUPlanes {
+			v = p.Voltage
+		}
+		if boost && c.pstates[cu] == top && c.cuBusyCores[cu] > 0 {
+			f = bp.Freq
+			if c.cfg.PerCUPlanes {
+				v = bp.Voltage
+			}
+		}
+		c.cuCoeffs(cu, v, f)
+	}
+}
+
 // cuCoeffs returns the memoised power-model coefficients for a CU at the
 // given operating point, refreshing the entry when the point moved
 // (P-state change, rail change, or boost entry/exit). The memo is keyed
@@ -531,6 +524,7 @@ func (c *Chip) cuCoeffs(cu int, v units.Volts, f units.GigaHertz) *cuOpCache {
 	if !m.ok || m.v != v || m.f != f {
 		m.v, m.f = v, f
 		m.dyn = c.cfg.Power.CoreDynCoeffsAt(v, f)
+		m.haltedW = c.cfg.Power.CoreDynamicWWith(m.dyn, &powertruth.Activity{Halted: true})
 		m.leakVolt = c.cfg.Power.CULeakVoltScale(v)
 		m.ok = true
 	}
@@ -596,22 +590,38 @@ func (c *Chip) tick() {
 	maxFreq := units.GigaHertz(0)
 	r, act := &c.stepRes, &c.act
 
-	for i := range c.threads {
-		cu := c.cuOf(i)
-		f := c.cuFreq(cu)
-		v := c.railVoltage(cu)
-		if f > maxFreq {
-			maxFreq = f
-		}
-		if c.Busy(i) {
+	// The sweep runs core by core in index order, CU by CU: a CU owns
+	// the cores cu·CoresPerCU onwards, so no core pays a division to
+	// find its CU. Each core reads its CU's operating point from cuOp.
+	if c.cuOpStale || c.cfg.BoostEnabled {
+		c.refreshCUOps()
+	}
+	cpc := c.cfg.Topology.CoresPerCU
+	for cu := range c.cuOp {
+		for i := cu * cpc; i < (cu+1)*cpc; i++ {
+			op := &c.cuOp[cu]
+			f := op.f
+			if f > maxFreq {
+				maxFreq = f
+			}
+			if !c.Busy(i) {
+				w := op.haltedW
+				if c.cuGated(cu) {
+					w = 0 // gated: no clock power at all
+				}
+				breakdown.CoreDynW[i] = w
+				continue
+			}
 			coreLat := &lat
-			if c.siblingBusy(i) {
+			if c.cuBusyCores[cu] > 1 {
+				// The sibling core of this (busy) core is busy too.
 				coreLat = &latSib
 			}
 			c.threads[i].Step(float64(f), TickS, coreLat, r)
-			c.mux[i].Accumulate(&r.Events, TickS*1000)
-			if c.counters[i] != nil {
+			if c.counterFiles {
 				c.counters[i].Accumulate(&r.Events)
+			} else {
+				c.mux[i].Accumulate(&r.Events, TickS*1000)
 			}
 			nbAct.L3AccessPS += r.L3Accesses / TickS
 			nbAct.DRAMPS += r.DRAMAccesses / TickS
@@ -621,7 +631,9 @@ func (c *Chip) tick() {
 			act.PrefetchPS = r.Prefetches / TickS
 			act.TLBWalkPS = r.TLBWalks / TickS
 			act.EPIScale = r.EPIScale
-			act.Halted = false
+			// The finishing core's power is that of the point it ran the
+			// tick at, so it is taken before markIdle can move the point.
+			breakdown.CoreDynW[i] = c.cfg.Power.CoreDynamicWWith(op.dyn, act)
 			if c.eng.capturing {
 				c.eng.capture(i, r)
 			}
@@ -633,29 +645,16 @@ func (c *Chip) tick() {
 					// thread as idle (sibling/boost/gating checks), exactly
 					// as the per-core Busy() scans used to report it.
 					c.markIdle(i)
+					c.refreshCUOps()
 				}
 			}
-		} else {
-			act.Halted = true
-			if c.cuGated(cu) {
-				// Gated: no clock power at all.
-				breakdown.CoreDynW[i] = 0
-				continue
-			}
 		}
-		breakdown.CoreDynW[i] = c.cfg.Power.CoreDynamicWWith(c.cuCoeffs(cu, v, f).dyn, act)
 	}
 
 	tK := c.therm.TempK()
 	tempScale := c.cfg.Power.LeakTempScale(tK)
-	for cu := 0; cu < c.cfg.Topology.NumCUs; cu++ {
-		// cuCoeffs is the single source of truth for operating-point
-		// coefficients: on a memo miss it derives CULeakVoltScale(v)
-		// itself, so going through it is value-identical to the old
-		// open-coded fallback while also warming the memo for the next
-		// tick.
-		voltScale := c.cuCoeffs(cu, c.railVoltage(cu), c.cuFreq(cu)).leakVolt
-		breakdown.CULeakW[cu] = c.cfg.Power.CULeakageWWith(voltScale, tempScale, c.cuGated(cu))
+	for cu := range c.cuOp {
+		breakdown.CULeakW[cu] = c.cfg.Power.CULeakageWWith(c.cuOp[cu].leakVolt, tempScale, c.cuGated(cu))
 	}
 	gatedNB := c.nbGated()
 	if gatedNB {
@@ -667,7 +666,7 @@ func (c *Chip) tick() {
 	breakdown.BaseW = c.cfg.Power.BaseW
 	breakdown.HousekW = 0
 	if anyAwake {
-		breakdown.HousekW = c.cfg.Power.HousekeepingDynW(c.railVoltage(0), maxFreq, c.fTopGHz)
+		breakdown.HousekW = c.cfg.Power.HousekeepingDynW(c.cuOp[0].v, maxFreq, c.fTopGHz)
 	}
 
 	totalW := breakdown.TotalW()
@@ -700,15 +699,19 @@ func (c *Chip) tick() {
 
 // EnableCounterFiles attaches a register-level counter file to every core
 // so the MSR device (internal/msr) can expose PERF_CTL/PERF_CTR access.
-// Counter files observe every individual tick, so the batched engine is
-// permanently disabled for this chip (the daemon's tradeoff: register
-// fidelity over batching).
+// Each core's events then feed one counter model, the counter file: the
+// multiplexed counters are no longer fed, and ReadInterval returns the
+// power, thermal and VF fields with an empty Counters. The register path
+// is how such a chip's counts are read. Counter files observe every
+// individual tick, so the batched engine is permanently disabled for
+// this chip (the daemon's tradeoff: register fidelity over batching).
 func (c *Chip) EnableCounterFiles() {
 	for i := range c.counters {
 		if c.counters[i] == nil {
 			c.counters[i] = pmc.NewCounterFile()
 		}
 	}
+	c.counterFiles = true
 	c.eng.neverFast = true
 	c.eng.invalidate()
 }
@@ -725,7 +728,8 @@ func (c *Chip) CounterFile(core int) *pmc.CounterFile {
 // ReadInterval closes the current measurement interval: it reads and
 // resets every core's multiplexed counters, averages the sensor samples,
 // and returns the assembled record. Call every 200 ticks for the paper's
-// 200 ms cadence.
+// 200 ms cadence. On a chip with counter files (EnableCounterFiles) the
+// record's Counters is empty: the counts live in the register files.
 //
 // The handed-out record owns all four per-core slices (callers retain
 // intervals long after the chip has moved on), so one exact-capacity
@@ -762,7 +766,7 @@ func (c *Chip) ReadIntervalInto(iv *trace.Interval) {
 		iv.PerCoreVF = make([]arch.VFState, 0, len(c.intervalVF))
 	}
 	iv.PerCoreVF = append(iv.PerCoreVF[:0], c.intervalVF...)
-	if cap(iv.Counters) < len(c.threads) {
+	if cap(iv.Counters) < len(c.threads) && !c.counterFiles {
 		iv.Counters = make([]arch.EventVec, 0, len(c.threads))
 	}
 	iv.Counters = iv.Counters[:0]
@@ -771,7 +775,9 @@ func (c *Chip) ReadIntervalInto(iv *trace.Interval) {
 	}
 	iv.Busy = iv.Busy[:0]
 	for i := range c.threads {
-		iv.Counters = append(iv.Counters, c.mux[i].ReadInterval(dur*1000))
+		if !c.counterFiles {
+			iv.Counters = append(iv.Counters, c.mux[i].ReadInterval(dur*1000))
+		}
 		iv.Busy = append(iv.Busy, c.Busy(i))
 	}
 	iv.MeasPowerW = 0

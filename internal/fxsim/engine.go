@@ -229,11 +229,12 @@ func (c *Chip) probeTick() {
 		return
 	}
 
-	// Seal: memoize the chip-level per-tick deltas. The coefficient memo
-	// is warm (tick just read it), so cuCoeffs is a pure lookup here.
+	// Seal: memoize the chip-level per-tick deltas. No thread finished
+	// in the capture tick, so cuOp still holds the operating points it
+	// ran at.
 	copy(e.dynW, c.scratchDyn)
 	for cu := 0; cu < c.cfg.Topology.NumCUs; cu++ {
-		e.cuLeakVolt[cu] = c.cuCoeffs(cu, c.railVoltage(cu), c.cuFreq(cu)).leakVolt
+		e.cuLeakVolt[cu] = c.cuOp[cu].leakVolt
 		e.cuGatedM[cu] = c.cuGated(cu)
 	}
 	e.nbGatedM = c.nbGated()

@@ -354,7 +354,8 @@ func TestPerCUPlanesVoltage(t *testing.T) {
 		}
 	}
 	// Shared rail: every CU at the VF5 voltage.
-	if v := shared.railVoltage(3); v != 1.320 {
+	shared.refreshCUOps()
+	if v := shared.cuOp[3].v; v != 1.320 {
 		t.Errorf("shared rail voltage %v, want 1.320", v)
 	}
 	planes := newChip(t, func(cfg *Config) { cfg.PerCUPlanes = true })
@@ -364,7 +365,8 @@ func TestPerCUPlanesVoltage(t *testing.T) {
 	if err := planes.SetPState(3, arch.VF1); err != nil {
 		t.Fatal(err)
 	}
-	if v := planes.railVoltage(3); v != 0.888 {
+	planes.refreshCUOps()
+	if v := planes.cuOp[3].v; v != 0.888 {
 		t.Errorf("per-CU voltage %v, want 0.888", v)
 	}
 }

@@ -67,13 +67,60 @@ func DecodeCtl(v uint64) (code uint16, enabled bool) {
 type Device struct {
 	chip   *fxsim.Chip
 	faults faultInjector
+	// Resolved once at Open: every core's counter file, the CU a core
+	// belongs to, and the VF table the P-state registers index.
+	files      []*pmc.CounterFile
+	coresPerCU int
+	tbl        arch.VFTable
 }
 
 // Open attaches an MSR device to the chip, enabling its register-level
 // counter files.
 func Open(chip *fxsim.Chip) *Device {
 	chip.EnableCounterFiles()
-	return &Device{chip: chip}
+	topo := chip.Topology()
+	d := &Device{chip: chip, coresPerCU: topo.CoresPerCU, tbl: chip.VFTable()}
+	d.files = make([]*pmc.CounterFile, topo.NumCores())
+	for i := range d.files {
+		d.files[i] = chip.CounterFile(i)
+	}
+	return d
+}
+
+// regKind is the class of register an address names.
+type regKind uint8
+
+const (
+	regUnmapped regKind = iota
+	regPStateControl
+	regPStateStatus
+	regCtl // PERF_CTL[slot]
+	regCtr // PERF_CTR[slot]
+)
+
+// decode maps a register address to its kind and, for the counter
+// registers, its slot. PERF_CTL and PERF_CTR interleave from PerfCtlBase,
+// so one offset gives both: its low bit picks the register, the rest the
+// slot.
+func decode(addr uint32) (regKind, int) {
+	switch addr {
+	case PStateControl:
+		return regPStateControl, 0
+	case PStateStatus:
+		return regPStateStatus, 0
+	}
+	if off := addr - PerfCtlBase; off < 2*pmc.CountersPerCore {
+		return regCtl + regKind(off&1), int(off >> 1)
+	}
+	return regUnmapped, 0
+}
+
+// file returns a core's counter file, or nil for a core out of range.
+func (d *Device) file(core int) *pmc.CounterFile {
+	if core < 0 || core >= len(d.files) {
+		return nil
+	}
+	return d.files[core]
 }
 
 // InjectFaults makes a fraction rate of subsequent register operations
@@ -117,21 +164,20 @@ func (d *Device) Rdmsr(core int, addr uint32) (uint64, error) {
 	if d.faults.hit() {
 		return 0, fmt.Errorf("msr: rdmsr core %d reg %#x: %w", core, addr, ErrTransient)
 	}
-	cf := d.chip.CounterFile(core)
+	cf := d.file(core)
 	if cf == nil {
 		return 0, fmt.Errorf("msr: core %d out of range", core)
 	}
-	switch {
-	case addr == PStateStatus || addr == PStateControl:
-		cu := d.chip.Topology().CUOf(core)
-		top := d.chip.VFTable().Top()
-		return uint64(int(top) - int(d.chip.PState(cu))), nil
-	case isCtl(addr):
+	switch kind, slot := decode(addr); kind {
+	case regPStateStatus, regPStateControl:
+		cu := core / d.coresPerCU
+		return uint64(int(d.tbl.Top()) - int(d.chip.PState(cu))), nil
+	case regCtl:
 		// Event selects are write-mostly; reads return zero as a real
 		// tool would rarely depend on them. Kept simple deliberately.
 		return 0, nil
-	case isCtr(addr):
-		return cf.Read(ctrSlot(addr))
+	case regCtr:
+		return cf.Read(slot)
 	default:
 		return 0, fmt.Errorf("msr: unmapped register %#x", addr)
 	}
@@ -142,41 +188,29 @@ func (d *Device) Wrmsr(core int, addr uint32, val uint64) error {
 	if d.faults.hit() {
 		return fmt.Errorf("msr: wrmsr core %d reg %#x: %w", core, addr, ErrTransient)
 	}
-	cf := d.chip.CounterFile(core)
+	cf := d.file(core)
 	if cf == nil {
 		return fmt.Errorf("msr: core %d out of range", core)
 	}
-	switch {
-	case addr == PStateControl:
-		tbl := d.chip.VFTable()
+	switch kind, slot := decode(addr); kind {
+	case regPStateControl:
 		idx := int(val)
-		if idx < 0 || idx >= len(tbl) {
+		if idx < 0 || idx >= len(d.tbl) {
 			return fmt.Errorf("msr: P-state index %d out of range", idx)
 		}
-		vf := arch.VFState(int(tbl.Top()) - idx)
-		return d.chip.SetPState(d.chip.Topology().CUOf(core), vf)
-	case addr == PStateStatus:
+		vf := arch.VFState(int(d.tbl.Top()) - idx)
+		return d.chip.SetPState(core/d.coresPerCU, vf)
+	case regPStateStatus:
 		return fmt.Errorf("msr: P-state status is read-only")
-	case isCtl(addr):
+	case regCtl:
 		code, enabled := DecodeCtl(val)
 		if !enabled {
 			code = 0xFFFF // disable slot
 		}
-		return cf.Program(ctlSlot(addr), code)
-	case isCtr(addr):
-		return cf.Write(ctrSlot(addr), val)
+		return cf.Program(slot, code)
+	case regCtr:
+		return cf.Write(slot, val)
 	default:
 		return fmt.Errorf("msr: unmapped register %#x", addr)
 	}
 }
-
-func isCtl(addr uint32) bool {
-	return addr >= PerfCtlBase && addr < PerfCtlBase+2*pmc.CountersPerCore && (addr-PerfCtlBase)%2 == 0
-}
-
-func isCtr(addr uint32) bool {
-	return addr >= PerfCtrBase && addr < PerfCtrBase+2*pmc.CountersPerCore && (addr-PerfCtrBase)%2 == 0
-}
-
-func ctlSlot(addr uint32) int { return int(addr-PerfCtlBase) / 2 }
-func ctrSlot(addr uint32) int { return int(addr-PerfCtrBase) / 2 }

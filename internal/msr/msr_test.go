@@ -206,3 +206,40 @@ func TestFaultInjection(t *testing.T) {
 		t.Errorf("write at rate 1 returned %v, want ErrTransient", err)
 	}
 }
+
+// TestDecodeAddresses checks the address decoder against the register
+// map spelled out register by register: PERF_CTL[i] at 0xC0010200+2i,
+// PERF_CTR[i] at 0xC0010201+2i for i = 0..5, the two P-state registers,
+// and nothing else in or around that range.
+func TestDecodeAddresses(t *testing.T) {
+	type reg struct {
+		kind regKind
+		slot int
+	}
+	want := map[uint32]reg{
+		PStateControl: {regPStateControl, 0},
+		PStateStatus:  {regPStateStatus, 0},
+	}
+	for i := 0; i < 6; i++ {
+		want[0xC0010200+2*uint32(i)] = reg{regCtl, i}
+		want[0xC0010201+2*uint32(i)] = reg{regCtr, i}
+	}
+	for _, addr := range []uint32{0, 0xDEAD, PerfCtlBase - 1, 0xFFFFFFFF} {
+		if kind, _ := decode(addr); kind != regUnmapped {
+			t.Errorf("%#x decoded as kind %d, want unmapped", addr, kind)
+		}
+	}
+	for addr := uint32(0xC0010000); addr < 0xC0010300; addr++ {
+		kind, slot := decode(addr)
+		w, mapped := want[addr]
+		if !mapped {
+			if kind != regUnmapped {
+				t.Errorf("%#x decoded as kind %d slot %d, want unmapped", addr, kind, slot)
+			}
+			continue
+		}
+		if kind != w.kind || slot != w.slot {
+			t.Errorf("%#x decoded as kind %d slot %d, want kind %d slot %d", addr, kind, slot, w.kind, w.slot)
+		}
+	}
+}

@@ -126,6 +126,19 @@ func NewCounterFile() *CounterFile {
 	return cf
 }
 
+// eventOfCode maps every 12-bit event-select code to the EventVec index
+// of its Table I event, or -1 for a code Table I does not list. Built
+// once, so programming a slot is one lookup rather than a table scan.
+var eventOfCode = func() (t [1 << 12]int8) {
+	for i := range t {
+		t[i] = -1
+	}
+	for _, e := range arch.Events {
+		t[e.Code] = int8(e.ID - 1)
+	}
+	return t
+}()
+
 // Program assigns an event code to a counter slot. A code outside
 // Table I is accepted and counts nothing, as on hardware for an event the
 // model does not simulate.
@@ -134,11 +147,8 @@ func (cf *CounterFile) Program(slot int, code uint16) error {
 		return fmt.Errorf("pmc: counter slot %d out of range", slot)
 	}
 	cf.event[slot] = -1
-	for k := range arch.Events {
-		if arch.Events[k].Code == code {
-			cf.event[slot] = int(arch.Events[k].ID) - 1
-			break
-		}
+	if int(code) < len(eventOfCode) {
+		cf.event[slot] = int(eventOfCode[code])
 	}
 	cf.counts[slot] = 0
 	return nil

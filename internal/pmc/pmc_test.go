@@ -220,3 +220,26 @@ func TestMuxRelativeErrorBoundedForSlowPhases(t *testing.T) {
 		}
 	}
 }
+
+// TestProgramResolvesEveryCode checks the code→event table against a
+// scan of Table I for every 16-bit event-select code: a Table I code
+// selects its event, any other code (the disabled-slot 0xFFFF included)
+// selects nothing.
+func TestProgramResolvesEveryCode(t *testing.T) {
+	cf := NewCounterFile()
+	for code := 0; code <= 0xFFFF; code++ {
+		want := -1
+		for _, e := range arch.Events {
+			if int(e.Code) == code {
+				want = int(e.ID) - 1
+			}
+		}
+		cf.counts[3] = 99
+		if err := cf.Program(3, uint16(code)); err != nil {
+			t.Fatal(err)
+		}
+		if cf.event[3] != want || cf.counts[3] != 0 {
+			t.Fatalf("code %#x: slot counts event index %d from %d, want %d from 0", code, cf.event[3], cf.counts[3], want)
+		}
+	}
+}

@@ -75,11 +75,23 @@ func (iv *Interval) TotalRates() arch.EventVec {
 }
 
 // CoreRates returns one core's per-second event rates.
-func (iv *Interval) CoreRates(core int) arch.EventVec {
+func (iv *Interval) CoreRates(core int) (rates arch.EventVec) {
+	iv.CoreRatesInto(core, &rates)
+	return rates
+}
+
+// CoreRatesInto writes one core's per-second event rates into a
+// caller-owned vector, so a caller looping over cores copies no vectors.
+func (iv *Interval) CoreRatesInto(core int, rates *arch.EventVec) {
 	if iv.DurS <= 0 {
-		return arch.EventVec{}
+		*rates = arch.EventVec{}
+		return
 	}
-	return iv.Counters[core].Scale(1 / iv.DurS)
+	// Scale's arithmetic, without copying the counts into its receiver.
+	k := 1 / iv.DurS
+	for i, n := range &iv.Counters[core] {
+		rates[i] = n * k
+	}
 }
 
 // Instructions returns the chip-wide retired instructions in the interval.

@@ -82,10 +82,10 @@ func TestIntervalAggregates(t *testing.T) {
 func TestZeroDurationRates(t *testing.T) {
 	iv := sampleInterval(0.2, arch.VF5)
 	iv.DurS = 0
-	if iv.TotalRates().Get(arch.RetiredInstructions) != 0 {
+	if total := iv.TotalRates(); total.Get(arch.RetiredInstructions) != 0 {
 		t.Error("zero-duration rates must be zero")
 	}
-	if iv.CoreRates(0).Get(arch.RetiredInstructions) != 0 {
+	if core := iv.CoreRates(0); core.Get(arch.RetiredInstructions) != 0 {
 		t.Error("zero-duration core rates must be zero")
 	}
 }

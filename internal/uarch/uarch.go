@@ -64,6 +64,14 @@ type Core struct {
 	phase    *workload.Phase
 	phaseEnd float64
 
+	// fsMul[d] is the frequency-sensitivity factor 1 + FreqSens[d]·df of
+	// the event dimension d at the clock fsF (valid when fsOK). A core
+	// runs many ticks at one clock, so jitteredRates recomputes the eight
+	// factors only when the clock moves.
+	fsF   float64
+	fsOK  bool
+	fsMul [dimBaseCPI]float64
+
 	// Step's scratch: the jitter multipliers and the jittered rates of
 	// the current tick, kept on the core so the tick path neither copies
 	// nor zeroes them.
@@ -286,21 +294,28 @@ const (
 // (c.mul) and the frequency sensitivities to the phase's per-instruction
 // rates, writing every field of out.
 func (c *Core) jitteredRates(p *workload.Phase, fGHz float64, out *workload.Rates) {
-	fs := &c.Bench.FreqSens
-	df := 0.0
-	if c.fTop > 0 {
-		df = fGHz/c.fTop - 1
+	fm := &c.fsMul
+	if !c.fsOK || c.fsF != fGHz {
+		fs := &c.Bench.FreqSens
+		df := 0.0
+		if c.fTop > 0 {
+			df = fGHz/c.fTop - 1
+		}
+		for d := range fm {
+			fm[d] = 1 + fs[d]*df
+		}
+		c.fsF, c.fsOK = fGHz, true
 	}
 	r := &p.PerInst
 	m := &c.mul
-	out.Uops = r.Uops * m[dimUops] * (1 + fs[dimUops]*df)
-	out.FPU = r.FPU * m[dimFPU] * (1 + fs[dimFPU]*df)
-	out.ICFetch = r.ICFetch * m[dimICFetch] * (1 + fs[dimICFetch]*df)
-	out.DCAccess = r.DCAccess * m[dimDCAccess] * (1 + fs[dimDCAccess]*df)
-	out.L2Req = r.L2Req * m[dimL2Req] * (1 + fs[dimL2Req]*df)
-	out.Branch = r.Branch * m[dimBranch] * (1 + fs[dimBranch]*df)
-	out.Mispred = r.Mispred * m[dimMispred] * (1 + fs[dimMispred]*df)
-	out.L2Miss = r.L2Miss * m[dimL2Miss] * (1 + fs[dimL2Miss]*df)
+	out.Uops = r.Uops * m[dimUops] * fm[dimUops]
+	out.FPU = r.FPU * m[dimFPU] * fm[dimFPU]
+	out.ICFetch = r.ICFetch * m[dimICFetch] * fm[dimICFetch]
+	out.DCAccess = r.DCAccess * m[dimDCAccess] * fm[dimDCAccess]
+	out.L2Req = r.L2Req * m[dimL2Req] * fm[dimL2Req]
+	out.Branch = r.Branch * m[dimBranch] * fm[dimBranch]
+	out.Mispred = r.Mispred * m[dimMispred] * fm[dimMispred]
+	out.L2Miss = r.L2Miss * m[dimL2Miss] * fm[dimL2Miss]
 	out.Prefetch = r.Prefetch
 	out.TLBWalk = r.TLBWalk
 	// Physical floors/relations the jitter must not violate.

@@ -343,3 +343,23 @@ func TestProgressMonotone(t *testing.T) {
 		}
 	}
 }
+
+// TestFreqSensMemoFollowsTheClock pins the frequency-factor memo: a core
+// whose clock moves mid-run must step exactly as a core that derives the
+// factors afresh at the new clock. Every event dimension carries a
+// sensitivity, so a stale factor shows in the event vector.
+func TestFreqSensMemoFollowsTheClock(t *testing.T) {
+	b := steadyBench()
+	for d := range b.FreqSens {
+		b.FreqSens[d] = 0.01 * float64(d+1)
+	}
+	c := NewCore(b, 3.5)
+	for _, f := range []float64{3.5, 1.4, 1.4, 2.9, 3.5} {
+		fresh := *c
+		fresh.fsOK = false
+		got, want := step(c, f, 0.001, testLat), step(&fresh, f, 0.001, testLat)
+		if got != want {
+			t.Fatalf("at %v GHz the memoised step gave %+v, a fresh one %+v", f, got, want)
+		}
+	}
+}

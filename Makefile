@@ -7,7 +7,7 @@ GO ?= go
 # directory with actions/cache.
 GCFLAGS_CACHE ?= .gcflags-cache
 
-.PHONY: all test lint lint-perf fmt-check ci smoke smoke-cache loadgen-smoke fleet-smoke bench-guard fuzz-smoke bench-all experiments flagship fmt vet tools
+.PHONY: all test lint lint-perf fmt-check ci smoke smoke-cache loadgen-smoke fleet-smoke fuzz-smoke bench-all experiments flagship fmt vet tools
 
 all: test
 
@@ -43,7 +43,6 @@ ci: fmt-check
 	$(MAKE) smoke-cache
 	$(MAKE) loadgen-smoke
 	$(MAKE) fleet-smoke
-	$(MAKE) bench-guard
 	$(MAKE) fuzz-smoke
 	cd perfbench && $(GO) vet ./...
 	cd perfbench && $(GO) test ./...
@@ -90,15 +89,6 @@ loadgen-smoke:
 # `python3 perfbench/run.py --workload fleet`, see perfbench/README.md).
 fleet-smoke:
 	$(GO) run ./cmd/ppep-fleet -nodes 64 -seconds 2 -mix mixed -check-invariance -min-mticks 0.05
-
-# Batched-tick-engine guard: a fresh (-count=1) reference-vs-fast
-# equivalence smoke — the golden fingerprints, the deterministic and
-# fuzzed equivalence scenarios, the fast path's zero-alloc pin — plus
-# the lint pins asserting the fast path carries //ppep:hotpath and the
-# suppression census gained nothing new.
-bench-guard:
-	$(GO) test -count=1 -run 'TestGoldenCollectEquivalence|TestEngineEquivalence|TestEngineFuzz|TestFastTickZeroAlloc' ./internal/fxsim
-	$(GO) test -count=1 -run 'TestRepoClean|TestHotRootsAnnotated' ./internal/lint
 
 # Fuzz smoke test: every Fuzz* target under internal/ and cmd/ runs its
 # seed corpus and then fuzzes for a few seconds. go test -fuzz takes one

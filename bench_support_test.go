@@ -32,7 +32,7 @@ func benchmarkTick(b *testing.B) {
 }
 
 // benchmarkTickNWith drives the simulator through whole 200-tick decision
-// intervals via the batched API, the granularity Collect and the PG
+// intervals via TickN, the granularity Collect and the PG
 // sweeps actually use, with eight threads of the given benchmark.
 func benchmarkTickNWith(b *testing.B, bench *workload.Benchmark) {
 	cfg := fxsim.DefaultFX8320Config()

@@ -190,14 +190,14 @@ func BenchmarkChipTick(b *testing.B) {
 }
 
 // BenchmarkTickN measures one full 200-tick decision interval through
-// the batched TickN API plus the interval read — the campaign's unit of
-// work — on a phase-stable workload the engine fast-forwards.
+// TickN plus the interval read — the campaign's unit of work — on a
+// phase-stable workload.
 func BenchmarkTickN(b *testing.B) {
 	benchmarkTickNWith(b, workload.BenchSteady())
 }
 
 // BenchmarkTickNJittered measures the same interval on a jittered
-// workload, i.e. the reference path's cost when quiescence never holds.
+// workload.
 func BenchmarkTickNJittered(b *testing.B) {
 	benchmarkTickNWith(b, workload.BenchA())
 }

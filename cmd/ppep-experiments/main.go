@@ -42,7 +42,6 @@ func main() {
 
 		cacheDir   = flag.String("cache-dir", "", "persistent simulation-trace cache directory (empty = no cache)")
 		cacheMaxMB = flag.Int64("cache-max-mb", 0, "cache size cap in MiB, oldest entries evicted (0 = unbounded)")
-		reftick    = flag.Bool("reftick", false, "pin every chip to the reference per-tick path (bit-identical, slower; for engine A/B runs)")
 	)
 	flag.Parse()
 
@@ -69,7 +68,6 @@ func main() {
 	opts := experiments.Options{
 		Scale: *scale, MaxRunsPerSuite: *maxRuns,
 		CacheDir: *cacheDir, CacheMaxBytes: *cacheMaxMB << 20,
-		ReferenceTick: *reftick,
 	}
 	fmt.Printf("building FX-8320 campaign (scale %.2f, max/suite %d)...\n", *scale, *maxRuns)
 	start := time.Now()

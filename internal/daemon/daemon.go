@@ -116,10 +116,10 @@ func AttachOpts(chip *fxsim.Chip, models *core.Models, policy Policy, opts Optio
 // atomics).
 func (d *Daemon) Counters() *Counters { return &d.counters }
 
-// EngineStats returns the chip's tick-engine counters. A daemon-attached
-// chip runs register-level counter files, which pin it to the reference
-// path, so FastTicks stays 0 here — the stats are exported so /metrics
-// makes that visible rather than implicit.
+// EngineStats returns the chip's tick count (fxsim.Chip.EngineStats).
+//
+// Deprecated: the chip has a single tick path, so FastTicks is always 0.
+// The method remains for benchmark code that still reads it.
 func (d *Daemon) EngineStats() fxsim.EngineStats { return d.chip.EngineStats() }
 
 // InjectFaults turns on deterministic transient-fault injection on both

@@ -10,7 +10,7 @@ import (
 
 // TestDaemonConcurrentReaders stresses every read-side API while Run
 // mutates the ring and counters, pinning — under -race — that Counters
-// snapshots, ring reads, and engine-stat reads are torn-read-free. The
+// snapshots, ring reads, and tick-count reads are torn-read-free. The
 // small HistoryCap keeps the ring evicting while readers snapshot it,
 // and the Seq contiguity check catches a renumbering or half-pushed
 // record that the race detector alone would miss.

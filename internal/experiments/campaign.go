@@ -48,11 +48,10 @@ type Options struct {
 	// CacheMaxBytes caps the cache directory's total size; oldest
 	// entries are evicted past it (0 = unbounded).
 	CacheMaxBytes int64
-	// ReferenceTick pins every simulated chip to fxsim's reference
-	// per-tick path instead of the batched quiescent-run engine. The two
-	// are bit-identical, so this changes timings, never results; it
-	// exists for debugging and A/B measurement (ppep-experiments
-	// -reftick).
+	// ReferenceTick is accepted and ignored.
+	//
+	// Deprecated: the simulator has a single tick path; the field
+	// remains for benchmark code that still sets it.
 	ReferenceTick bool
 }
 
@@ -96,17 +95,13 @@ type Campaign struct {
 	exploreErr  error
 }
 
-// ChipConfig returns the campaign platform's chip config with the
-// campaign-wide simulation options (Options.ReferenceTick) applied.
-// Every harness that builds a chip goes through it, so one flag switches
-// the whole campaign between the batched and reference tick engines.
+// ChipConfig returns the campaign platform's chip config. Every harness
+// that builds a chip goes through it.
 func (c *Campaign) ChipConfig() fxsim.Config {
-	cfg := fxsim.DefaultFX8320Config()
 	if c.Platform == arch.PhenomII.Name {
-		cfg = fxsim.DefaultPhenomIIConfig()
+		return fxsim.DefaultPhenomIIConfig()
 	}
-	cfg.ReferenceTick = c.opts.ReferenceTick
-	return cfg
+	return fxsim.DefaultFX8320Config()
 }
 
 // scaleBench returns a copy of b with its length scaled.

@@ -21,6 +21,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync/atomic"
 
@@ -201,7 +202,9 @@ func (e *Engine) AdvanceN(n int) {
 }
 
 // stepNode advances one node by one decision interval and refreshes its
-// staging row. It touches only state owned by node i.
+// staging row. It touches only state owned by node i. An analysis whose
+// projected chip power is unusable counts as an analysis error, so it
+// never reaches the snapshot.
 func (e *Engine) stepNode(i int) {
 	n := &e.nodes[i]
 	n.chip.TickN(arch.DecisionIntervalMS)
@@ -209,11 +212,24 @@ func (e *Engine) stepNode(i int) {
 	n.fp = n.iv.Fold(n.fp)
 	n.intervals++
 	if e.cfg.Models != nil {
-		if err := e.cfg.Models.AnalyzeInto(n.iv, &n.rep); err != nil {
+		if err := e.cfg.Models.AnalyzeInto(n.iv, &n.rep); err != nil || !e.usable(&n.rep) {
 			n.analyzeErr++
 		}
 	}
 	e.fillRow(i)
+}
+
+// usable reports whether every projected chip power in rep is finite and
+// non-negative: the rule core.PredictionTable.Validate applies to the
+// daemon's published table, here applied to the snapshot's PredChipW.
+func (e *Engine) usable(rep *core.Report) bool {
+	for s := 0; s < e.nVF; s++ {
+		w := float64(rep.PerVF[s].ChipW)
+		if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // fillRow refreshes node i's staging row from its current state.

@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
 	"ppep/internal/arch"
+	"ppep/internal/stats"
 )
 
 // goldenFleetFP is the node-0 fingerprint of the reference fleet
@@ -252,5 +254,62 @@ func TestFleetAnalyzed(t *testing.T) {
 	}
 	if s.TotalPredAt(arch.VF1) >= s.TotalPredAt(arch.VF5) {
 		t.Error("fleet predicted power not increasing VF1→VF5")
+	}
+}
+
+// TestFleetGatesUnusablePredictions injects analysis reports whose
+// projected chip power is NaN or negative — an idle offset forced to NaN
+// or far below zero, which AnalyzeInto itself accepts — and checks that
+// each node's row is excluded: counted as an analysis error, not
+// Analyzed, with no PredChipW and no share of TotalPredW.
+func TestFleetGatesUnusablePredictions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains models")
+	}
+	models, err := SlimModels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, w0 := range map[string]float64{
+		"NaN idle offset":      math.NaN(),
+		"negative idle offset": -1e6,
+	} {
+		m := *models
+		idle := *m.Idle
+		idle.W0 = append(stats.Poly(nil), m.Idle.W0...)
+		idle.W0[0] = w0
+		m.Idle = &idle
+		e, err := New(Config{Nodes: 4, Workers: 2, Mix: MixMixed, IdealSensor: true, Models: &m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.AdvanceN(2)
+		// The analysis itself succeeds: only the gate can exclude the row.
+		n := &e.nodes[0]
+		if err := m.AnalyzeInto(n.iv, &n.rep); err != nil {
+			t.Fatalf("%s: AnalyzeInto refused the interval (%v); the gate is not exercised", name, err)
+		}
+		if e.usable(&n.rep) {
+			t.Fatalf("%s: projected chip power %v passes the gate", name, n.rep.PerVF[0].ChipW)
+		}
+		s := e.Snapshot()
+		if s.AnalyzedNodes != 0 {
+			t.Errorf("%s: AnalyzedNodes = %d, want 0", name, s.AnalyzedNodes)
+		}
+		for i, row := range s.Nodes {
+			if row.Analyzed || row.AnalyzeErrs != 2 {
+				t.Errorf("%s: node %d Analyzed=%v with %d analyze errors, want excluded with 2", name, i, row.Analyzed, row.AnalyzeErrs)
+			}
+			for v := 0; v < s.NVF; v++ {
+				if row.PredChipW[v] != 0 {
+					t.Errorf("%s: node %d PredChipW[%d] = %v reached the snapshot", name, i, v, row.PredChipW[v])
+				}
+			}
+		}
+		for v := 0; v < s.NVF; v++ {
+			if s.TotalPredW[v] != 0 {
+				t.Errorf("%s: TotalPredW[%d] = %v, want 0", name, v, s.TotalPredW[v])
+			}
+		}
 	}
 }

@@ -15,14 +15,14 @@ type Mix string
 
 const (
 	// MixSteady runs the canonical zero-noise phase-stable workload on
-	// every node — all eight cores busy, every tick quiescent. It is
-	// the batched engine's best case and exists as a ceiling reference;
-	// it deliberately phase-locks the whole fleet.
+	// every node — all eight cores busy, every tick identical. It is a
+	// synthetic reference that deliberately phase-locks the whole
+	// fleet.
 	MixSteady Mix = "steady"
 	// MixJittered runs a per-node perturbation of the Section IV-D
 	// microbenchmark: per-node rate/CPI scaling plus a per-node AR(1)
-	// noise level, so the quiescent fast path never silently carries
-	// the whole fleet. This is the benchmark default.
+	// noise level, so no two nodes run in lockstep. This is the
+	// benchmark default.
 	MixJittered Mix = "jittered"
 	// MixMixed models a heterogeneous fleet: nodes rotate through
 	// CPU-bound, balanced, and memory-bound SPEC profiles with per-node
@@ -125,8 +125,7 @@ func planNode(mix Mix, seed int64, i int) (nodePlan, error) {
 		ph := &b.Phases[0]
 		ph.BaseCPI *= r.pct(0.10)
 		jitterRates(&ph.PerInst, &r, 0.10)
-		// A per-node noise floor keeps every node off the pure
-		// quiescent fast path some of the time.
+		// A per-node noise floor keeps every node's ticks varying.
 		ph.Noise = 0.002 + 0.01*r.unit()
 		plan.bench = b
 	case MixMixed:

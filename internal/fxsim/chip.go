@@ -9,6 +9,7 @@ package fxsim
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"ppep/internal/arch"
 	"ppep/internal/mem"
@@ -56,13 +57,6 @@ type Config struct {
 	SensorSeed int64
 	// IdealSensor replaces the noisy sensor with a perfect one.
 	IdealSensor bool
-	// ReferenceTick disables the batched quiescent-run engine and runs
-	// every tick through the reference per-tick path. The two paths are
-	// bit-identical (the equivalence harness in engine_test.go pins
-	// this), so the switch exists for debugging and for the harness
-	// itself, not for correctness. The `ppep_reftick` build tag forces
-	// the same behaviour module-wide.
-	ReferenceTick bool
 }
 
 // DefaultFX8320Config returns the paper's primary platform with power
@@ -166,10 +160,28 @@ type Chip struct {
 	act       powertruth.Activity
 	breakdown powertruth.Breakdown
 
-	// eng is the batched tick engine: it memoizes per-tick deltas over
-	// quiescent runs and fast-forwards them without re-running the full
-	// per-core model (engine.go). Chip mutators invalidate it.
-	eng engine
+	// ticks counts every tick run. It is atomic because EngineStats is
+	// read from HTTP handlers while the sampling goroutine ticks the chip.
+	ticks atomic.Uint64
+}
+
+// EngineStats is a plain-value snapshot of how many ticks the chip ran.
+//
+// Deprecated: the chip has a single tick path, so FastTicks is always 0
+// and ReferenceTicks is the tick count. The type remains for benchmark
+// code that still reads both counters.
+type EngineStats struct {
+	FastTicks      uint64
+	ReferenceTicks uint64
+}
+
+// EngineStats reports the number of ticks the chip has run. Safe to call
+// concurrently with a goroutine ticking the chip.
+//
+// Deprecated: there is a single tick path, so the snapshot only carries
+// the tick count (as ReferenceTicks).
+func (c *Chip) EngineStats() EngineStats {
+	return EngineStats{ReferenceTicks: c.ticks.Load()}
 }
 
 // cuOpCache is one CU's operating point (voltage, frequency) and the
@@ -213,8 +225,6 @@ func New(cfg Config) *Chip {
 		scratchLeak: make([]units.Watts, cfg.Topology.NumCUs),
 	}
 	c.breakdown.CoreDynW, c.breakdown.CULeakW = c.scratchDyn, c.scratchLeak
-	c.eng.init(&cfg, nCores, cfg.Topology.NumCUs)
-	c.eng.replay.CULeakW = c.scratchLeak
 	if cfg.IdealSensor {
 		c.sensor = sensor.Ideal()
 	} else {
@@ -261,14 +271,8 @@ func (c *Chip) TempK() units.Kelvin {
 	return units.Kelvin(float64(int64(c.therm.TempK()*1000)) / 1000)
 }
 
-// SetTempK forces the package temperature (experiment setup). The
-// batched engine reads temperature fresh every tick, but a forced jump
-// is a state discontinuity, so the active run is conservatively
-// invalidated.
-func (c *Chip) SetTempK(t units.Kelvin) {
-	c.therm.SetTempK(t)
-	c.eng.invalidate()
-}
+// SetTempK forces the package temperature (experiment setup).
+func (c *Chip) SetTempK(t units.Kelvin) { c.therm.SetTempK(t) }
 
 // Thermal returns the thermal model (used by heat/cool experiments).
 func (c *Chip) Thermal() *thermal.Model { return c.therm }
@@ -297,7 +301,6 @@ func (c *Chip) SetPState(cu int, s arch.VFState) error {
 	c.cuPoints[cu] = c.cfg.Topology.VF.Point(s)
 	c.refreshSharedRail()
 	c.cuOpStale = true
-	c.eng.invalidate()
 	return nil
 }
 
@@ -364,7 +367,6 @@ func (c *Chip) SetNBPoint(p arch.VFPoint) {
 	c.cfg.NB.FreqGHz = float64(p.Freq)
 	c.cfg.NB.VoltageV = float64(p.Voltage)
 	c.refreshNBCaches()
-	c.eng.invalidate()
 }
 
 // boostPoint returns the configured boost operating point.
@@ -416,7 +418,6 @@ func (c *Chip) Bind(core int, b *workload.Benchmark, restart bool) error {
 	c.benches[core] = b
 	c.restart[core] = restart
 	c.markBusy(core)
-	c.eng.invalidate()
 	return nil
 }
 
@@ -429,7 +430,6 @@ func (c *Chip) Unbind(core int) {
 	c.bound[core] = false
 	c.benches[core] = nil
 	c.restart[core] = false
-	c.eng.invalidate()
 }
 
 // UnbindAll idles the whole chip.
@@ -539,41 +539,25 @@ func (c *Chip) cuCoeffs(cu int, v units.Volts, f units.GigaHertz) *cuOpCache {
 // keep current.
 //
 //ppep:hotpath
-func (c *Chip) Tick() { c.TickN(1) }
+func (c *Chip) Tick() { c.tick() }
 
-// TickN advances the chip by n ticks through the batched engine: ticks
-// inside a sealed quiescent run replay memoized per-tick deltas
-// (fastTick), every other tick runs the reference path, and runs are
-// probed for whenever the engine is armed (engine.go). The per-tick
-// loop invariants (NB latency params, operating-point coefficients,
-// busy counters) are persistent caches on the chip rather than per-call
-// hoists, so batched ticking costs exactly n times one tick with no
-// warm-up; TickN exists so hot callers (Collect, HeatCool, the PG
-// sweeps, the daemon) express "advance one measurement window" as a
-// single call.
+// TickN advances the chip by n ticks. The per-tick loop invariants (NB
+// latency params, operating-point coefficients, busy counters) are
+// persistent caches on the chip rather than per-call hoists, so TickN
+// costs exactly n times one tick with no warm-up; it exists so hot
+// callers (Collect, HeatCool, the PG sweeps, the daemon) express
+// "advance one measurement window" as a single call.
 //
 //ppep:hotpath
 func (c *Chip) TickN(n int) {
 	for i := 0; i < n; i++ {
-		e := &c.eng
-		switch {
-		case e.valid:
-			c.fastTick()
-		case e.armed():
-			c.probeTick()
-		default:
-			if e.backoff > 0 {
-				e.backoff--
-			}
-			c.tick()
-		}
+		c.tick()
 	}
 }
 
-// tick is the reference per-tick path: the full per-core model sweep.
-// The batched engine's fast path must replay its results bit-for-bit,
-// so every floating-point accumulation below is order-pinned — see
-// DESIGN.md ("The batched tick engine") before reordering anything.
+// tick is the per-tick path: the full per-core model sweep. Every
+// floating-point accumulation below is order-pinned by the golden
+// fingerprints (golden_test.go); reordering one changes the traces.
 func (c *Chip) tick() {
 	if c.tickCount == 0 {
 		// First tick of a fresh interval: record the P-states it runs
@@ -634,9 +618,6 @@ func (c *Chip) tick() {
 			// The finishing core's power is that of the point it ran the
 			// tick at, so it is taken before markIdle can move the point.
 			breakdown.CoreDynW[i] = c.cfg.Power.CoreDynamicWWith(op.dyn, act)
-			if c.eng.capturing {
-				c.eng.capture(i, r)
-			}
 			if r.Finished {
 				if c.restart[i] {
 					c.threads[i].Reset(c.benches[i], float64(c.fTopGHz))
@@ -691,10 +672,7 @@ func (c *Chip) tick() {
 		c.sensorSum += c.sensor.Sample(float64(totalW))
 		c.sensorN++
 	}
-	if c.eng.capturing {
-		c.eng.captureChip(breakdown, utilX)
-	}
-	c.eng.stats.referenceTicks.Add(1)
+	c.ticks.Add(1)
 }
 
 // EnableCounterFiles attaches a register-level counter file to every core
@@ -702,9 +680,7 @@ func (c *Chip) tick() {
 // Each core's events then feed one counter model, the counter file: the
 // multiplexed counters are no longer fed, and ReadInterval returns the
 // power, thermal and VF fields with an empty Counters. The register path
-// is how such a chip's counts are read. Counter files observe every
-// individual tick, so the batched engine is permanently disabled for
-// this chip (the daemon's tradeoff: register fidelity over batching).
+// is how such a chip's counts are read.
 func (c *Chip) EnableCounterFiles() {
 	for i := range c.counters {
 		if c.counters[i] == nil {
@@ -712,8 +688,6 @@ func (c *Chip) EnableCounterFiles() {
 		}
 	}
 	c.counterFiles = true
-	c.eng.neverFast = true
-	c.eng.invalidate()
 }
 
 // CounterFile returns core i's register-level counter file, or nil when

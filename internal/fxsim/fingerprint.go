@@ -8,11 +8,4 @@ import "ppep/internal/fingerprint"
 // exported field (followed through the Power and NB pointers) is equal,
 // so the simulation-trace cache can use it as the platform component of
 // a cell's identity: any config change invalidates the cell.
-//
-// ReferenceTick is excluded: the reference and batched engines produce
-// bit-identical traces (the equivalence harness pins this), so both may
-// share cached cells.
-func (c Config) Fingerprint() uint64 {
-	c.ReferenceTick = false
-	return fingerprint.Of(c)
-}
+func (c Config) Fingerprint() uint64 { return fingerprint.Of(c) }

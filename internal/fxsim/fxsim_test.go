@@ -542,3 +542,34 @@ func TestSharedL2ContentionFavoursScatter(t *testing.T) {
 			trC.DurationS(), trS.DurationS())
 	}
 }
+
+// TestEngineStatsCountsEveryTick pins the deprecated EngineStats shim:
+// every tick runs the one tick path, so FastTicks stays 0 and
+// ReferenceTicks is the number of ticks run, on a chip running a
+// phase-steady workload and on a chip with counter files. Benchmark
+// code divides FastTicks by the sum of both, so the count must be
+// honest: a zero sum would read as NaN.
+func TestEngineStatsCountsEveryTick(t *testing.T) {
+	long := *workload.BenchSteady()
+	long.Instructions = 1e18
+	for _, tc := range []struct {
+		name  string
+		files bool
+	}{{"steady", false}, {"counter-files", true}} {
+		c := New(DefaultFX8320Config())
+		for i := 0; i < c.Topology().NumCores(); i++ {
+			if err := c.Bind(i, &long, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tc.files {
+			c.EnableCounterFiles()
+		}
+		const n = 3*arch.DecisionIntervalMS + 7
+		c.TickN(n - 1)
+		c.Tick()
+		if got, want := c.EngineStats(), (EngineStats{ReferenceTicks: n}); got != want {
+			t.Errorf("%s: EngineStats = %+v after %d ticks, want %+v", tc.name, got, n, want)
+		}
+	}
+}

@@ -150,8 +150,7 @@ func (c *Chip) HeatCool(vf arch.VFState, heatS, coolS float64) (*trace.Trace, er
 		return nil, err
 	}
 	// The float accumulation decides the tick count (kept for bit-exact
-	// compatibility with recorded traces), but the ticks themselves run
-	// batched.
+	// compatibility with recorded traces); one TickN call runs them.
 	heatTicks := 0
 	for t := 0.0; t < heatS; t += TickS {
 		heatTicks++

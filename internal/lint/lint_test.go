@@ -254,10 +254,7 @@ func TestHotRootsAnnotated(t *testing.T) {
 	for _, name := range []string{
 		"(*ppep/internal/fxsim.Chip).Tick",
 		"(*ppep/internal/fxsim.Chip).TickN",
-		"(*ppep/internal/fxsim.Chip).fastTick",
-		"(*ppep/internal/fxsim.Chip).probeTick",
 		"(*ppep/internal/uarch.Core).Step",
-		"(*ppep/internal/uarch.Core).StepUntilEvent",
 		"(*ppep/internal/uarch.Core).Reset",
 		"ppep/internal/mem.LeadingLoadNSPerInst",
 		"(*ppep/internal/tracecodec.Encoder).Encode",

@@ -139,12 +139,24 @@ var eventOfCode = func() (t [1 << 12]int8) {
 	return t
 }()
 
+// slotError is the out-of-range error of the register calls. Its message
+// is formatted only when read, so Program, Read and Write carry no
+// formatting call and stay within the inlining budget: the sampler makes
+// one of them per register operation.
+type slotError int
+
+func (e slotError) Error() string {
+	return fmt.Sprintf("pmc: counter slot %d out of range", int(e))
+}
+
 // Program assigns an event code to a counter slot. A code outside
 // Table I is accepted and counts nothing, as on hardware for an event the
 // model does not simulate.
+//
+//ppep:inline
 func (cf *CounterFile) Program(slot int, code uint16) error {
-	if slot < 0 || slot >= CountersPerCore {
-		return fmt.Errorf("pmc: counter slot %d out of range", slot)
+	if uint(slot) >= CountersPerCore {
+		return slotError(slot)
 	}
 	cf.event[slot] = -1
 	if int(code) < len(eventOfCode) {
@@ -155,18 +167,22 @@ func (cf *CounterFile) Program(slot int, code uint16) error {
 }
 
 // Read returns the current value of a counter slot.
+//
+//ppep:inline
 func (cf *CounterFile) Read(slot int) (uint64, error) {
-	if slot < 0 || slot >= CountersPerCore {
-		return 0, fmt.Errorf("pmc: counter slot %d out of range", slot)
+	if uint(slot) >= CountersPerCore {
+		return 0, slotError(slot)
 	}
 	return cf.counts[slot], nil
 }
 
 // Write sets a counter register (sampling tools zero counters between
 // reads).
+//
+//ppep:inline
 func (cf *CounterFile) Write(slot int, v uint64) error {
-	if slot < 0 || slot >= CountersPerCore {
-		return fmt.Errorf("pmc: counter slot %d out of range", slot)
+	if uint(slot) >= CountersPerCore {
+		return slotError(slot)
 	}
 	cf.counts[slot] = v
 	return nil

@@ -146,8 +146,8 @@ func TestCounterFileProgramReadWrite(t *testing.T) {
 	if err := cf.Program(0, arch.Info(arch.RetiredInstructions).Code); err != nil {
 		t.Fatal(err)
 	}
-	if err := cf.Program(-1, 0); err == nil {
-		t.Error("expected range error")
+	if err := cf.Program(-1, 0); err == nil || err.Error() != "pmc: counter slot -1 out of range" {
+		t.Errorf("Program(-1) = %v, want the slot range error", err)
 	}
 	if err := cf.Program(CountersPerCore, 0); err == nil {
 		t.Error("expected range error")

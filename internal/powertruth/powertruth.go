@@ -304,10 +304,8 @@ type Breakdown struct {
 }
 
 // TotalW sums the breakdown. The summation order (NB terms, then per-core
-// dynamic, then per-CU leakage) is load-bearing: fxsim's batched tick
-// engine replays sealed per-tick power in exactly this order so its
-// floating-point totals stay bit-identical to the reference path — see
-// DESIGN.md, "The batched tick engine".
+// dynamic, then per-CU leakage) is load-bearing: fxsim's golden trace
+// fingerprints pin the floating-point totals it produces bit for bit.
 //
 //ppep:hotpath
 //ppep:inline

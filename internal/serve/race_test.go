@@ -15,7 +15,7 @@ import (
 // TestServeConcurrentEndpointReaders hammers the read-only endpoints
 // from several goroutines while the daemon loop runs, pinning — under
 // -race — that the handler path (Counters snapshot, ring snapshot,
-// EngineStats) is torn-read-free against the sampling goroutine. Run
+// published table) is torn-read-free against the sampling goroutine. Run
 // under -race, this test is the module's only check of that invariant.
 func TestServeConcurrentEndpointReaders(t *testing.T) {
 	d, err := daemon.AttachOpts(busyChip(t), models(t), nil, daemon.Options{HistoryCap: 8})

@@ -44,7 +44,6 @@ import (
 
 	"ppep/internal/core"
 	"ppep/internal/daemon"
-	"ppep/internal/fxsim"
 	"ppep/internal/units"
 )
 
@@ -422,7 +421,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		perVF(b, "ppep_predicted_interval", "Predicted energy of one decision interval at each VF state.",
 			t.Rows, func(r core.PredictionRow) units.Joules { return r.IntervalEnergyJ })
 	}
-	for _, c := range counterRows(s.d.Counters().Snapshot(), s.d.EngineStats()) {
+	for _, c := range counterRows(s.d.Counters().Snapshot()) {
 		counter(b, c.name, c.help, c.val)
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -440,8 +439,8 @@ type counterRow struct {
 // rows are listed in metric-name order (the Prometheus exposition is
 // sorted) so no per-request sort or heap allocation is needed; the
 // ordering is pinned by TestCounterRowsSorted.
-func counterRows(c daemon.CounterSnapshot, eng fxsim.EngineStats) [10]counterRow {
-	return [10]counterRow{
+func counterRows(c daemon.CounterSnapshot) [8]counterRow {
+	return [8]counterRow{
 		{"ppep_analyze_errors_total", "Intervals rejected by the PPEP analysis pipeline.", c.AnalyzeErrors},
 		{"ppep_hwmon_read_failures_total", "Diode reads that failed after the full retry budget.", c.HwmonFailures},
 		{"ppep_hwmon_read_retries_total", "Transient thermal diode faults that were retried.", c.HwmonRetries},
@@ -449,8 +448,6 @@ func counterRows(c daemon.CounterSnapshot, eng fxsim.EngineStats) [10]counterRow
 		{"ppep_msr_read_failures_total", "MSR operations that failed after the full retry budget.", c.MSRFailures},
 		{"ppep_msr_read_retries_total", "Transient MSR faults that were retried.", c.MSRRetries},
 		{"ppep_policy_rejects_total", "DVFS policy decisions the chip rejected.", c.PolicyRejects},
-		{"ppep_sim_fast_ticks_total", "Simulator ticks replayed by the batched quiescent-run engine.", eng.FastTicks},
-		{"ppep_sim_reference_ticks_total", "Simulator ticks executed on the reference per-tick path.", eng.ReferenceTicks},
 		{"ppep_skipped_intervals_total", "Intervals abandoned after exhausting the device retry budget.", c.SkippedIntervals},
 	}
 }

@@ -275,8 +275,6 @@ func TestServeEndpoints(t *testing.T) {
 			"ppep_msr_read_retries_total ",
 			"ppep_hwmon_read_failures_total ",
 			"ppep_policy_rejects_total ",
-			"ppep_sim_fast_ticks_total ",
-			"ppep_sim_reference_ticks_total ",
 			"# TYPE ppep_intervals_total counter",
 			"# TYPE ppep_predicted_chip_watts gauge",
 		} {
@@ -293,6 +291,18 @@ func TestServeEndpoints(t *testing.T) {
 			t.Errorf("POST /metrics = %d, want 405", rr.Code)
 		}
 	})
+}
+
+// TestCounterRowsSorted pins the order counterRows lists its rows in:
+// the /metrics exposition is sorted by name, and the rows are written
+// as listed.
+func TestCounterRowsSorted(t *testing.T) {
+	rows := counterRows(daemon.CounterSnapshot{})
+	for i := 1; i < len(rows); i++ {
+		if rows[i-1].name >= rows[i].name {
+			t.Errorf("counter row %q listed before %q", rows[i-1].name, rows[i].name)
+		}
+	}
 }
 
 // TestServeIntegration is the end-to-end service contract: a faulted

@@ -58,9 +58,9 @@ type Core struct {
 	epiPhase *workload.Phase
 	epiVal   float64
 	// phase is the phase in effect at Done, valid while Done < phaseEnd
-	// (a StepUntilEvent DoneBound, which under-approximates the phase's
-	// end). Done only grows, so PhaseAt runs again only once a tick
-	// crosses the bound; nil until the first Step.
+	// (phaseBound's bound, which under-approximates the phase's end).
+	// Done only grows, so PhaseAt runs again only once a tick crosses
+	// the bound; nil until the first Step.
 	phase    *workload.Phase
 	phaseEnd float64
 
@@ -150,8 +150,7 @@ func (c *Core) Step(fGHz, dtS float64, lat *mem.Latencies, r *TickResult) {
 		return
 	}
 	if c.phase == nil || c.Done >= c.phaseEnd {
-		la := c.StepUntilEvent()
-		c.phase, c.phaseEnd = la.Phase, la.DoneBound
+		c.phase, c.phaseEnd = c.phaseBound()
 	}
 	phase := c.phase
 	c.jitterMuls(phase.Noise)
@@ -200,49 +199,21 @@ func (c *Core) Step(fGHz, dtS float64, lat *mem.Latencies, r *TickResult) {
 	r.Finished = c.finished
 }
 
-// Lookahead describes how far a thread can run before its per-tick
-// behaviour could change — the contract the batched tick engine
-// (internal/fxsim) builds quiescent runs on.
-type Lookahead struct {
-	// Phase is the phase in effect at the thread's current position.
-	// Per-tick rates are a pure function of this pointer (plus the
-	// operating point) whenever Steady holds, so the engine's run
-	// invariant is pointer identity: PhaseAt(Done) == Phase.
-	Phase *workload.Phase
-	// Steady reports that the phase draws no position-locked jitter
-	// (Noise ≤ 0): every tick inside the phase retires the same
-	// instruction count and event mix, bit-for-bit.
-	Steady bool
-	// DoneBound is a retired-instruction count strictly before the
-	// phase's end: for every position d with Done ≤ d < DoneBound,
-	// PhaseAt(d) returns Phase. It deliberately under-approximates the
-	// true boundary (by a 1e-9 relative guard band that dwarfs the
-	// rounding error of PhaseAt's arithmetic), so a caller crossing it
-	// must re-confirm with PhaseAt rather than assume the phase ended.
-	// +Inf when the phase provably extends to the end of the run;
-	// degenerate (== Done) within the guard band of a boundary.
-	DoneBound float64
-}
-
-// StepUntilEvent reports how far the thread can run before its next
-// phase transition, without advancing it. A finished thread returns the
-// zero Lookahead.
-//
-//ppep:hotpath
-func (c *Core) StepUntilEvent() Lookahead {
-	if c.finished {
-		return Lookahead{}
-	}
+// phaseBound returns the phase in effect at the thread's current
+// position and a retired-instruction count strictly before that phase's
+// end: for every position d with Done ≤ d < bound, PhaseAt(d) returns
+// the phase. The bound deliberately under-approximates the true
+// boundary (by a 1e-9 relative guard band that dwarfs the rounding error
+// of PhaseAt's arithmetic), so a caller crossing it must re-derive the
+// phase rather than assume it ended. It is +Inf when the phase provably
+// extends to the end of the run, and degenerate (== Done) within the
+// guard band of a boundary.
+func (c *Core) phaseBound() (*workload.Phase, float64) {
 	phase := c.Bench.PhaseAt(c.Done)
-	la := Lookahead{
-		Phase:  phase,
-		Steady: phase.Noise <= 0 || c.segLen <= 0,
-	}
 	if len(c.Bench.Phases) == 1 {
 		// PhaseAt returns &Phases[0] at every position, loop wraps
 		// included.
-		la.DoneBound = math.Inf(1)
-		return la
+		return phase, math.Inf(1)
 	}
 	loops := c.Bench.Loops
 	if loops < 1 {
@@ -250,13 +221,12 @@ func (c *Core) StepUntilEvent() Lookahead {
 	}
 	perLoop := c.Bench.Instructions / float64(loops)
 	if perLoop <= 0 {
-		la.DoneBound = c.Done
-		return la
+		return phase, c.Done
 	}
 	// The phase ends where the within-loop fraction reaches its
 	// cumulative weight (summed in PhaseAt's order), or at the loop
 	// wrap for the final phase. Computed in real arithmetic and shrunk
-	// by a relative guard band so DoneBound can never overshoot the
+	// by a relative guard band so the bound can never overshoot the
 	// boundary PhaseAt actually honours.
 	li := math.Floor(c.Done / perLoop)
 	acc := 0.0
@@ -270,8 +240,7 @@ func (c *Core) StepUntilEvent() Lookahead {
 	if bound < c.Done {
 		bound = c.Done
 	}
-	la.DoneBound = bound
-	return la
+	return phase, bound
 }
 
 // Jitter dimension indices: 0–7 are the Rates event fields, 8 modulates

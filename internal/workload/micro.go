@@ -47,10 +47,9 @@ func BenchA() *Benchmark {
 }
 
 // BenchSteady returns BenchA with the rate jitter turned off entirely: a
-// single perfectly phase-stable, DRAM-free workload. It is the canonical
-// quiescent workload for the batched tick engine — every tick between
-// chip events is provably identical, so fxsim fast-forwards it — and the
-// phase-stable case the tick benchmarks report.
+// single perfectly phase-stable, DRAM-free workload: every tick between
+// chip events is identical. It is the phase-stable case the tick
+// benchmarks report.
 func BenchSteady() *Benchmark {
 	steadyOnce.Do(func() {
 		b := *BenchA()

@@ -1,11 +1,6 @@
 # PPEP reproduction — common targets.
 
 GO ?= go
-# perfcheck's raw compiler-transcript cache (ppeplint -gcflags-cache):
-# content-hash keyed, so repeat runs over an unchanged tree skip the
-# -gcflags='-m -m -d=ssa/check_bce/debug=1' compile. CI persists this
-# directory with actions/cache.
-GCFLAGS_CACHE ?= .gcflags-cache
 
 .PHONY: all test lint lint-perf fmt-check ci smoke smoke-cache loadgen-smoke fleet-smoke fuzz-smoke bench-all experiments flagship fmt vet tools
 
@@ -19,14 +14,15 @@ test: lint
 # ppeplint: the module's own static-analysis suite (internal/lint).
 # Non-zero exit on any unsuppressed finding; see docs/LINTING.md.
 lint:
-	$(GO) run ./cmd/ppeplint -gcflags-cache $(GCFLAGS_CACHE)
+	$(GO) run ./cmd/ppeplint
 
 # perfcheck alone: the compiler-diagnostics budgets (hot-path escapes,
 # //ppep:inline verdicts, //ppep:nobc residual bounds checks). The
 # fastest loop while tuning a hot function — everything else in the
-# suite is skipped and the transcript cache absorbs the compile.
+# suite is skipped, and Go's build cache replays the diagnostics of
+# packages that did not change.
 lint-perf:
-	$(GO) run ./cmd/ppeplint -analyzers=perfcheck -gcflags-cache $(GCFLAGS_CACHE)
+	$(GO) run ./cmd/ppeplint -analyzers=perfcheck
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -37,7 +33,7 @@ fmt-check:
 # perfcheck, so lint-perf is not repeated here.
 ci: fmt-check
 	$(GO) vet ./...
-	$(GO) run ./cmd/ppeplint -gcflags-cache $(GCFLAGS_CACHE)
+	$(GO) run ./cmd/ppeplint
 	$(GO) test -race ./...
 	$(MAKE) smoke
 	$(MAKE) smoke-cache

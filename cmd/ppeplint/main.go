@@ -1,9 +1,9 @@
 // Command ppeplint runs the module's custom static-analysis suite
 // (internal/lint): hotpath allocation-freedom, simulation determinism,
-// worker-pool safety, dropped-error checks, unitcheck dimensional
-// analysis, and perfcheck, which compiles the module with -gcflags='-m
-// -m -d=ssa/check_bce/debug=1' and holds the hot paths to the
-// compiler's own verdicts (escape analysis, inlining, residual bounds
+// dropped-error checks, unitcheck dimensional analysis, and perfcheck,
+// which compiles the module with -gcflags='-m -m
+// -d=ssa/check_bce/debug=1' and holds the hot paths to the compiler's
+// own verdicts (escape analysis, inlining, residual bounds
 // checks). Copied locks and atomics are go vet's (copylocks); data
 // races and goroutine joins are the -race tests'. It is stdlib-only and
 // exits non-zero on any unsuppressed finding, so `make lint` / `make
@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	ppeplint [-C dir] [-json] [-analyzers a,b|list] [-gcflags-cache dir] [patterns...]
+//	ppeplint [-C dir] [-json] [-analyzers a,b|list] [patterns...]
 //
 // Patterns default to ./... relative to -C (default: current directory).
 // -json replaces the plain `file:line: [analyzer] message` lines with a
@@ -20,9 +20,6 @@
 // -analyzers runs only the named comma-separated subset (faster local
 // iteration; lets CI shard lint from tests); `-analyzers list` prints
 // the registry and exits.
-// -gcflags-cache caches perfcheck's raw compiler transcript in the
-// given directory, keyed by a content hash of the module sources; CI
-// restores it so an unchanged tree skips the diagnostics compile.
 package main
 
 import (
@@ -51,8 +48,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array instead of plain lines")
 	analyzers := flag.String("analyzers", "",
 		"comma-separated analyzers to run (default: all); 'list' prints the registry and exits")
-	gcflagsCache := flag.String("gcflags-cache", "",
-		"cache perfcheck's compiler transcript in this directory (keyed by source content hash)")
 	flag.Parse()
 
 	if *analyzers == "list" {
@@ -75,9 +70,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ppeplint:", err)
 		os.Exit(2)
 	}
-	cfg := lint.DefaultConfig(m.Path)
-	cfg.PerfCacheDir = *gcflagsCache
-	findings, err := m.RunAnalyzers(cfg, runNames...)
+	findings, err := m.RunAnalyzers(lint.DefaultConfig(m.Path), runNames...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ppeplint:", err)
 		os.Exit(2)

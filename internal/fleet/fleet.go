@@ -159,7 +159,7 @@ func New(cfg Config) (*Engine, error) {
 			}
 		}
 		e.nodes[i] = node{chip: chip, fp: trace.FingerprintSeed}
-		e.fillRow(i)
+		e.fillRow(i, false)
 	}
 	e.publish()
 	return e, nil
@@ -211,12 +211,15 @@ func (e *Engine) stepNode(i int) {
 	n.chip.ReadIntervalInto(&n.iv)
 	n.fp = n.iv.Fold(n.fp)
 	n.intervals++
+	analyzed := false
 	if e.cfg.Models != nil {
-		if err := e.cfg.Models.AnalyzeInto(n.iv, &n.rep); err != nil || !e.usable(&n.rep) {
+		err := e.cfg.Models.AnalyzeInto(n.iv, &n.rep)
+		analyzed = err == nil && e.usable(&n.rep)
+		if !analyzed {
 			n.analyzeErr++
 		}
 	}
-	e.fillRow(i)
+	e.fillRow(i, analyzed)
 }
 
 // usable reports whether every projected chip power in rep is finite and
@@ -232,8 +235,9 @@ func (e *Engine) usable(rep *core.Report) bool {
 	return true
 }
 
-// fillRow refreshes node i's staging row from its current state.
-func (e *Engine) fillRow(i int) {
+// fillRow refreshes node i's staging row from its current state;
+// analyzed reports whether the latest interval's analysis was accepted.
+func (e *Engine) fillRow(i int, analyzed bool) {
 	n := &e.nodes[i]
 	row := &e.rows[i]
 	row.Node = i
@@ -251,7 +255,7 @@ func (e *Engine) fillRow(i int) {
 	row.Intervals = n.intervals
 	row.Fingerprint = n.fp
 	row.AnalyzeErrs = n.analyzeErr
-	row.Analyzed = e.cfg.Models != nil && n.intervals > 0 && n.analyzeErr == 0
+	row.Analyzed = analyzed
 	for s := 0; s < MaxVFStates; s++ {
 		row.PredChipW[s] = 0
 	}

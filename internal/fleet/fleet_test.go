@@ -261,7 +261,8 @@ func TestFleetAnalyzed(t *testing.T) {
 // projected chip power is NaN or negative — an idle offset forced to NaN
 // or far below zero, which AnalyzeInto itself accepts — and checks that
 // each node's row is excluded: counted as an analysis error, not
-// Analyzed, with no PredChipW and no share of TotalPredW.
+// Analyzed, with no PredChipW and no share of TotalPredW. It then checks
+// that the exclusion lasts only as long as the analyses are refused.
 func TestFleetGatesUnusablePredictions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains models")
@@ -311,5 +312,39 @@ func TestFleetGatesUnusablePredictions(t *testing.T) {
 				t.Errorf("%s: TotalPredW[%d] = %v, want 0", name, v, s.TotalPredW[v])
 			}
 		}
+	}
+
+	// One refused interval excludes a node only for that interval: once
+	// its analysis is accepted again the node is back in the aggregates,
+	// while AnalyzeErrs keeps the cumulative count.
+	m := *models
+	idle := *m.Idle
+	idle.W0 = append(stats.Poly(nil), m.Idle.W0...)
+	idle.W0[0] = math.NaN()
+	m.Idle = &idle
+	e, err := New(Config{Nodes: 4, Workers: 2, Mix: MixMixed, IdealSensor: true, Models: &m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Advance()
+	if s := e.Snapshot(); s.AnalyzedNodes != 0 {
+		t.Fatalf("after the refused interval AnalyzedNodes = %d, want 0", s.AnalyzedNodes)
+	}
+	m.Idle = models.Idle
+	e.AdvanceN(3)
+	s := e.Snapshot()
+	if s.AnalyzedNodes != len(s.Nodes) {
+		t.Errorf("after recovery AnalyzedNodes = %d, want %d", s.AnalyzedNodes, len(s.Nodes))
+	}
+	for i, row := range s.Nodes {
+		if !row.Analyzed || row.AnalyzeErrs != 1 {
+			t.Errorf("node %d Analyzed=%v with %d analyze errors, want analyzed with 1", i, row.Analyzed, row.AnalyzeErrs)
+		}
+		if row.PredChipW[0] <= 0 {
+			t.Errorf("node %d PredChipW[0] = %v after recovery, want > 0", i, row.PredChipW[0])
+		}
+	}
+	if s.TotalPredW[0] <= 0 {
+		t.Errorf("after recovery TotalPredW[0] = %v, want > 0", s.TotalPredW[0])
 	}
 }

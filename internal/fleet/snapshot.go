@@ -37,9 +37,10 @@ type NodeStat struct {
 	// shard-invariance tests compare these across worker counts.
 	Fingerprint uint64
 	// Analyzed reports whether PredChipW is populated (models
-	// configured and every analysis so far succeeded).
+	// configured and the latest interval's analysis accepted).
 	Analyzed bool
-	// AnalyzeErrs counts failed per-interval analyses.
+	// AnalyzeErrs counts failed per-interval analyses over the whole
+	// run.
 	AnalyzeErrs uint64
 	// PredChipW is the PPEP-predicted chip power at each VF state
 	// (index 0 = VF1), from the node's last interval. Only the first

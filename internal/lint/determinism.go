@@ -185,6 +185,24 @@ func (c *detChecker) localDest(lhs ast.Expr, locals map[types.Object]bool) bool 
 	return obj != nil && locals[obj]
 }
 
+// rootIdent returns the leftmost identifier of a selector/index chain.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return x
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}
+
 // bodyLocals collects every object declared inside the block: :=
 // definitions, var specs, and nested range variables.
 func bodyLocals(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {

@@ -14,9 +14,6 @@
 //     globally-seeded math/rand, and must not iterate maps when the loop
 //     body has order-dependent effects, so fixed seeds keep producing
 //     bit-identical campaigns.
-//   - poolsafety: bodies dispatched onto the bounded worker pool
-//     (pool.ForEachJob) may write only their own index of pre-sized
-//     slices, package-level or shared captured state only under a lock.
 //   - errcheck: no silently dropped error returns; discarding via `_ =`
 //     requires an adjacent justification comment.
 //   - unitcheck: dimensional analysis over the internal/units types —
@@ -59,8 +56,10 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Analyzer, f.Message)
 }
 
-// Config selects analyzer scopes. The zero value runs hotpath and
-// errcheck only; DefaultConfig covers the full suite for this module.
+// Config selects analyzer scopes. The zero value gives determinism and
+// unitcheck nothing to check, so only hotpath, errcheck, perfcheck (over
+// ./...) and the directive checks report; DefaultConfig covers the full
+// suite for this module.
 type Config struct {
 	// DeterminismPkgs is the set of import paths the determinism
 	// analyzer covers.
@@ -72,11 +71,6 @@ type Config struct {
 	// diagnostics (go build -gcflags='-m -m -d=ssa/check_bce/debug=1');
 	// empty means ./... — the whole module.
 	PerfPatterns []string
-	// PerfCacheDir, when set, caches perfcheck's raw compiler
-	// transcript keyed by a content hash of the module sources, so a
-	// rerun over unchanged sources skips the compile entirely
-	// (ppeplint -gcflags-cache).
-	PerfCacheDir string
 }
 
 // DefaultConfig returns the analyzer scope for this repository: the
@@ -111,8 +105,8 @@ func DefaultConfig(modulePath string) Config {
 // AnalyzerNames lists every analyzer, in report order. "directive" covers
 // the directive parser's own findings (malformed or unknown directives).
 var AnalyzerNames = []string{
-	"hotpath", "determinism", "poolsafety", "errcheck", "unitcheck",
-	"perfcheck", "directive",
+	"hotpath", "determinism", "errcheck", "unitcheck", "perfcheck",
+	"directive",
 }
 
 // runOne dispatches a single analyzer by name. Callers validate the
@@ -123,8 +117,6 @@ func (m *Module) runOne(name string, cfg Config) []Finding {
 		return runHotpath(m)
 	case "determinism":
 		return runDeterminism(m, cfg)
-	case "poolsafety":
-		return runPoolSafety(m)
 	case "errcheck":
 		return runErrcheck(m)
 	case "unitcheck":
@@ -137,22 +129,14 @@ func (m *Module) runOne(name string, cfg Config) []Finding {
 	return nil
 }
 
-// Run executes the full suite and returns the surviving findings sorted
-// by position. Suppressed findings count toward Suppressed(); allow
-// directives that suppressed nothing are reported as findings.
-func (m *Module) Run(cfg Config) []Finding {
-	fs, err := m.RunAnalyzers(cfg, AnalyzerNames...)
-	if err != nil {
-		// AnalyzerNames are all known; unreachable by construction.
-		panic(err)
-	}
-	return fs
-}
-
-// RunAnalyzers executes the named subset of analyzers (ppeplint
-// -analyzers). The unused-suppression check covers only the named
-// analyzers, so a subset run cannot flag allows owned by analyzers it
-// did not run. An unknown name is an error, not a silent no-op.
+// RunAnalyzers executes the named analyzers (all of AnalyzerNames for
+// the full suite, a subset for ppeplint -analyzers) and returns the
+// surviving findings sorted by position. Suppressed findings count
+// toward Suppressed(); allow directives that suppressed nothing are
+// reported as findings. The unused-suppression check covers only the
+// named analyzers, so a subset run cannot flag allows owned by
+// analyzers it did not run. An unknown name is an error, not a silent
+// no-op.
 func (m *Module) RunAnalyzers(cfg Config, names ...string) ([]Finding, error) {
 	var fs []Finding
 	var ran []string
@@ -173,17 +157,6 @@ func (m *Module) RunAnalyzers(cfg Config, names ...string) ([]Finding, error) {
 	fs = append(fs, m.unusedAllows(ran...)...)
 	sortFindings(fs)
 	return fs, nil
-}
-
-// RunAnalyzer executes a single analyzer (plus its unused-suppression
-// check), used by the fixture tests to exercise analyzers in isolation.
-func (m *Module) RunAnalyzer(name string, cfg Config) []Finding {
-	fs := m.runOne(name, cfg)
-	if name != "directive" {
-		fs = append(fs, m.unusedAllows(name)...)
-	}
-	sortFindings(fs)
-	return fs
 }
 
 func sortFindings(fs []Finding) {

@@ -119,8 +119,12 @@ func checkFixture(t *testing.T, analyzer, pkg string) {
 	}
 	wants := parseWants(t, dir)
 
+	all, err := m.RunAnalyzers(fixtureConfig(), analyzer)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var findings []Finding
-	for _, f := range m.RunAnalyzer(analyzer, fixtureConfig()) {
+	for _, f := range all {
 		if filepath.Dir(f.Pos.Filename) == absDir {
 			findings = append(findings, f)
 		}
@@ -148,7 +152,6 @@ func checkFixture(t *testing.T, analyzer, pkg string) {
 
 func TestHotpathFixtures(t *testing.T)     { checkFixture(t, "hotpath", "hotpath") }
 func TestDeterminismFixtures(t *testing.T) { checkFixture(t, "determinism", "determinism") }
-func TestPoolSafetyFixtures(t *testing.T)  { checkFixture(t, "poolsafety", "poolsafety") }
 func TestErrcheckFixtures(t *testing.T)    { checkFixture(t, "errcheck", "errcheck") }
 func TestDirectiveFixtures(t *testing.T)   { checkFixture(t, "directive", "directives") }
 func TestUnitcheckFixtures(t *testing.T)   { checkFixture(t, "unitcheck", "unitcheck") }
@@ -208,7 +211,10 @@ func TestRepoClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
-	findings := m.Run(DefaultConfig(m.Path))
+	findings, err := m.RunAnalyzers(DefaultConfig(m.Path), AnalyzerNames...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, f := range findings {
 		t.Errorf("%s", f)
 	}
@@ -222,12 +228,13 @@ func TestRepoClean(t *testing.T) {
 	}
 	// Per-analyzer: the only exceptions are the two hotpath walk
 	// boundaries — the per-phase EPI-scale memo refresh in uarch and the
-	// trace encoder's amortized buffer growth. Every other analyzer sits
-	// at zero: unitcheck's conversion and arithmetic rules need no
-	// exceptions, and perfcheck rolled out clean (zero compiler-verified
-	// hot-path escapes, every //ppep:inline site inlined, zero residual
-	// bounds checks in //ppep:nobc ranges) — new exceptions need a
-	// reason the compiler can't argue with.
+	// trace encoder's amortized buffer growth. determinism, errcheck,
+	// unitcheck and perfcheck sit at zero: unitcheck's conversion and
+	// arithmetic rules need no exceptions, and perfcheck rolled out
+	// clean (zero compiler-verified hot-path escapes, every
+	// //ppep:inline site inlined, zero residual bounds checks in
+	// //ppep:nobc ranges) — new exceptions need a reason the compiler
+	// can't argue with.
 	by := m.SuppressedBy()
 	for _, name := range AnalyzerNames {
 		want := 0

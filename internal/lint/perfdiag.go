@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"hash/fnv"
-	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -22,8 +20,8 @@ import (
 // prints, per position, every escape-analysis decision, every inlining
 // verdict (with cost and reason), and every bounds check the SSA
 // backend could not eliminate. This file runs that build, parses the
-// position-tagged diagnostics into PerfDiagnostics, and caches the raw
-// transcript keyed by a content hash so CI pays for one compile.
+// position-tagged diagnostics into PerfDiagnostics. A rebuild of
+// unchanged packages replays the transcript from Go's own build cache.
 
 // perfGcflags is the exact flag set perfcheck compiles with. It is a
 // package-level constant so the golden-transcript tests and the docs
@@ -210,51 +208,6 @@ func ParsePerfTranscript(transcript []byte, dir string) *PerfDiagnostics {
 	return d
 }
 
-// perfTranscriptHash fingerprints everything that determines the
-// compiler's diagnostics: the toolchain, the flag set, the build
-// patterns, and the content of every non-test Go file the loader
-// matched. Any change misses the transcript cache and recompiles.
-func (m *Module) perfTranscriptHash(patterns []string) string {
-	h := fnv.New64a()
-	put := func(s string) {
-		h.Write([]byte(s))
-		h.Write([]byte{0})
-	}
-	put(runtime.Version())
-	put(perfGcflags)
-	put(strings.Join(patterns, " "))
-	put(m.Path)
-	type src struct{ rel, abs string }
-	var files []src
-	for _, pkg := range m.Packages {
-		for _, f := range pkg.Files {
-			abs := m.Fset.Position(f.Pos()).Filename
-			rel, err := filepath.Rel(m.Dir, abs)
-			if err != nil {
-				rel = abs
-			}
-			files = append(files, src{rel, abs})
-		}
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].rel < files[j].rel })
-	for _, f := range files {
-		put(f.rel)
-		data, err := os.ReadFile(f.abs)
-		if err != nil {
-			put("unreadable: " + err.Error())
-			continue
-		}
-		h.Write(data)
-		h.Write([]byte{0})
-	}
-	// go.mod participates: a toolchain or module-path edit changes
-	// what the compiler sees.
-	if data, err := os.ReadFile(filepath.Join(m.Dir, "go.mod")); err == nil {
-		h.Write(data)
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
 // runPerfBuild shells out to the diagnostics build and returns the
 // combined transcript. The -gcflags set applies to the named patterns
 // only (not dependencies), which is exactly the lintable surface.
@@ -269,36 +222,18 @@ func runPerfBuild(dir string, patterns []string) ([]byte, error) {
 	return out, nil
 }
 
-// perfDiagnostics runs (or replays) the diagnostics build for this
-// module, memoized per Module so Run and RunAnalyzer pay at most one
-// compile. With cfg.PerfCacheDir set, the raw transcript is cached on
-// disk keyed by perfTranscriptHash — CI restores the directory and a
-// no-op change costs a hash instead of a compile.
+// perfDiagnostics runs the diagnostics build for this module, memoized
+// per Module so a run pays at most one compile.
 func (m *Module) perfDiagnostics(cfg Config) (*PerfDiagnostics, error) {
 	m.perfOnce.Do(func() {
 		patterns := cfg.PerfPatterns
 		if len(patterns) == 0 {
 			patterns = []string{"./..."}
 		}
-		var cachePath string
-		if cfg.PerfCacheDir != "" {
-			cachePath = filepath.Join(cfg.PerfCacheDir, "perfcheck-"+m.perfTranscriptHash(patterns)+".txt")
-			if data, err := os.ReadFile(cachePath); err == nil {
-				m.perfDiags = ParsePerfTranscript(data, m.Dir)
-				return
-			}
-		}
 		out, err := runPerfBuild(m.Dir, patterns)
 		if err != nil {
 			m.perfErr = err
 			return
-		}
-		if cachePath != "" {
-			if err := os.MkdirAll(cfg.PerfCacheDir, 0o755); err == nil {
-				// Best-effort: a read-only cache dir degrades to
-				// recompiling, never to failing the lint run.
-				_ = os.WriteFile(cachePath, out, 0o644)
-			}
 		}
 		m.perfDiags = ParsePerfTranscript(out, m.Dir)
 	})

@@ -1,7 +1,7 @@
 // Package pool is the module's one bounded worker pool: the experiment
 // campaigns and the fleet engine both fan their jobs out through
-// ForEachJob, and the poolsafety analyzer (docs/LINTING.md) checks every
-// worker body handed to it.
+// ForEachJob. The race-detector runs of their tests at more than one
+// worker check the bodies handed to it.
 package pool
 
 import (

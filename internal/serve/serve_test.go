@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -281,6 +282,14 @@ func TestServeEndpoints(t *testing.T) {
 			if !strings.Contains(body, want) {
 				t.Errorf("metrics missing %q", want)
 			}
+		}
+		// The diode gauge is the published reading converted to Celsius,
+		// not the Kelvin value under a Celsius name.
+		_, rest, ok := strings.Cut(body, "\nppep_diode_temp_celsius ")
+		val, _, _ := strings.Cut(rest, "\n")
+		got, err := strconv.ParseFloat(val, 64)
+		if want := float64(srv.pub.Load().table.TempK.Celsius()); !ok || err != nil || got != want {
+			t.Errorf("ppep_diode_temp_celsius = %q, want %g", val, want)
 		}
 	})
 

@@ -241,9 +241,6 @@ func (c CPI) ScaleFreq(to, from GigaHertz) CPI {
 	return CPI(float64(c) * float64(to) / float64(from))
 }
 
-// Scaled multiplies a CPI by a dimensionless factor.
-func (c CPI) Scaled(r float64) CPI { return CPI(float64(c) * r) }
-
 // Per returns the dimensionless CPI ratio c/ref.
 func (c CPI) Per(ref CPI) float64 { return float64(c) / float64(ref) }
 

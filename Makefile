@@ -56,16 +56,23 @@ smoke:
 	$(GO) test -count=1 -run 'TestSampler|TestDaemon' ./internal/daemon
 	$(GO) test -count=1 ./cmd/ppepd
 
-# Trace-cache smoke test: run a reduced campaign twice into the same
-# fresh cache directory; the second run must be pure decode (misses=0
-# in the greppable stats line, see docs/CACHE.md). Bit-transparency is
-# covered separately by TestCacheEquivalence.
+# Trace-cache smoke test: run a reduced campaign once with no cache and
+# twice into the same fresh cache directory. The last run must be pure
+# decode (misses=0 in the greppable stats line, see docs/CACHE.md), and
+# all three must print the same experiment table and headline: only the
+# timing and `trace cache` lines may differ. Bit-transparency of every
+# trace is covered separately by TestCacheEquivalence.
 smoke-cache:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	$(GO) run ./cmd/ppep-experiments -scale 0.01 -max 3 -run sec4a-idle -cache-dir "$$dir" >/dev/null && \
-	out=$$($(GO) run ./cmd/ppep-experiments -scale 0.01 -max 3 -run sec4a-idle -cache-dir "$$dir") && \
-	echo "$$out" | grep 'trace cache' && \
-	echo "$$out" | grep -q 'misses=0 ' || { echo "smoke-cache: warm run re-simulated (want misses=0)"; exit 1; }
+	$(GO) build -o "$$dir/ppep-experiments" ./cmd/ppep-experiments && \
+	run() { "$$dir/ppep-experiments" -scale 0.01 -max 3 -run sec4a-idle "$$@"; } && \
+	results() { grep -v -e 'trace cache' -e '^ *([0-9.]*s)$$' | sed 's/ready in [0-9.]*s/ready/'; } && \
+	none=$$(run) && cold=$$(run -cache-dir "$$dir/cache") && warm=$$(run -cache-dir "$$dir/cache") && \
+	echo "$$warm" | grep 'trace cache' && \
+	{ echo "$$warm" | grep -q 'misses=0 ' || { echo "smoke-cache: warm run re-simulated (want misses=0)"; exit 1; }; } && \
+	want=$$(echo "$$none" | results) && \
+	{ [ "$$(echo "$$cold" | results)" = "$$want" ] && [ "$$(echo "$$warm" | results)" = "$$want" ] || \
+	{ echo "smoke-cache: cached runs print other results than the uncached run"; exit 1; }; }
 
 # Serving-layer smoke test: ppep-loadgen spins up an in-process ppepd
 # (slim training, loopback port) and drives a short closed loop against

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"ppep/internal/tracecodec"
 )
 
 // TestCacheEquivalence runs the same reduced campaign three times: cold
@@ -74,6 +78,44 @@ func TestCacheEquivalence(t *testing.T) {
 	if warmStats.Hits != coldStats.Misses {
 		t.Errorf("warm hits %d != cold misses %d: cell keys unstable across runs",
 			warmStats.Hits, coldStats.Misses)
+	}
+
+	// Drop two idle transients: the rebuild heats once for the two cells
+	// that miss and decodes the rest.
+	removed := 0
+	entries, err := os.ReadDir(opts.CacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		path := filepath.Join(opts.CacheDir, e.Name())
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := tracecodec.Decode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		if tr.Run == "heatcool-VF2" || tr.Run == "heatcool-VF4" {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+			removed++
+		}
+	}
+	if removed != 2 {
+		t.Fatalf("removed %d idle entries, want 2", removed)
+	}
+	partial, err := NewFXCampaign(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := campaignFingerprint(partial); got != want {
+		t.Errorf("partially warm campaign fingerprint %#x, want %#x", got, want)
+	}
+	if st, _ := partial.CacheStats(); st.Misses != 2 {
+		t.Errorf("partially warm stats = %+v, want exactly 2 misses", st)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // Green Governors baseline; plus the VF4..VF1 averages reported in the
 // text (3.3/3.7/4.0/4.9%).
 func (c *Campaign) Fig6() (*Result, error) {
-	folds, err := c.crossValidate(4)
+	folds, err := c.crossValidate()
 	if err != nil {
 		return nil, err
 	}

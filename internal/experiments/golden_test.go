@@ -3,6 +3,10 @@ package experiments
 import (
 	"math"
 	"testing"
+
+	"ppep/internal/arch"
+	"ppep/internal/fxsim"
+	"ppep/internal/trace"
 )
 
 // goldenCampaignWant is the fingerprint of a small fixed-seed FX campaign,
@@ -66,6 +70,51 @@ func TestGoldenCampaignEquivalence(t *testing.T) {
 		}
 		if got := campaignFingerprint(c); got != goldenCampaignWant {
 			t.Errorf("workers=%d: campaign fingerprint %#x, want %#x", workers, got, goldenCampaignWant)
+		}
+	}
+}
+
+// TestCollectIdleWorkerInvariance runs the idle phase alone with one
+// worker per VF state and with one worker. With one per state, one cell
+// heats the shared chip while the others wait for it, then every cell
+// forks it at once, which the race detector checks. Both runs must match
+// a fresh chip heated and cooled at each state under the cell's seed.
+func TestCollectIdleWorkerInvariance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("idle transients on both platforms")
+	}
+	const heatS, coolS = 40, 90 // collectIdle's durations
+	for _, p := range []struct {
+		platform, seedName string
+		table              arch.VFTable
+	}{
+		{arch.FX8320.Name, "idle", arch.FX8320VFTable},
+		{arch.PhenomII.Name, "phenom-idle", arch.PhenomIIVFTable},
+	} {
+		states := p.table.States()
+		var runs []*Campaign
+		for _, workers := range []int{len(states), 1} {
+			c := &Campaign{Platform: p.platform, Table: p.table,
+				Idle: map[arch.VFState]*trace.Trace{}, opts: Options{Workers: workers}}
+			if err := c.collectIdle(p.seedName, c.ChipConfig); err != nil {
+				t.Fatal(err)
+			}
+			runs = append(runs, c)
+		}
+		for _, vf := range states {
+			cfg := runs[0].ChipConfig()
+			cfg.SensorSeed = seedOf(p.seedName, vf)
+			fresh, err := fxsim.New(cfg).HeatCool(vf, heatS, coolS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fresh.Fingerprint()
+			for _, c := range runs {
+				if got := c.Idle[vf].Fingerprint(); got != want {
+					t.Errorf("%s %v workers=%d: idle fingerprint %#x, fresh HeatCool %#x",
+						p.platform, vf, c.opts.Workers, got, want)
+				}
+			}
 		}
 	}
 }

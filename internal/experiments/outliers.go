@@ -17,7 +17,7 @@ import (
 // their cross-validated dynamic power error and correlates the worst
 // against each run's phase-change score.
 func (c *Campaign) Outliers() (*Result, error) {
-	folds, err := c.crossValidate(4)
+	folds, err := c.crossValidate()
 	if err != nil {
 		return nil, err
 	}

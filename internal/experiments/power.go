@@ -20,10 +20,22 @@ type foldModels struct {
 	testNames map[string]bool
 }
 
-// crossValidate builds the paper's 4-fold split over benchmark
-// combinations: the dynamic model is retrained on each fold's training
-// runs; the idle model is shared (it is benchmark-independent).
-func (c *Campaign) crossValidate(k int) ([]foldModels, error) {
+// cvFolds is the paper's cross-validation fold count.
+const cvFolds = 4
+
+// crossValidate returns the paper's 4-fold split over benchmark
+// combinations, trained once per campaign (the campaign is not mutated
+// after it is built) and shared by every harness that scores held-out
+// runs. The returned folds are read-only.
+func (c *Campaign) crossValidate() ([]foldModels, error) {
+	c.foldsOnce.Do(func() { c.folds, c.foldsErr = c.trainFolds() })
+	return c.folds, c.foldsErr
+}
+
+// trainFolds trains the cross-validation folds: the dynamic model is
+// retrained on each fold's training runs; the idle model is shared (it is
+// benchmark-independent).
+func (c *Campaign) trainFolds() ([]foldModels, error) {
 	names := make([]string, 0, len(c.ByName))
 	for n := range c.ByName {
 		names = append(names, n)
@@ -33,7 +45,7 @@ func (c *Campaign) crossValidate(k int) ([]foldModels, error) {
 	if err != nil {
 		return nil, err
 	}
-	folds := stats.KFold(len(names), k, 2014)
+	folds := stats.KFold(len(names), cvFolds, 2014)
 	var out []foldModels
 	for _, fold := range folds {
 		trainNames := map[string]bool{}
@@ -70,7 +82,7 @@ var suiteOrder = []string{"SPE", "PAR", "NPB", "ALL"}
 // dynamic power model (a) and the chip power model (b), per suite and VF
 // state. The returned pair is (fig2a, fig2b).
 func (c *Campaign) Fig2() (*Result, *Result, error) {
-	folds, err := c.crossValidate(4)
+	folds, err := c.crossValidate()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -154,7 +166,7 @@ func (c *Campaign) errorTable(id, title string, errs map[string]map[arch.VFState
 // predicted from its VFi trace and compared with the measured average.
 // Returns (fig3a dynamic, fig3b chip).
 func (c *Campaign) Fig3() (*Result, *Result, error) {
-	folds, err := c.crossValidate(4)
+	folds, err := c.crossValidate()
 	if err != nil {
 		return nil, nil, err
 	}

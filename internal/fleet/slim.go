@@ -15,15 +15,29 @@ import (
 // self-serve mode both use it where a full Section IV campaign would
 // dominate their runtime.
 func SlimModels() (*core.Models, error) {
-	ts := core.TrainingSet{IdleTraces: map[arch.VFState]*trace.Trace{}}
+	idle := map[arch.VFState]*trace.Trace{}
+	// Every state's transient shares one config, and the heating phase
+	// does not depend on the state: heat one chip and cool a fork of it
+	// per state.
+	cfg := fxsim.DefaultFX8320Config()
+	heated := fxsim.New(cfg)
+	if err := heated.Heat(40); err != nil {
+		return nil, err
+	}
 	for _, vf := range arch.FX8320VFTable.States() {
-		chip := fxsim.New(fxsim.DefaultFX8320Config())
-		tr, err := chip.HeatCool(vf, 40, 80)
+		tr, err := heated.Fork(cfg.SensorSeed).Cool(vf, 80)
 		if err != nil {
 			return nil, err
 		}
-		ts.IdleTraces[vf] = tr
+		idle[vf] = tr
 	}
+	return trainSlim(idle)
+}
+
+// trainSlim collects the slim model set's benchmark runs and trains the
+// models on them and the given idle transients.
+func trainSlim(idle map[arch.VFState]*trace.Trace) (*core.Models, error) {
+	ts := core.TrainingSet{IdleTraces: idle}
 	for _, num := range []string{"429", "433", "458", "416"} {
 		b := *workload.SPECByNumber(num)
 		b.Instructions = 8e9

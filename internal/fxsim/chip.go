@@ -9,6 +9,7 @@ package fxsim
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"ppep/internal/arch"
@@ -225,15 +226,9 @@ func New(cfg Config) *Chip {
 		scratchLeak: make([]units.Watts, cfg.Topology.NumCUs),
 	}
 	c.breakdown.CoreDynW, c.breakdown.CULeakW = c.scratchDyn, c.scratchLeak
-	if cfg.IdealSensor {
-		c.sensor = sensor.Ideal()
-	} else {
-		c.sensor = sensor.Default(cfg.SensorSeed)
-	}
+	c.sensor = newSensor(cfg)
 	for i := range c.mux {
-		m := pmc.NewMux()
-		m.Disabled = cfg.MuxDisabled
-		c.mux[i] = *m
+		c.mux[i].Disabled = cfg.MuxDisabled
 	}
 	top := cfg.Topology.VF.Top()
 	topPoint := cfg.Topology.VF.Point(top)
@@ -247,6 +242,81 @@ func New(cfg Config) *Chip {
 	c.refreshNBCaches()
 	c.snapshotVF()
 	return c
+}
+
+// Fork returns an independent deep copy of the chip with a fresh power
+// sensor for sensorSeed (or the ideal sensor when the config asks for
+// one). The new sensor is advanced past every sample the chip has taken,
+// so the fork reads exactly what a chip built with that seed and driven
+// through the same ticks would read from here on: the sensor feeds
+// nothing back into the physics. Fork only reads the chip, so several
+// goroutines may fork one chip concurrently while none of them ticks it.
+func (c *Chip) Fork(sensorSeed int64) *Chip {
+	cfg := c.cfg
+	nb := *c.cfg.NB
+	cfg.NB = &nb
+	cfg.SensorSeed = sensorSeed
+	therm := *c.therm
+	f := &Chip{
+		cfg:          cfg,
+		threads:      slices.Clone(c.threads),
+		bound:        slices.Clone(c.bound),
+		restart:      slices.Clone(c.restart),
+		benches:      slices.Clone(c.benches),
+		mux:          slices.Clone(c.mux),
+		counters:     make([]*pmc.CounterFile, len(c.counters)),
+		counterFiles: c.counterFiles,
+		pstates:      slices.Clone(c.pstates),
+		nbPoint:      c.nbPoint,
+		therm:        &therm,
+		timeS:        c.timeS,
+		tickIdx:      c.tickIdx,
+		lastUtil:     c.lastUtil,
+		sensorSum:    c.sensorSum,
+		sensorN:      c.sensorN,
+		trueSum:      c.trueSum,
+		trueCoreSum:  c.trueCoreSum,
+		trueNBSum:    c.trueNBSum,
+		coreDynSum:   slices.Clone(c.coreDynSum),
+		tickCount:    c.tickCount,
+		intervalVF:   slices.Clone(c.intervalVF),
+		fTopGHz:      c.fTopGHz,
+		cuBusyCores:  slices.Clone(c.cuBusyCores),
+		busyCUs:      c.busyCUs,
+		topBusyCUs:   c.topBusyCUs,
+		cuPoints:     slices.Clone(c.cuPoints),
+		sharedV:      c.sharedV,
+		nbLat:        c.nbLat,
+		nbDyn:        c.nbDyn,
+		nbLeakVolt:   c.nbLeakVolt,
+		cuOp:         slices.Clone(c.cuOp),
+		cuOpStale:    c.cuOpStale,
+		scratchDyn:   slices.Clone(c.scratchDyn),
+		scratchLeak:  slices.Clone(c.scratchLeak),
+		stepRes:      c.stepRes,
+		act:          c.act,
+		breakdown:    c.breakdown,
+	}
+	for i, cf := range c.counters {
+		if cf != nil {
+			cp := *cf
+			f.counters[i] = &cp
+		}
+	}
+	f.breakdown.CoreDynW, f.breakdown.CULeakW = f.scratchDyn, f.scratchLeak
+	f.sensor = newSensor(cfg)
+	f.sensor.Skip(c.tickIdx / int64(arch.PowerSamplePeriodMS))
+	f.ticks.Store(c.ticks.Load())
+	return f
+}
+
+// newSensor returns the power sensor a config asks for: the ideal one,
+// or the default noisy one seeded with SensorSeed.
+func newSensor(cfg Config) *sensor.PowerSensor {
+	if cfg.IdealSensor {
+		return sensor.Ideal()
+	}
+	return sensor.Default(cfg.SensorSeed)
 }
 
 // refreshNBCaches re-derives every NB-operating-point-dependent cache.

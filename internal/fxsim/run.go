@@ -133,21 +133,32 @@ func (c *Chip) Collect(r workload.Run, opts RunOpts) (*trace.Trace, error) {
 }
 
 // HeatCool performs the Figure 1 experiment: heat the chip under full
-// load for heatS seconds at the given VF state, then idle for coolS
-// seconds, returning only the cooling-phase trace (idle power vs
-// temperature at that state).
+// load for heatS seconds at the top VF state, then idle for coolS seconds
+// at the given state, returning only the cooling-phase trace (idle power
+// vs temperature at that state). It is Heat followed by Cool.
 func (c *Chip) HeatCool(vf arch.VFState, heatS, coolS float64) (*trace.Trace, error) {
-	if err := c.SetAllPStates(c.cfg.Topology.VF.Top()); err != nil {
+	if err := c.Heat(heatS); err != nil {
 		return nil, err
 	}
+	return c.Cool(vf, coolS)
+}
+
+// Heat is the heating phase of the Figure 1 experiment: every core runs a
+// steady load at the top VF state for heatS seconds, then the chip is
+// unloaded and the heating interval discarded. The phase does not depend
+// on the state the chip later cools at, so one heated chip can be forked
+// (Fork) once per cooling state.
+func (c *Chip) Heat(heatS float64) error {
+	if err := c.SetAllPStates(c.cfg.Topology.VF.Top()); err != nil {
+		return err
+	}
 	c.UnbindAll()
-	// Heat with a steady all-core load.
 	heater := workload.Run{Name: "heater", Suite: "micro"}
 	heater.Members = append(heater.Members, workload.Member{
 		Bench: workload.BenchA(), Threads: c.cfg.Topology.NumCores(),
 	})
 	if _, err := c.PlaceRun(heater, PlaceCompact, true); err != nil {
-		return nil, err
+		return err
 	}
 	// The float accumulation decides the tick count (kept for bit-exact
 	// compatibility with recorded traces); one TickN call runs them.
@@ -158,8 +169,13 @@ func (c *Chip) HeatCool(vf arch.VFState, heatS, coolS float64) (*trace.Trace, er
 	c.TickN(heatTicks)
 	c.UnbindAll()
 	c.ReadInterval() // discard the heating interval
+	return nil
+}
 
-	// Cool while idle at the requested state.
+// Cool is the cooling phase of the Figure 1 experiment: the chip idles
+// at the given state for coolS seconds, and every full 200 ms interval of
+// it is returned.
+func (c *Chip) Cool(vf arch.VFState, coolS float64) (*trace.Trace, error) {
 	if err := c.SetAllPStates(vf); err != nil {
 		return nil, err
 	}

@@ -27,56 +27,45 @@ const MuxWindowMS = 20
 
 // Mux is the per-core multiplexed counter file. Feed it true per-tick
 // event increments with Accumulate; read an extrapolated interval with
-// ReadInterval.
+// ReadInterval. The zero value is a ready multiplexer with the group
+// split GroupOf describes.
 type Mux struct {
 	// Disabled turns multiplexing off: all twelve events count all the
 	// time (an oracle mode used for ablation studies; real hardware
 	// cannot do this with six counters).
 	Disabled bool
 
-	groupOf [arch.NumEvents]int // event index → group 0 or 1
-	counts  arch.EventVec       // accumulated while live
-	liveMS  [2]float64          // ms each group has been live this interval
-	clockMS float64             // position within the mux rotation
+	counts  arch.EventVec // accumulated while live
+	liveMS  [2]float64    // ms each group has been live this interval
+	clockMS float64       // position within the mux rotation
 }
 
-// NewMux returns a multiplexer with the default group split:
-// group 0 counts E1–E6, group 1 counts E7–E12. The performance-model
-// events (E10–E12) share a group so their ratios (CPI, MCPI) stay
-// self-consistent; the power-model events are split across both.
-func NewMux() *Mux {
-	m := &Mux{}
-	for i := 0; i < arch.NumEvents; i++ {
-		if i < CountersPerCore {
-			m.groupOf[i] = 0
-		} else {
-			m.groupOf[i] = 1
-		}
-	}
-	return m
-}
+// NewMux returns a multiplexer with the default group split.
+func NewMux() *Mux { return &Mux{} }
 
-// GroupOf reports the mux group of the given event.
-func (m *Mux) GroupOf(id arch.EventID) int { return m.groupOf[int(id)-1] }
+// GroupOf reports the mux group of the given event: group 0 counts
+// E1–E6, group 1 counts E7–E12, the split the daemon's sampler programs.
+// The performance-model events (E10–E12) share a group so their ratios
+// (CPI, MCPI) stay self-consistent; the power-model events are split
+// across both.
+func (m *Mux) GroupOf(id arch.EventID) int { return (int(id) - 1) / CountersPerCore }
 
 // Accumulate feeds the true event increments for a tick of dtMS
-// milliseconds. Only the live group's events are recorded (unless the mux
-// is disabled). Ticks must not straddle a window boundary; the standard
-// 1 ms simulation tick divides the 20 ms window evenly.
+// milliseconds. Only the live group's six contiguous events are recorded
+// (unless the mux is disabled). Ticks must not straddle a window
+// boundary; the standard 1 ms simulation tick divides the 20 ms window
+// evenly.
 //
 //ppep:inline
 func (m *Mux) Accumulate(inc *arch.EventVec, dtMS float64) {
 	live := int(m.clockMS/MuxWindowMS) % 2
-	for i := 0; i < arch.NumEvents; i++ {
-		if m.Disabled || m.groupOf[i] == live {
-			m.counts[i] += inc[i]
+	for g := 0; g < 2; g++ {
+		if g == live || m.Disabled {
+			for i := g * CountersPerCore; i < (g+1)*CountersPerCore; i++ {
+				m.counts[i] += inc[i]
+			}
+			m.liveMS[g] += dtMS
 		}
-	}
-	if m.Disabled {
-		m.liveMS[0] += dtMS
-		m.liveMS[1] += dtMS
-	} else {
-		m.liveMS[live] += dtMS
 	}
 	m.clockMS += dtMS
 	if m.clockMS >= 2*MuxWindowMS {
@@ -91,8 +80,7 @@ func (m *Mux) Accumulate(inc *arch.EventVec, dtMS float64) {
 func (m *Mux) ReadInterval(intervalMS float64) arch.EventVec {
 	var out arch.EventVec
 	for i := 0; i < arch.NumEvents; i++ {
-		g := m.groupOf[i]
-		live := m.liveMS[g]
+		live := m.liveMS[i/CountersPerCore]
 		if m.Disabled {
 			live = intervalMS
 		}

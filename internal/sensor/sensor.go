@@ -56,5 +56,18 @@ func (s *PowerSensor) Sample(trueChipW float64) float64 {
 	return w
 }
 
+// Skip advances the sensor past n readings: it draws exactly what n
+// calls to Sample would, so a sensor skipped past another one's readings
+// continues the noise sequence that one would have produced from the same
+// seed.
+func (s *PowerSensor) Skip(n int64) {
+	if s.NoiseSD <= 0 {
+		return
+	}
+	for ; n > 0; n-- {
+		s.rng.NormFloat64()
+	}
+}
+
 // Ideal returns a noiseless, lossless sensor (oracle ablations).
 func Ideal() *PowerSensor { return New(1, 0, 0, 1) }

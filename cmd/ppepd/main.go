@@ -73,17 +73,17 @@ func (f flags) validate(table arch.VFTable) error {
 	if f.vf < 1 || f.vf > len(table) {
 		return fmt.Errorf("ppepd: -vf %d out of range: this platform has VF states 1..%d", f.vf, len(table))
 	}
-	if f.seconds <= 0 {
-		return fmt.Errorf("ppepd: -seconds %v must be positive", f.seconds)
+	if !positive(f.seconds) {
+		return fmt.Errorf("ppepd: -seconds %v must be positive and finite", f.seconds)
 	}
 	if policies[f.policy] == nil {
 		return fmt.Errorf("ppepd: -policy %q unknown: want none, energy, edp or cap", f.policy)
 	}
-	if f.scale <= 0 {
-		return fmt.Errorf("ppepd: -scale %v must be positive", f.scale)
+	if !positive(f.scale) {
+		return fmt.Errorf("ppepd: -scale %v must be positive and finite", f.scale)
 	}
-	if f.capW <= 0 {
-		return fmt.Errorf("ppepd: -cap %v must be positive", f.capW)
+	if !positive(f.capW) {
+		return fmt.Errorf("ppepd: -cap %v must be positive and finite", f.capW)
 	}
 	if f.ring < 0 {
 		return fmt.Errorf("ppepd: -ring %d must be non-negative (0 keeps all history)", f.ring)
@@ -91,14 +91,18 @@ func (f flags) validate(table arch.VFTable) error {
 	if f.pace < 0 {
 		return fmt.Errorf("ppepd: -pace %v must be non-negative", f.pace)
 	}
-	if f.faultMSR < 0 || f.faultMSR >= 1 {
+	if !(f.faultMSR >= 0 && f.faultMSR < 1) {
 		return fmt.Errorf("ppepd: -fault-msr %v must be in [0, 1)", f.faultMSR)
 	}
-	if f.faultHwmon < 0 || f.faultHwmon >= 1 {
+	if !(f.faultHwmon >= 0 && f.faultHwmon < 1) {
 		return fmt.Errorf("ppepd: -fault-hwmon %v must be in [0, 1)", f.faultHwmon)
 	}
 	return nil
 }
+
+// positive reports whether x is a positive finite number: NaN fails
+// every comparison, so a plain x <= 0 check would let it through.
+func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 func main() {
 	var (

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -40,6 +41,17 @@ func TestFlagValidation(t *testing.T) {
 		{"msr rate 1", func(f *flags) { f.faultMSR = 1 }, "-fault-msr"},
 		{"msr rate negative", func(f *flags) { f.faultMSR = -0.1 }, "-fault-msr"},
 		{"hwmon rate 1.5", func(f *flags) { f.faultHwmon = 1.5 }, "-fault-hwmon"},
+		{"NaN seconds", func(f *flags) { f.seconds = math.NaN() }, "-seconds"},
+		{"infinite seconds", func(f *flags) { f.seconds = math.Inf(1) }, "-seconds"},
+		{"NaN scale", func(f *flags) { f.scale = math.NaN() }, "-scale"},
+		{"infinite scale", func(f *flags) { f.scale = math.Inf(1) }, "-scale"},
+		{"NaN cap", func(f *flags) { f.capW = math.NaN() }, "-cap"},
+		{"infinite cap", func(f *flags) { f.capW = math.Inf(1) }, "-cap"},
+		{"negative infinite cap", func(f *flags) { f.capW = math.Inf(-1) }, "-cap"},
+		{"NaN msr rate", func(f *flags) { f.faultMSR = math.NaN() }, "-fault-msr"},
+		{"infinite msr rate", func(f *flags) { f.faultMSR = math.Inf(1) }, "-fault-msr"},
+		{"NaN hwmon rate", func(f *flags) { f.faultHwmon = math.NaN() }, "-fault-hwmon"},
+		{"negative infinite hwmon rate", func(f *flags) { f.faultHwmon = math.Inf(-1) }, "-fault-hwmon"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

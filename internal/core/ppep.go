@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"ppep/internal/arch"
 	"ppep/internal/core/dynpower"
@@ -183,6 +184,32 @@ func (m *Models) AnalyzeInto(iv trace.Interval, rep *Report) error {
 			}
 		}
 		proj.IntervalEnergyJ = proj.ChipW.Over(units.Seconds(iv.DurS))
+		if err := m.checkRange(proj); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkRange refuses a projection that the interval's counts drove out
+// of floating-point range: a non-finite dynamic power or throughput, an
+// infinite chip power, or a throughput so small that the table row's
+// CPI, energy per instruction or EDP overflows. Counts no counter can
+// deliver (a MAB wait count 10^100 times the instruction count, say) do
+// that. An unusable idle model is not refused here: the publish gates
+// own it.
+func (m *Models) checkRange(p *Projection) error {
+	dynW, ips, chipW := float64(p.DynW), float64(p.TotalIPS), float64(p.ChipW)
+	bad := math.IsNaN(dynW) || math.IsInf(dynW, 0) || math.IsNaN(ips) || math.IsInf(ips, 0) || math.IsInf(chipW, 0)
+	if !bad && ips > 0 && ips < 1 {
+		// The row divides by the throughput (EDP twice); from one
+		// instruction a second up, a finite power keeps it finite.
+		row := m.predictionRow(p)
+		bad = math.IsInf(float64(row.CPI), 0) || math.IsInf(float64(row.JPerInst), 0) || math.IsInf(float64(row.EDP), 0)
+	}
+	if bad {
+		return fmt.Errorf("core: the interval's counts put its %s projection out of range (dyn_w %g, ips %g, chip_w %g)",
+			p.VF, dynW, ips, chipW)
 	}
 	return nil
 }

@@ -133,28 +133,32 @@ func (m *Models) PredictionTable(seq uint64, iv trace.Interval, rep *Report) *Pr
 		Rows:       make([]PredictionRow, len(rep.PerVF)),
 	}
 	for i := range rep.PerVF {
-		p := &rep.PerVF[i]
-		row := PredictionRow{
-			VF:              p.VF,
-			TotalIPS:        p.TotalIPS,
-			ChipW:           p.ChipW,
-			IdleW:           p.IdleW,
-			DynW:            p.DynW,
-			IntervalEnergyJ: p.IntervalEnergyJ,
-		}
-		if p.TotalIPS > 0 {
-			// Busy cores are those the predictor attributed a CPI to.
-			busy := 0
-			for _, c := range p.PerCoreCPI {
-				if c > 0 {
-					busy++
-				}
-			}
-			row.CPI = m.Table.Point(p.VF).Freq.AggregateCPI(busy, p.TotalIPS)
-			row.JPerInst = p.ChipW.PerRate(p.TotalIPS)
-			row.EDP = row.JPerInst.TimesDelay(p.TotalIPS.Invert())
-		}
-		t.Rows[i] = row
+		t.Rows[i] = m.predictionRow(&rep.PerVF[i])
 	}
 	return t
+}
+
+// predictionRow is the table row of one projection.
+func (m *Models) predictionRow(p *Projection) PredictionRow {
+	row := PredictionRow{
+		VF:              p.VF,
+		TotalIPS:        p.TotalIPS,
+		ChipW:           p.ChipW,
+		IdleW:           p.IdleW,
+		DynW:            p.DynW,
+		IntervalEnergyJ: p.IntervalEnergyJ,
+	}
+	if p.TotalIPS > 0 {
+		// Busy cores are those the predictor attributed a CPI to.
+		busy := 0
+		for _, c := range p.PerCoreCPI {
+			if c > 0 {
+				busy++
+			}
+		}
+		row.CPI = m.Table.Point(p.VF).Freq.AggregateCPI(busy, p.TotalIPS)
+		row.JPerInst = p.ChipW.PerRate(p.TotalIPS)
+		row.EDP = row.JPerInst.TimesDelay(p.TotalIPS.Invert())
+	}
+	return row
 }

@@ -319,7 +319,7 @@ func TestDaemonRunTellsRefusalsFromDeviceFaults(t *testing.T) {
 		}
 		rec := &recordingMSR{dev: d.sampler.dev, failOp: -1}
 		if fail {
-			rec.failOp = 100 // a counter read in the first interval's first window
+			rec.failOp = 100 // core 4's PERF_CTL[2] write in the first window's re-program
 		}
 		d.sampler.dev = rec
 		const intervals = 6

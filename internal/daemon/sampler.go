@@ -27,10 +27,22 @@ import (
 )
 
 // MSR is the register access surface the sampler needs (implemented by
-// internal/msr.Device).
+// internal/msr.Device). Each window makes one ReadCounters and one
+// ProgramCounters call per core; Rdmsr and Wrmsr serve the P-state
+// status read and the retry of a register a group call failed.
 type MSR interface {
 	Rdmsr(core int, addr uint32) (uint64, error)
 	Wrmsr(core int, addr uint32, val uint64) error
+	// ReadCounters reads PERF_CTR[from..5] of a core into v[from..5].
+	// It stops at the first register that fails and returns its slot
+	// with the error; otherwise it returns pmc.CountersPerCore and nil.
+	ReadCounters(core, from int, v *[pmc.CountersPerCore]uint64) (int, error)
+	// ProgramCounters writes the counter registers from..11 of a core
+	// in address order (msr.NumCounterRegs): PERF_CTL[slot] = ctl[slot]
+	// and then PERF_CTR[slot] = 0 for each slot. It stops at the first
+	// register that fails and returns its index with the error;
+	// otherwise it returns msr.NumCounterRegs and nil.
+	ProgramCounters(core, from int, ctl *[pmc.CountersPerCore]uint64) (int, error)
 }
 
 // Thermometer reads the socket diode (implemented by internal/hwmon).
@@ -90,6 +102,9 @@ type Sampler struct {
 	counts []arch.EventVec
 	// liveMS tracks how long each group has counted this interval.
 	liveMS [2]float64
+	// read receives a core's counters; a field, because an array passed
+	// through the MSR interface would escape to the heap.
+	read [pmc.CountersPerCore]uint64
 }
 
 // NewSampler programs the initial counter group on every core and
@@ -133,6 +148,16 @@ func (s *Sampler) count(f func(*Counters)) {
 // rdmsr reads a register with the retry budget.
 func (s *Sampler) rdmsr(core int, addr uint32) (uint64, error) {
 	v, err := s.dev.Rdmsr(core, addr)
+	if err != nil {
+		return s.reread(core, addr, err)
+	}
+	return v, nil
+}
+
+// reread retries a register read whose first attempt failed with err,
+// through Rdmsr, for the rest of the retry budget.
+func (s *Sampler) reread(core int, addr uint32, err error) (uint64, error) {
+	var v uint64
 	for a := 1; err != nil && a < s.retry.attempts(); a++ {
 		s.count(func(c *Counters) { c.MSRRetries.Add(1) })
 		s.retry.sleep(a)
@@ -144,9 +169,9 @@ func (s *Sampler) rdmsr(core int, addr uint32) (uint64, error) {
 	return v, err
 }
 
-// wrmsr writes a register with the retry budget.
-func (s *Sampler) wrmsr(core int, addr uint32, val uint64) error {
-	err := s.dev.Wrmsr(core, addr, val)
+// rewrite retries a register write whose first attempt failed with err,
+// through Wrmsr, for the rest of the retry budget.
+func (s *Sampler) rewrite(core int, addr uint32, val uint64, err error) error {
 	for a := 1; err != nil && a < s.retry.attempts(); a++ {
 		s.count(func(c *Counters) { c.MSRRetries.Add(1) })
 		s.retry.sleep(a)
@@ -158,17 +183,51 @@ func (s *Sampler) wrmsr(core int, addr uint32, val uint64) error {
 	return err
 }
 
+// readCounters reads a core's six counters with the retry budget: one
+// group call, and for a register it fails, the failed call counts as
+// the first attempt, the retries go through Rdmsr, and the group
+// resumes after that register.
+func (s *Sampler) readCounters(core int, v *[pmc.CountersPerCore]uint64) error {
+	for from := 0; from < pmc.CountersPerCore; {
+		slot, err := s.dev.ReadCounters(core, from, v)
+		if err == nil {
+			break
+		}
+		if v[slot], err = s.reread(core, msr.PerfCtr(slot), err); err != nil {
+			return fmt.Errorf("daemon: read core %d slot %d: %w", core, slot, err)
+		}
+		from = slot + 1
+	}
+	return nil
+}
+
+// programCounters writes a core's PERF_CTL registers for a group and
+// zeroes its counters with the retry budget, resuming the group call
+// after a register it failed as readCounters does.
+func (s *Sampler) programCounters(core int, ctl *[pmc.CountersPerCore]uint64) error {
+	for from := 0; from < msr.NumCounterRegs; {
+		g, err := s.dev.ProgramCounters(core, from, ctl)
+		if err == nil {
+			break
+		}
+		if slot := g / 2; g%2 == 0 {
+			if err := s.rewrite(core, msr.PerfCtl(slot), ctl[slot], err); err != nil {
+				return fmt.Errorf("daemon: program core %d slot %d: %w", core, slot, err)
+			}
+		} else if err := s.rewrite(core, msr.PerfCtr(slot), 0, err); err != nil {
+			return fmt.Errorf("daemon: zero core %d slot %d: %w", core, slot, err)
+		}
+		from = g + 1
+	}
+	return nil
+}
+
 // program writes the PERF_CTL registers of every core for a group and
 // zeroes the counters.
 func (s *Sampler) program(group int) error {
 	for core := 0; core < s.numCores; core++ {
-		for slot, ctl := range s.ctl[group] {
-			if err := s.wrmsr(core, msr.PerfCtl(slot), ctl); err != nil {
-				return fmt.Errorf("daemon: program core %d slot %d: %w", core, slot, err)
-			}
-			if err := s.wrmsr(core, msr.PerfCtr(slot), 0); err != nil {
-				return fmt.Errorf("daemon: zero core %d slot %d: %w", core, slot, err)
-			}
+		if err := s.programCounters(core, &s.ctl[group]); err != nil {
+			return err
 		}
 	}
 	s.active = group
@@ -190,13 +249,15 @@ func (s *Sampler) Reset() error {
 // the active group's counters on every core, then rotates to the other
 // group. windowMS is the wall-clock length the group was live.
 func (s *Sampler) OnWindow(windowMS float64) error {
+	// Group g counts events g·6+1 .. g·6+6, slot by slot.
+	base := s.active * pmc.CountersPerCore
 	for core := 0; core < s.numCores; core++ {
-		for slot, ev := range s.groups[s.active] {
-			v, err := s.rdmsr(core, msr.PerfCtr(slot))
-			if err != nil {
-				return fmt.Errorf("daemon: read core %d slot %d: %w", core, slot, err)
-			}
-			s.counts[core][int(ev)-1] += float64(v)
+		if err := s.readCounters(core, &s.read); err != nil {
+			return err
+		}
+		acc := (*[pmc.CountersPerCore]float64)(s.counts[core][base:])
+		for slot, x := range s.read {
+			acc[slot] += float64(x)
 		}
 	}
 	s.liveMS[s.active] += windowMS

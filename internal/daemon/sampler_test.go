@@ -1,14 +1,21 @@
 package daemon
 
 import (
+	"context"
 	"errors"
 	"math"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"ppep/internal/arch"
+	"ppep/internal/core"
 	"ppep/internal/fxsim"
 	"ppep/internal/msr"
+	"ppep/internal/pmc"
+	"ppep/internal/trace"
 )
 
 // fakeMSR is a scriptable register device: every counter read returns
@@ -48,6 +55,41 @@ func (f *fakeMSR) Wrmsr(core int, addr uint32, val uint64) error {
 	return f.gate()
 }
 
+// registerIO is a device with only the per-register calls.
+type registerIO interface {
+	Rdmsr(core int, addr uint32) (uint64, error)
+	Wrmsr(core int, addr uint32, val uint64) error
+}
+
+// perRegister gives a per-register device the group calls, one Rdmsr or
+// Wrmsr per register in the order msr.Device's own group calls take
+// them: the reference those are checked against.
+type perRegister struct{ registerIO }
+
+func (p perRegister) ReadCounters(core, from int, v *[pmc.CountersPerCore]uint64) (int, error) {
+	for slot := from; slot < pmc.CountersPerCore; slot++ {
+		x, err := p.Rdmsr(core, msr.PerfCtr(slot))
+		if err != nil {
+			return slot, err
+		}
+		v[slot] = x
+	}
+	return pmc.CountersPerCore, nil
+}
+
+func (p perRegister) ProgramCounters(core, from int, ctl *[pmc.CountersPerCore]uint64) (int, error) {
+	for g := from; g < msr.NumCounterRegs; g++ {
+		var val uint64
+		if g%2 == 0 {
+			val = ctl[g/2]
+		}
+		if err := p.Wrmsr(core, msr.PerfCtlBase+uint32(g), val); err != nil {
+			return g, err
+		}
+	}
+	return msr.NumCounterRegs, nil
+}
+
 func newTestSampler(t *testing.T, dev MSR, cores int) *Sampler {
 	t.Helper()
 	s, err := NewSampler(dev, cores, arch.FX8320VFTable)
@@ -62,8 +104,7 @@ func newTestSampler(t *testing.T, dev MSR, cores int) *Sampler {
 // events must come out zero (unobserved) — not NaN or Inf from a
 // division by zero live time.
 func TestSamplerPartialInterval(t *testing.T) {
-	dev := &fakeMSR{ctrVal: 1000}
-	s := newTestSampler(t, dev, 2)
+	s := newTestSampler(t, perRegister{&fakeMSR{ctrVal: 1000}}, 2)
 	if err := s.OnWindow(20); err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +138,7 @@ func TestSamplerPartialInterval(t *testing.T) {
 // two groups covered different shares of the interval: each group's raw
 // counts scale by intervalMS over its own live time.
 func TestSamplerUnequalLiveTime(t *testing.T) {
-	dev := &fakeMSR{ctrVal: 300}
-	s := newTestSampler(t, dev, 1)
+	s := newTestSampler(t, perRegister{&fakeMSR{ctrVal: 300}}, 1)
 	if err := s.OnWindow(30); err != nil { // group 0 live for 30 ms
 		t.Fatal(err)
 	}
@@ -126,7 +166,7 @@ func TestSamplerUnequalLiveTime(t *testing.T) {
 // succeed without surfacing an error while the budget lasts.
 func TestSamplerRetryBackoff(t *testing.T) {
 	dev := &fakeMSR{ctrVal: 50}
-	s := newTestSampler(t, dev, 1)
+	s := newTestSampler(t, perRegister{dev}, 1)
 	var counters Counters
 	var sleeps []time.Duration
 	s.SetRetry(Retry{
@@ -156,7 +196,7 @@ func TestSamplerRetryBackoff(t *testing.T) {
 // restores a programmable sampler.
 func TestSamplerRetryExhaustion(t *testing.T) {
 	dev := &fakeMSR{ctrVal: 50}
-	s := newTestSampler(t, dev, 1)
+	s := newTestSampler(t, perRegister{dev}, 1)
 	var counters Counters
 	s.SetRetry(Retry{Attempts: 3}, &counters)
 
@@ -212,11 +252,12 @@ type regOp struct {
 	val   uint64
 }
 
-// recordingMSR forwards every operation to dev and logs it. The
-// operation with index failOp (counting from 0) fails instead of being
-// forwarded; failOp < 0 fails none.
+// recordingMSR forwards every register operation to dev and logs it.
+// The operation with index failOp (counting from 0) fails instead of
+// being forwarded; failOp < 0 fails none. Its group calls are its own,
+// not perRegister's: they log and forward register by register.
 type recordingMSR struct {
-	dev    MSR
+	dev    registerIO
 	ops    []regOp
 	failOp int
 }
@@ -237,6 +278,53 @@ func (r *recordingMSR) Wrmsr(core int, addr uint32, val uint64) error {
 	return r.dev.Wrmsr(core, addr, val)
 }
 
+func (r *recordingMSR) ReadCounters(core, from int, v *[pmc.CountersPerCore]uint64) (int, error) {
+	for slot := from; slot < pmc.CountersPerCore; slot++ {
+		addr := msr.PerfCtrBase + 2*uint32(slot)
+		r.ops = append(r.ops, regOp{core: core, addr: addr})
+		if len(r.ops)-1 == r.failOp {
+			return slot, errFakeTransient
+		}
+		x, err := r.dev.Rdmsr(core, addr)
+		if err != nil {
+			return slot, err
+		}
+		v[slot] = x
+	}
+	return pmc.CountersPerCore, nil
+}
+
+func (r *recordingMSR) ProgramCounters(core, from int, ctl *[pmc.CountersPerCore]uint64) (int, error) {
+	for g := from; g < msr.NumCounterRegs; g++ {
+		op := regOp{write: true, core: core, addr: msr.PerfCtlBase + uint32(g)}
+		if g%2 == 0 {
+			op.val = ctl[g/2]
+		}
+		r.ops = append(r.ops, op)
+		if len(r.ops)-1 == r.failOp {
+			return g, errFakeTransient
+		}
+		if err := r.dev.Wrmsr(core, op.addr, op.val); err != nil {
+			return g, err
+		}
+	}
+	return msr.NumCounterRegs, nil
+}
+
+// namedMSR reads every counter register as a value that names its core
+// and address, and P0 from the P-state status register, so a count
+// read into the wrong slot or core shows in the interval.
+type namedMSR struct{}
+
+func (namedMSR) Rdmsr(core int, addr uint32) (uint64, error) {
+	if addr == msr.PStateStatus {
+		return 0, nil
+	}
+	return uint64(core)<<16 | uint64(addr&0xFFFF), nil
+}
+
+func (namedMSR) Wrmsr(int, uint32, uint64) error { return nil }
+
 // opsPerInterval is the register traffic of one 200 ms interval on the
 // 8-core FX-8320: every 20 ms window reads the live group's six counters
 // and programs the other group's six selects and zeroes its six
@@ -244,25 +332,64 @@ func (r *recordingMSR) Wrmsr(core int, addr uint32, val uint64) error {
 // read per core.
 const opsPerInterval = 10*8*(6+12) + 8
 
+// intervalRun is what one sampled interval showed: the register
+// operations, the retry and failure counts, and the interval or the
+// error that ended it.
+type intervalRun struct {
+	ops      []regOp
+	counters CounterSnapshot
+	iv       trace.Interval
+	err      string
+}
+
+// sampleInterval samples one interval of the 8-core FX-8320 through a
+// recording device wrapped by wrap, with the operation failOp of the
+// interval failing once and the given retry attempts.
+func sampleInterval(t *testing.T, wrap func(*recordingMSR) MSR, failOp, attempts int) intervalRun {
+	t.Helper()
+	rec := &recordingMSR{dev: namedMSR{}, failOp: -1}
+	s := newTestSampler(t, wrap(rec), 8)
+	var c Counters
+	s.SetRetry(Retry{Attempts: attempts}, &c)
+	rec.ops, rec.failOp = nil, failOp // the initial group-0 programming is not part of the interval
+	var run intervalRun
+	var err error
+	for w := 0; w < 10 && err == nil; w++ {
+		err = s.OnWindow(20)
+	}
+	if err == nil {
+		run.iv, err = s.EndInterval(1.0, 200, 318)
+	}
+	if err != nil {
+		run.err = err.Error()
+	}
+	run.ops, run.counters = rec.ops, c.Snapshot()
+	return run
+}
+
+// groupDevices are the two ways a device gets its group calls: the
+// per-register reference, and a device with group calls of its own.
+var groupDevices = []struct {
+	name string
+	wrap func(*recordingMSR) MSR
+}{
+	{"per-register", func(r *recordingMSR) MSR { return perRegister{r} }},
+	{"group", func(r *recordingMSR) MSR { return r }},
+}
+
 // TestSamplerRegisterTrace pins the register path of one interval: the
 // order, the addresses and the written values of every operation, as
 // the AMD family-15h layout and Table I spell them. The fault-injection
 // stream draws once per operation, so a seeded faulted run reproduces
-// only while this sequence holds.
+// only while this sequence holds. Both the per-register reference and a
+// device with its own group calls must issue it. Then every operation
+// of the interval fails once, with one attempt and with three: both
+// devices must give the same operations, counters and interval or
+// error. With three attempts the failed operation is retried once in
+// place and the interval is the fault-free one; with one attempt the
+// interval ends at the failed operation.
 func TestSamplerRegisterTrace(t *testing.T) {
 	const cores = 8
-	rec := &recordingMSR{dev: &fakeMSR{ctrVal: 7}, failOp: -1}
-	s := newTestSampler(t, rec, cores)
-	rec.ops = nil // the initial group-0 programming is not part of the interval
-	for w := 0; w < 10; w++ {
-		if err := s.OnWindow(20); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := s.EndInterval(1.0, 200, 318); err != nil {
-		t.Fatal(err)
-	}
-
 	// Table I event-select codes, group 0 (E1–E6) and group 1 (E7–E12),
 	// with the family-15h enable bit 22.
 	codes := [2][6]uint64{
@@ -291,18 +418,55 @@ func TestSamplerRegisterTrace(t *testing.T) {
 	if len(want) != opsPerInterval {
 		t.Fatalf("expected trace has %d operations, opsPerInterval says %d", len(want), opsPerInterval)
 	}
-	if len(rec.ops) != len(want) {
-		t.Fatalf("interval issued %d register operations, want %d", len(rec.ops), len(want))
+
+	var clean intervalRun
+	for _, dev := range groupDevices {
+		run := sampleInterval(t, dev.wrap, -1, 1)
+		if run.err != "" {
+			t.Fatalf("%s: %s", dev.name, run.err)
+		}
+		if len(run.ops) != len(want) {
+			t.Fatalf("%s: interval issued %d register operations, want %d", dev.name, len(run.ops), len(want))
+		}
+		for i := range want {
+			if run.ops[i] != want[i] {
+				t.Fatalf("%s: operation %d is %+v, want %+v", dev.name, i, run.ops[i], want[i])
+			}
+		}
+		clean = run
 	}
-	for i := range want {
-		if rec.ops[i] != want[i] {
-			t.Fatalf("operation %d is %+v, want %+v", i, rec.ops[i], want[i])
+
+	for _, attempts := range []int{1, 3} {
+		for failOp := 0; failOp < opsPerInterval; failOp++ {
+			ref := sampleInterval(t, groupDevices[0].wrap, failOp, attempts)
+			got := sampleInterval(t, groupDevices[1].wrap, failOp, attempts)
+			if !slices.Equal(got.ops, ref.ops) || got.counters != ref.counters ||
+				got.err != ref.err || !reflect.DeepEqual(got.iv, ref.iv) {
+				t.Fatalf("attempts %d, operation %d fails: group device %+v / %q, per-register %+v / %q",
+					attempts, failOp, got.counters, got.err, ref.counters, ref.err)
+			}
+			wantOps := slices.Concat(want[:failOp+1], want[failOp:])
+			wantCounters := CounterSnapshot{MSRRetries: 1}
+			if attempts == 1 {
+				wantOps = want[:failOp+1]
+				wantCounters = CounterSnapshot{MSRFailures: 1}
+				if ref.err == "" {
+					t.Fatalf("attempts 1, operation %d fails: the interval did not fail", failOp)
+				}
+			} else if ref.err != "" || !reflect.DeepEqual(ref.iv, clean.iv) {
+				t.Fatalf("attempts 3, operation %d fails: interval differs from the fault-free one (%s)", failOp, ref.err)
+			}
+			if !slices.Equal(ref.ops, wantOps) || ref.counters != wantCounters {
+				t.Fatalf("attempts %d, operation %d fails: %d operations and counters %+v, want %d and %+v",
+					attempts, failOp, len(ref.ops), ref.counters, len(wantOps), wantCounters)
+			}
 		}
 	}
 }
 
 // TestSamplerOnWindowAllocs pins the window path at zero allocations:
-// 48 counter reads and 96 register writes through the real MSR device.
+// 48 counter reads and 96 register writes, in one ReadCounters and one
+// ProgramCounters call per core, through the real MSR device.
 func TestSamplerOnWindowAllocs(t *testing.T) {
 	cfg := fxsim.DefaultFX8320Config()
 	cfg.IdealSensor = true
@@ -316,4 +480,155 @@ func TestSamplerOnWindowAllocs(t *testing.T) {
 	if n != 0 {
 		t.Errorf("OnWindow allocates %.1f times, want 0", n)
 	}
+}
+
+// TestDeviceGroupCallsMatchPerRegister drives msr.Device's group calls
+// and perRegister over a twin device, on twin busy chips with the same
+// fault stream (none, and a 20% fault rate), through random cores (one
+// past the last included), starting registers and PERF_CTL values.
+// Every call must stop at the same register with the same error and
+// read the same values, and the counter files must hold the same counts
+// after every call and tick.
+func TestDeviceGroupCallsMatchPerRegister(t *testing.T) {
+	for _, rate := range []float64{0, 0.2} {
+		testGroupCallsMatch(t, rate)
+	}
+}
+
+func testGroupCallsMatch(t *testing.T, rate float64) {
+	open := func() (*msr.Device, *fxsim.Chip) {
+		chip := busyChip(t, false)
+		dev := msr.Open(chip)
+		dev.InjectFaults(rate, 5)
+		return dev, chip
+	}
+	group, gchip := open()
+	refDev, rchip := open()
+	ref := perRegister{refDev}
+	cores := gchip.Topology().NumCores()
+	rng := rand.New(rand.NewSource(3))
+	ctlValues := []uint64{0, msr.EncodeCtl(0x0c0), msr.EncodeCtl(0x076), msr.EncodeCtl(0xfff), 0x0c0}
+	for i := 0; i < 4000; i++ {
+		core := rng.Intn(cores + 1)
+		var gi, ri int
+		var gerr, rerr error
+		if rng.Intn(2) == 0 {
+			from := rng.Intn(pmc.CountersPerCore + 1)
+			var gv, rv [pmc.CountersPerCore]uint64
+			gi, gerr = group.ReadCounters(core, from, &gv)
+			ri, rerr = ref.ReadCounters(core, from, &rv)
+			if gv != rv {
+				t.Fatalf("rate %g, call %d: ReadCounters(%d, %d) read %v, per register %v", rate, i, core, from, gv, rv)
+			}
+		} else {
+			from := rng.Intn(msr.NumCounterRegs + 1)
+			var ctl [pmc.CountersPerCore]uint64
+			for slot := range ctl {
+				ctl[slot] = ctlValues[rng.Intn(len(ctlValues))]
+			}
+			gi, gerr = group.ProgramCounters(core, from, &ctl)
+			ri, rerr = ref.ProgramCounters(core, from, &ctl)
+		}
+		if gi != ri || (gerr == nil) != (rerr == nil) {
+			t.Fatalf("rate %g, call %d on core %d: group call stopped at %d (%v), per register at %d (%v)", rate, i, core, gi, gerr, ri, rerr)
+		}
+		// Past the last core the group call reports the range error
+		// where Rdmsr and Wrmsr may report the fault they drew first.
+		if core < cores && gerr != nil && gerr.Error() != rerr.Error() {
+			t.Fatalf("rate %g, call %d: group call failed with %q, per register with %q", rate, i, gerr, rerr)
+		}
+		if rng.Intn(4) == 0 {
+			gchip.Tick()
+			rchip.Tick()
+		}
+		for c := 0; c < cores; c++ {
+			if g, r := gchip.CounterFile(c).Counts(), rchip.CounterFile(c).Counts(); g != r {
+				t.Fatalf("rate %g, call %d: core %d counts %v, per register %v", rate, i, c, g, r)
+			}
+		}
+	}
+}
+
+// faultIntervals is the length of one FuzzSamplerFaults run, counted in
+// completed or skipped intervals.
+const faultIntervals = 6
+
+// faultedRun drives the service loop on a busy FX-8320 for
+// faultIntervals intervals under injected MSR and diode faults, with
+// three attempts per operation, through msr.Device's group calls or,
+// with perReg, through perRegister over the same device. It returns the
+// daemon's counters and every table it published.
+func faultedRun(t *testing.T, perReg bool, seed int64, msrRate, hwmonRate float64) (CounterSnapshot, []*core.PredictionTable) {
+	t.Helper()
+	d, err := AttachOpts(busyChip(t, false), models(t), nil, Options{HistoryCap: 4, Retry: Retry{Attempts: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.InjectFaults(msrRate, hwmonRate, seed)
+	if perReg {
+		d.sampler.dev = perRegister{d.sampler.dev}
+	}
+	var tables []*core.PredictionTable
+	d.OnInterval = func(Record) { tables = append(tables, d.Predictions()) }
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	n := 0
+	d.Throttle = func() {
+		if n++; n == faultIntervals {
+			cancel()
+		}
+	}
+	if err := d.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run returned %v, want context.Canceled", err)
+	}
+	return d.Counters().Snapshot(), tables
+}
+
+// tableBits lists every field of a prediction table, floats as their
+// bit patterns.
+func tableBits(t *core.PredictionTable) []uint64 {
+	f := func(x float64) uint64 { return math.Float64bits(x) }
+	bits := []uint64{t.Seq, f(float64(t.TimeS)), f(float64(t.DurS)), uint64(t.MeasuredVF),
+		f(float64(t.MeasPowerW)), f(float64(t.TempK))}
+	for _, r := range t.Rows {
+		bits = append(bits, uint64(r.VF), f(float64(r.CPI)), f(float64(r.TotalIPS)), f(float64(r.ChipW)),
+			f(float64(r.IdleW)), f(float64(r.DynW)), f(float64(r.IntervalEnergyJ)), f(float64(r.JPerInst)), f(float64(r.EDP)))
+	}
+	return bits
+}
+
+// FuzzSamplerFaults runs the service loop under injected MSR and diode
+// faults at fuzzed rates in [0, 1) and a fuzzed seed, once through
+// msr.Device's group calls and once through the per-register reference.
+// Both must count the same retries, failures, skips and intervals and
+// publish the same tables bit for bit, and every published table must
+// pass Validate.
+func FuzzSamplerFaults(f *testing.F) {
+	f.Add(int64(7), 0.12, 0.15)
+	f.Add(int64(1), 0.0, 0.0)
+	f.Add(int64(2), 0.01, 0.0)
+	f.Add(int64(5), 0.05, 0.3)
+	f.Add(int64(3), 0.3, 0.5)
+	f.Add(int64(4), 0.9, 0.99)
+	f.Fuzz(func(t *testing.T, seed int64, msrRate, hwmonRate float64) {
+		if !(msrRate >= 0 && msrRate < 1 && hwmonRate >= 0 && hwmonRate < 1) {
+			t.Skip("fault rates outside [0, 1)")
+		}
+		gotCounters, got := faultedRun(t, false, seed, msrRate, hwmonRate)
+		wantCounters, want := faultedRun(t, true, seed, msrRate, hwmonRate)
+		if gotCounters != wantCounters {
+			t.Fatalf("group calls count %+v, per register %+v", gotCounters, wantCounters)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("group calls published %d tables, per register %d", len(got), len(want))
+		}
+		for i := range got {
+			if err := got[i].Validate(); err != nil {
+				t.Fatalf("published table %d: %v", i, err)
+			}
+			if !slices.Equal(tableBits(got[i]), tableBits(want[i])) {
+				t.Fatalf("published table %d differs: group calls %+v, per register %+v", i, *got[i], *want[i])
+			}
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -125,6 +126,9 @@ func TestOptionsValidation(t *testing.T) {
 		frag string
 	}{
 		{Options{Scale: -0.5}, "Scale"},
+		{Options{Scale: math.NaN()}, "Scale"},
+		{Options{Scale: math.Inf(1)}, "Scale"},
+		{Options{Scale: math.Inf(-1)}, "Scale"},
 		{Options{MaxRunsPerSuite: -1}, "MaxRunsPerSuite"},
 		{Options{Workers: -2}, "Workers"},
 	}

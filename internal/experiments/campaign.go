@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strconv"
 	"sync"
@@ -56,10 +57,11 @@ type Options struct {
 }
 
 // validate rejects option values that would otherwise be silently
-// coerced (a negative Scale used to be treated as 1 by scaleBench).
+// coerced (a negative Scale used to be treated as 1 by scaleBench) or
+// would scale every benchmark to a NaN or infinite length.
 func (o Options) validate() error {
-	if o.Scale < 0 {
-		return fmt.Errorf("experiments: Options.Scale %v is negative (use 0 for the default full scale)", o.Scale)
+	if !(o.Scale >= 0) || math.IsInf(o.Scale, 1) {
+		return fmt.Errorf("experiments: Options.Scale %v is not a finite non-negative number (use 0 for the default full scale)", o.Scale)
 	}
 	if o.MaxRunsPerSuite < 0 {
 		return fmt.Errorf("experiments: Options.MaxRunsPerSuite %d is negative (use 0 for all runs)", o.MaxRunsPerSuite)

@@ -40,6 +40,12 @@ func PerfCtl(slot int) uint32 { return PerfCtlBase + 2*uint32(slot) }
 // PerfCtr returns the counter register address for a counter slot.
 func PerfCtr(slot int) uint32 { return PerfCtrBase + 2*uint32(slot) }
 
+// NumCounterRegs is the number of counter registers per core: each
+// slot's PERF_CTL and PERF_CTR. ProgramCounters numbers them in address
+// order, so counter register g is at PerfCtlBase+g: PERF_CTL[g/2] for
+// an even g, PERF_CTR[g/2] for an odd one.
+const NumCounterRegs = 2 * pmc.CountersPerCore
+
 // The enable bit of a PERF_CTL value (bit 22 on family 15h).
 const CtlEnable = 1 << 22
 
@@ -62,11 +68,23 @@ func DecodeCtl(v uint64) (code uint16, enabled bool) {
 // the software-visible path PPEP's sampler uses; the chip must have
 // counter files enabled.
 //
+// Rdmsr and Wrmsr access one register. ReadCounters and ProgramCounters
+// do one core's share of a multiplexing window in one call, as
+// msr-safe's batch ioctl does on hardware; register for register, they
+// do what the equivalent Rdmsr and Wrmsr sequence does, fault draws
+// included.
+//
 // Device is not safe for concurrent use: like the real /dev/cpu/*/msr
 // file descriptors, it belongs to the single sampling loop.
 type Device struct {
 	chip   *fxsim.Chip
 	faults faultInjector
+	// faultErrs holds each counter register's transient-fault error per
+	// core, formatted once when injection is switched on, so the group
+	// calls fail without formatting. Index g < NumCounterRegs is the
+	// write of counter register g; NumCounterRegs+slot is the read of
+	// PERF_CTR[slot].
+	faultErrs [][NumCounterRegs + pmc.CountersPerCore]error
 	// Resolved once at Open: every core's counter file, the CU a core
 	// belongs to, and the VF table the P-state registers index.
 	files      []*pmc.CounterFile
@@ -129,7 +147,27 @@ func (d *Device) file(core int) *pmc.CounterFile {
 // disables injection.
 func (d *Device) InjectFaults(rate float64, seed int64) {
 	d.faults = newFaultInjector(rate, seed)
+	if rate > 0 && d.faultErrs == nil {
+		d.faultErrs = make([][NumCounterRegs + pmc.CountersPerCore]error, len(d.files))
+		for core := range d.faultErrs {
+			errs := &d.faultErrs[core]
+			for g := 0; g < NumCounterRegs; g++ {
+				errs[g] = faultError("wrmsr", core, PerfCtlBase+uint32(g))
+			}
+			for slot := 0; slot < pmc.CountersPerCore; slot++ {
+				errs[NumCounterRegs+slot] = faultError("rdmsr", core, PerfCtr(slot))
+			}
+		}
+	}
 }
+
+// faultError is the injected transient fault of one register operation.
+func faultError(op string, core int, addr uint32) error {
+	return fmt.Errorf("msr: %s core %d reg %#x: %w", op, core, addr, ErrTransient)
+}
+
+// errCoreRange is the error of an operation on a core the chip lacks.
+var errCoreRange = errors.New("msr: core out of range")
 
 // faultInjector draws deterministic Bernoulli fault decisions from an
 // xorshift64* stream (math/rand's global functions are avoided module-wide
@@ -159,14 +197,30 @@ func (f *faultInjector) hit() bool {
 	return float64(u>>11)/(1<<53) < f.rate
 }
 
+// firstHit draws the faults of operations from..n-1 in order, stopping
+// at the first that hits, and returns its index, or n if none does. A
+// group call draws its registers' faults up front: they do not depend
+// on the registers' effects.
+func (f *faultInjector) firstHit(from, n int) int {
+	if f.rate <= 0 {
+		return n
+	}
+	for i := from; i < n; i++ {
+		if f.hit() {
+			return i
+		}
+	}
+	return n
+}
+
 // Rdmsr reads a register on a core.
 func (d *Device) Rdmsr(core int, addr uint32) (uint64, error) {
 	if d.faults.hit() {
-		return 0, fmt.Errorf("msr: rdmsr core %d reg %#x: %w", core, addr, ErrTransient)
+		return 0, faultError("rdmsr", core, addr)
 	}
 	cf := d.file(core)
 	if cf == nil {
-		return 0, fmt.Errorf("msr: core %d out of range", core)
+		return 0, errCoreRange
 	}
 	switch kind, slot := decode(addr); kind {
 	case regPStateStatus, regPStateControl:
@@ -186,11 +240,11 @@ func (d *Device) Rdmsr(core int, addr uint32) (uint64, error) {
 // Wrmsr writes a register on a core.
 func (d *Device) Wrmsr(core int, addr uint32, val uint64) error {
 	if d.faults.hit() {
-		return fmt.Errorf("msr: wrmsr core %d reg %#x: %w", core, addr, ErrTransient)
+		return faultError("wrmsr", core, addr)
 	}
 	cf := d.file(core)
 	if cf == nil {
-		return fmt.Errorf("msr: core %d out of range", core)
+		return errCoreRange
 	}
 	switch kind, slot := decode(addr); kind {
 	case regPStateControl:
@@ -203,14 +257,77 @@ func (d *Device) Wrmsr(core int, addr uint32, val uint64) error {
 	case regPStateStatus:
 		return fmt.Errorf("msr: P-state status is read-only")
 	case regCtl:
-		code, enabled := DecodeCtl(val)
-		if !enabled {
-			code = 0xFFFF // disable slot
-		}
-		return cf.Program(slot, code)
+		return cf.Program(slot, selectCode(val))
 	case regCtr:
 		return cf.Write(slot, val)
 	default:
 		return fmt.Errorf("msr: unmapped register %#x", addr)
 	}
+}
+
+// selectCode is the event code a PERF_CTL value programs: its event
+// select, or 0xFFFF (no event) with the enable bit clear.
+func selectCode(ctl uint64) uint16 {
+	code, enabled := DecodeCtl(ctl)
+	if !enabled {
+		return 0xFFFF
+	}
+	return code
+}
+
+// ReadCounters reads PERF_CTR[from..5] of a core into v[from..5], as
+// Rdmsr does register by register. It stops at the first register that
+// fails and returns its slot with the error; otherwise it returns
+// pmc.CountersPerCore and nil. from is 0..6; v[:from] is left alone.
+//
+//ppep:hotpath
+func (d *Device) ReadCounters(core, from int, v *[pmc.CountersPerCore]uint64) (int, error) {
+	cf := d.file(core)
+	if cf == nil {
+		return d.noCore(from, pmc.CountersPerCore)
+	}
+	end := d.faults.firstHit(from, pmc.CountersPerCore)
+	counts := cf.Counts()
+	copy(v[from:end], counts[from:end])
+	if end < pmc.CountersPerCore {
+		return end, d.faultErrs[core][NumCounterRegs+end]
+	}
+	return end, nil
+}
+
+// ProgramCounters writes counter registers from..NumCounterRegs-1 of a
+// core, as Wrmsr does register by register: each slot's PERF_CTL gets
+// ctl[slot], and then its PERF_CTR is zeroed. It stops at the first
+// register that fails and returns its index with the error; otherwise
+// it returns NumCounterRegs and nil. from is 0..NumCounterRegs.
+//
+//ppep:hotpath
+func (d *Device) ProgramCounters(core, from int, ctl *[pmc.CountersPerCore]uint64) (int, error) {
+	cf := d.file(core)
+	if cf == nil {
+		return d.noCore(from, NumCounterRegs)
+	}
+	end := d.faults.firstHit(from, NumCounterRegs)
+	for g := from; g < end; g++ {
+		if slot := g >> 1; g&1 == 0 {
+			cf.Select(slot, selectCode(ctl[slot]))
+		} else {
+			cf.Set(slot, 0)
+		}
+	}
+	if end < NumCounterRegs {
+		return end, d.faultErrs[core][end]
+	}
+	return end, nil
+}
+
+// noCore is a group call's failure on a core out of range: like Rdmsr
+// and Wrmsr, the first register draws its fault and then fails the core
+// check, with the range error whether or not the draw hit.
+func (d *Device) noCore(from, n int) (int, error) {
+	if from >= n {
+		return n, nil
+	}
+	d.faults.hit()
+	return from, errCoreRange
 }

@@ -146,12 +146,21 @@ func (cf *CounterFile) Program(slot int, code uint16) error {
 	if uint(slot) >= CountersPerCore {
 		return slotError(slot)
 	}
+	cf.Select(slot, code)
+	return nil
+}
+
+// Select is Program for a slot the caller has already checked: it
+// returns no error, and a slot outside 0..5 panics. It is the MSR
+// device's group write, which ranges over the six slots itself.
+//
+//ppep:inline
+func (cf *CounterFile) Select(slot int, code uint16) {
 	cf.event[slot] = -1
 	if int(code) < len(eventOfCode) {
 		cf.event[slot] = int(eventOfCode[code])
 	}
 	cf.counts[slot] = 0
-	return nil
 }
 
 // Read returns the current value of a counter slot.
@@ -172,9 +181,20 @@ func (cf *CounterFile) Write(slot int, v uint64) error {
 	if uint(slot) >= CountersPerCore {
 		return slotError(slot)
 	}
-	cf.counts[slot] = v
+	cf.Set(slot, v)
 	return nil
 }
+
+// Set is Write for a slot the caller has already checked, as Select is
+// for Program.
+//
+//ppep:inline
+func (cf *CounterFile) Set(slot int, v uint64) { cf.counts[slot] = v }
+
+// Counts returns all six counter registers in one read.
+//
+//ppep:inline
+func (cf *CounterFile) Counts() [CountersPerCore]uint64 { return cf.counts }
 
 // Accumulate advances every programmed counter by the matching event's
 // increment. Counters wrap at 48 bits as on AMD hardware.

@@ -60,14 +60,20 @@ smoke:
 # twice into the same fresh cache directory. The last run must be pure
 # decode (misses=0 in the greppable stats line, see docs/CACHE.md), and
 # all three must print the same experiment table and headline: only the
-# timing and `trace cache` lines may differ. Bit-transparency of every
-# trace is covered separately by TestCacheEquivalence.
+# timing and `trace cache` lines may differ. The cache directory must
+# hold exactly one sealed segment after the cold run and still exactly
+# one after the warm run (which therefore wrote nothing), and no `.tmp-*`
+# file after either. Bit-transparency of every trace is covered
+# separately by TestCacheEquivalence.
 smoke-cache:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/ppep-experiments" ./cmd/ppep-experiments && \
 	run() { "$$dir/ppep-experiments" -scale 0.01 -max 3 -run sec4a-idle "$$@"; } && \
 	results() { grep -v -e 'trace cache' -e '^ *([0-9.]*s)$$' | sed 's/ready in [0-9.]*s/ready/'; } && \
-	none=$$(run) && cold=$$(run -cache-dir "$$dir/cache") && warm=$$(run -cache-dir "$$dir/cache") && \
+	files() { segs=$$(ls -A "$$dir/cache" | grep -c '^seg-.*\.ppts$$' || :) && tmps=$$(ls -A "$$dir/cache" | grep -c '^\.tmp-' || :) && \
+		{ [ "$$segs" = 1 ] && [ "$$tmps" = 0 ] || \
+		{ echo "smoke-cache: after the $$1 run the cache holds $$segs sealed segments and $$tmps temp files (want 1 and 0)"; return 1; }; }; } && \
+	none=$$(run) && cold=$$(run -cache-dir "$$dir/cache") && files cold && warm=$$(run -cache-dir "$$dir/cache") && files warm && \
 	echo "$$warm" | grep 'trace cache' && \
 	{ echo "$$warm" | grep -q 'misses=0 ' || { echo "smoke-cache: warm run re-simulated (want misses=0)"; exit 1; }; } && \
 	want=$$(echo "$$none" | results) && \

@@ -16,7 +16,7 @@
 // every deterministic campaign cell is stored under DIR keyed by its full
 // identity, so a repeat invocation with the same configuration decodes
 // traces instead of re-simulating them, bit-identically. -cache-max-mb
-// bounds the directory size (oldest entries evicted; 0 = unbounded). The
+// bounds the directory size (oldest segments evicted; 0 = unbounded). The
 // cache statistics are printed after each campaign in greppable
 // key=value form (hits=… misses=…).
 package main
@@ -41,7 +41,7 @@ func main() {
 		md      = flag.String("md", "", "also write all results as a Markdown report to this file")
 
 		cacheDir   = flag.String("cache-dir", "", "persistent simulation-trace cache directory (empty = no cache)")
-		cacheMaxMB = flag.Int64("cache-max-mb", 0, "cache size cap in MiB, oldest entries evicted (0 = unbounded)")
+		cacheMaxMB = flag.Int64("cache-max-mb", 0, "cache size cap in MiB, oldest segments evicted (0 = unbounded)")
 	)
 	flag.Parse()
 

@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"ppep/internal/trace"
 	"ppep/internal/tracecodec"
 )
 
@@ -81,30 +84,17 @@ func TestCacheEquivalence(t *testing.T) {
 			warmStats.Hits, coldStats.Misses)
 	}
 
+	// The cold build and its exploration sealed one segment each; the
+	// warm rebuild wrote nothing.
+	if segs, err := filepath.Glob(filepath.Join(opts.CacheDir, "seg-*.ppts")); err != nil || len(segs) != 2 {
+		t.Errorf("cache holds segments %v (%v), want 2", segs, err)
+	}
+
 	// Drop two idle transients: the rebuild heats once for the two cells
 	// that miss and decodes the rest.
-	removed := 0
-	entries, err := os.ReadDir(opts.CacheDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		path := filepath.Join(opts.CacheDir, e.Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := tracecodec.Decode(data)
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name(), err)
-		}
-		if tr.Run == "heatcool-VF2" || tr.Run == "heatcool-VF4" {
-			if err := os.Remove(path); err != nil {
-				t.Fatal(err)
-			}
-			removed++
-		}
-	}
+	removed := dropEntries(t, opts.CacheDir, func(tr *trace.Trace) bool {
+		return tr.Run == "heatcool-VF2" || tr.Run == "heatcool-VF4"
+	})
 	if removed != 2 {
 		t.Fatalf("removed %d idle entries, want 2", removed)
 	}
@@ -118,6 +108,57 @@ func TestCacheEquivalence(t *testing.T) {
 	if st, _ := partial.CacheStats(); st.Misses != 2 {
 		t.Errorf("partially warm stats = %+v, want exactly 2 misses", st)
 	}
+}
+
+// dropEntries rewrites every sealed segment in dir without the entries
+// whose trace drop selects, and returns how many it dropped. It follows
+// the segment layout of docs/CACHE.md: the entries, then one 24-byte
+// index record (key, offset, length) per entry, then a 24-byte trailer
+// (entry count, CRC-32 of the index, index offset, magic).
+func dropEntries(t *testing.T, dir string, drop func(*trace.Trace) bool) int {
+	t.Helper()
+	const recSize, trailerSize = 24, 24
+	le := binary.LittleEndian
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.ppts"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := 0
+	for _, path := range segs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trailer := data[len(data)-trailerSize:]
+		count, idxOff := int(le.Uint32(trailer)), le.Uint64(trailer[8:])
+		var body, idx []byte
+		for i := 0; i < count; i++ {
+			rec := data[idxOff+uint64(i*recSize):]
+			off, n := le.Uint64(rec[8:]), le.Uint64(rec[16:])
+			entry := data[off : off+n]
+			tr, err := tracecodec.Decode(entry)
+			if err != nil {
+				t.Fatalf("%s entry %d: %v", path, i, err)
+			}
+			if drop(tr) {
+				dropped++
+				continue
+			}
+			idx = le.AppendUint64(idx, le.Uint64(rec))
+			idx = le.AppendUint64(idx, uint64(len(body)))
+			idx = le.AppendUint64(idx, n)
+			body = append(body, entry...)
+		}
+		out := append(body, idx...)
+		out = le.AppendUint32(out, uint32(len(idx)/recSize))
+		out = le.AppendUint32(out, crc32.ChecksumIEEE(idx))
+		out = le.AppendUint64(out, uint64(len(body)))
+		out = append(out, trailer[16:]...)
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dropped
 }
 
 func TestOptionsValidation(t *testing.T) {

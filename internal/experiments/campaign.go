@@ -46,8 +46,8 @@ type Options struct {
 	// re-simulated. Decoded traces are bit-identical to fresh simulation
 	// (docs/CACHE.md). Empty keeps today's always-simulate behavior.
 	CacheDir string
-	// CacheMaxBytes caps the cache directory's total size; oldest
-	// entries are evicted past it (0 = unbounded).
+	// CacheMaxBytes caps the cache directory's total size; the oldest
+	// segments are evicted whole past it (0 = unbounded).
 	CacheMaxBytes int64
 	// ReferenceTick is accepted and ignored.
 	//
@@ -181,30 +181,17 @@ func NewFXCampaign(opts Options) (*Campaign, error) {
 	if err := c.openCache(); err != nil {
 		return nil, err
 	}
-	// Idle heat/cool transients at every VF state, in parallel: each
-	// transient simulates an independent chip seeded from its (name, VF)
-	// identity, so results are schedule-independent.
-	if err := c.collectIdle("idle", c.ChipConfig); err != nil {
-		return nil, err
-	}
-
-	// Benchmark combinations at every VF state, in parallel.
+	// Idle transients at every VF state, all benchmark combinations at
+	// every VF state, and the Figure 4 power-gating (VF, PG, busy-CU)
+	// grid: one job list over the shared worker pool.
 	var runs []workload.Run
 	runs = append(runs, truncate(workload.SPECRuns(), opts.MaxRunsPerSuite)...)
 	runs = append(runs, truncate(workload.PARSECRuns(), opts.MaxRunsPerSuite)...)
 	runs = append(runs, truncate(workload.NPBRuns(), opts.MaxRunsPerSuite)...)
-	if err := c.collect(runs, c.ChipConfig); err != nil {
+	idle, collect, pg := c.idlePhase("idle"), c.collectPhase(runs), c.pgPhase(c.Table.States())
+	if err := c.runPhases(buildJobs(idle, collect, pg), idle, collect, pg); err != nil {
 		return nil, err
 	}
-
-	// Power-gating CU sweeps (Figure 4): the whole (VF, PG, busy-CU)
-	// grid is one flat job list over the shared worker pool.
-	sweeps, err := c.pgSweepAll(c.Table.States())
-	if err != nil {
-		return nil, err
-	}
-	c.PGSweeps = sweeps
-
 	if err := c.train(); err != nil {
 		return nil, err
 	}
@@ -231,9 +218,6 @@ func NewPhenomCampaign(opts Options) (*Campaign, error) {
 	if err := c.openCache(); err != nil {
 		return nil, err
 	}
-	if err := c.collectIdle("phenom-idle", c.ChipConfig); err != nil {
-		return nil, err
-	}
 	var runs []workload.Run
 	for _, r := range truncate(workload.PARSECRuns(), opts.MaxRunsPerSuite) {
 		if r.TotalThreads() <= arch.PhenomII.NumCores() {
@@ -245,22 +229,64 @@ func NewPhenomCampaign(opts Options) (*Campaign, error) {
 			runs = append(runs, r)
 		}
 	}
-	if err := c.collect(runs, c.ChipConfig); err != nil {
+	idle, collect := c.idlePhase("phenom-idle"), c.collectPhase(runs)
+	if err := c.runPhases(buildJobs(idle, collect, phase{}), idle, collect); err != nil {
 		return nil, err
 	}
 	return c, c.train()
 }
 
-// collectIdle simulates (or decodes from cache) the idle heat/cool
-// transient at every VF state on the shared worker pool and fills
-// c.Idle. The heating phase is the same for every state — the top state
-// with every core loaded — and the cells' configs differ only in the
-// sensor seed, which feeds nothing back into the physics. So one chip
-// heats, once, on the first cell that misses the cache, and every such
-// cell cools its own fork of it under the cell's sensor seed; the traces
-// are bit-identical to a fresh chip heated and cooled per state, and a
-// fully warm build never heats.
-func (c *Campaign) collectIdle(seedName string, mkCfg func() fxsim.Config) error {
+// phase is one campaign phase's share of a job list: its jobs, each of
+// which writes only the result slot its index owns, and a finish step
+// that runs once every job of the list has returned, reassembles the
+// results by index into the campaign and reports the phase's first
+// error.
+type phase struct {
+	jobs   []func()
+	finish func() error
+}
+
+// buildJobs lays out one build's job list. The first idle cell leads:
+// on a cache miss it heats the chip every idle cell cools a fork of, so
+// the collect cells come next and keep the other workers busy through
+// the heat. The remaining idle cells, which wait on the heat, follow,
+// and the PG cells (none on the Phenom II) come last.
+func buildJobs(idle, collect, pg phase) []func() {
+	jobs := make([]func(), 0, len(idle.jobs)+len(collect.jobs)+len(pg.jobs))
+	jobs = append(jobs, idle.jobs[:1]...)
+	jobs = append(jobs, collect.jobs...)
+	jobs = append(jobs, idle.jobs[1:]...)
+	return append(jobs, pg.jobs...)
+}
+
+// runPhases runs jobs in one pass over the worker pool, seals the
+// cells the pass wrote to the trace cache, and then runs the phases'
+// finish steps in order, returning the first error. Every cell is a
+// pure function of its identity, so the results do not depend on the
+// job order or the worker count.
+func (c *Campaign) runPhases(jobs []func(), phases ...phase) error {
+	pool.ForEachJob(len(jobs), c.opts.workers(), func(i int) { jobs[i]() })
+	if c.cache != nil {
+		c.cache.Flush()
+	}
+	for _, p := range phases {
+		if err := p.finish(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// idlePhase simulates (or decodes from cache) the idle heat/cool
+// transient at every VF state into c.Idle. The heating phase is the
+// same for every state — the top state with every core loaded — and
+// the cells' configs differ only in the sensor seed, which feeds
+// nothing back into the physics. So one chip heats, once, on the first
+// cell that misses the cache, and every such cell cools its own fork
+// of it under the cell's sensor seed; the traces are bit-identical to a
+// fresh chip heated and cooled per state, and a fully warm build never
+// heats.
+func (c *Campaign) idlePhase(seedName string) phase {
 	const heatS, coolS = 40, 90
 	var (
 		heatOnce sync.Once
@@ -269,7 +295,7 @@ func (c *Campaign) collectIdle(seedName string, mkCfg func() fxsim.Config) error
 	)
 	heat := func() (*fxsim.Chip, error) {
 		heatOnce.Do(func() {
-			chip := fxsim.New(mkCfg())
+			chip := fxsim.New(c.ChipConfig())
 			if heatErr = chip.Heat(heatS); heatErr == nil {
 				heated = chip
 			}
@@ -279,79 +305,79 @@ func (c *Campaign) collectIdle(seedName string, mkCfg func() fxsim.Config) error
 	states := c.Table.States()
 	trs := make([]*trace.Trace, len(states))
 	errs := make([]error, len(states))
-	pool.ForEachJob(len(states), c.opts.workers(), func(i int) {
-		vf := states[i]
-		cfg := mkCfg()
-		cfg.SensorSeed = seedOf(seedName, vf)
-		tr, err := c.simulate("idle", cfg, idleDef{VF: vf, HeatS: heatS, CoolS: coolS},
-			func() (*trace.Trace, error) {
-				chip, err := heat()
-				if err != nil {
-					return nil, err
-				}
-				return chip.Fork(cfg.SensorSeed).Cool(vf, coolS)
-			})
-		if err != nil {
-			errs[i] = fmt.Errorf("experiments: %s transient at %v: %w", seedName, vf, err)
-			return
+	jobs := make([]func(), len(states))
+	for i, vf := range states {
+		jobs[i] = func() {
+			cfg := c.ChipConfig()
+			cfg.SensorSeed = seedOf(seedName, vf)
+			tr, err := c.simulate("idle", cfg, idleDef{VF: vf, HeatS: heatS, CoolS: coolS},
+				func() (*trace.Trace, error) {
+					chip, err := heat()
+					if err != nil {
+						return nil, err
+					}
+					return chip.Fork(cfg.SensorSeed).Cool(vf, coolS)
+				})
+			if err != nil {
+				errs[i] = fmt.Errorf("experiments: %s transient at %v: %w", seedName, vf, err)
+				return
+			}
+			trs[i] = tr
 		}
-		trs[i] = tr
-	})
-	for i, err := range errs {
-		if err != nil {
-			return err
-		}
-		c.Idle[states[i]] = trs[i]
 	}
-	return nil
+	return phase{jobs: jobs, finish: func() error {
+		for i, err := range errs {
+			if err != nil {
+				return err
+			}
+			c.Idle[states[i]] = trs[i]
+		}
+		return nil
+	}}
 }
 
-// collect simulates every (run, VF) pair with a bounded worker pool.
-func (c *Campaign) collect(runs []workload.Run, mkCfg func() fxsim.Config) error {
-	type job struct {
-		run workload.Run
-		vf  arch.VFState
-	}
-	var jobs []job
-	for _, r := range runs {
-		for _, vf := range c.Table.States() {
-			jobs = append(jobs, job{r, vf})
+// collectPhase simulates every (run, VF) pair into c.Runs and c.ByName.
+func (c *Campaign) collectPhase(runs []workload.Run) phase {
+	states := c.Table.States()
+	results := make([]core.RunTrace, len(runs)*len(states))
+	errs := make([]error, len(results))
+	jobs := make([]func(), len(results))
+	for i := range jobs {
+		run, vf := runs[i/len(states)], states[i%len(states)]
+		jobs[i] = func() {
+			cfg := c.ChipConfig()
+			cfg.SensorSeed = seedOf(run.Name, vf)
+			scaled := scaleRun(run, c.opts.Scale)
+			ro := fxsim.RunOpts{
+				VF: vf, WarmTempK: 315, Placement: fxsim.PlaceScatter,
+				MaxTimeS: 600,
+			}
+			tr, err := c.simulate("collect", cfg, collectDef{Run: scaled, Opts: ro},
+				func() (*trace.Trace, error) {
+					return fxsim.New(cfg).Collect(scaled, ro)
+				})
+			if err != nil {
+				errs[i] = fmt.Errorf("experiments: %s at %v: %w", run.Name, vf, err)
+				return
+			}
+			results[i] = core.RunTrace{Name: run.Name, Suite: run.Suite, VF: vf, Trace: tr}
 		}
 	}
-	results := make([]core.RunTrace, len(jobs))
-	errs := make([]error, len(jobs))
-	pool.ForEachJob(len(jobs), c.opts.workers(), func(i int) {
-		j := jobs[i]
-		cfg := mkCfg()
-		cfg.SensorSeed = seedOf(j.run.Name, j.vf)
-		scaled := scaleRun(j.run, c.opts.Scale)
-		ro := fxsim.RunOpts{
-			VF: j.vf, WarmTempK: 315, Placement: fxsim.PlaceScatter,
-			MaxTimeS: 600,
+	return phase{jobs: jobs, finish: func() error {
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
 		}
-		tr, err := c.simulate("collect", cfg, collectDef{Run: scaled, Opts: ro},
-			func() (*trace.Trace, error) {
-				return fxsim.New(cfg).Collect(scaled, ro)
-			})
-		if err != nil {
-			errs[i] = fmt.Errorf("experiments: %s at %v: %w", j.run.Name, j.vf, err)
-			return
+		for _, rt := range results {
+			c.Runs = append(c.Runs, rt)
+			if c.ByName[rt.Name] == nil {
+				c.ByName[rt.Name] = map[arch.VFState]*trace.Trace{}
+			}
+			c.ByName[rt.Name][rt.VF] = rt.Trace
 		}
-		results[i] = core.RunTrace{Name: j.run.Name, Suite: j.run.Suite, VF: j.vf, Trace: tr}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	for _, rt := range results {
-		c.Runs = append(c.Runs, rt)
-		if c.ByName[rt.Name] == nil {
-			c.ByName[rt.Name] = map[arch.VFState]*trace.Trace{}
-		}
-		c.ByName[rt.Name][rt.VF] = rt.Trace
-	}
-	return nil
+		return nil
+	}}
 }
 
 // pgCell measures one Figure 4 sweep cell — `busy` loaded CUs with power
@@ -400,13 +426,13 @@ func pgCellTrace(cfg fxsim.Config, vf arch.VFState, busy int) (*trace.Trace, err
 	return tr, nil
 }
 
-// pgSweepAll measures the Figure 4 power-gating sweeps for every VF
-// state. Each of the 2×(NumCUs+1)×len(states) cells simulates an
-// independent chip seeded from the cell's identity, so the full grid is
-// one flat job list over the worker pool; cells are generated in the
-// serial implementation's iteration order and reassembled by index, which
-// keeps every Sweep slice bit-identical to the serial result.
-func (c *Campaign) pgSweepAll(states []arch.VFState) (map[arch.VFState]pgidle.Sweep, error) {
+// pgPhase measures the Figure 4 power-gating sweeps for every VF
+// state into c.PGSweeps. Each of the 2×(NumCUs+1)×len(states) cells
+// simulates an independent chip seeded from the cell's identity; cells
+// are generated in the serial implementation's iteration order and
+// reassembled by index, which keeps every Sweep slice bit-identical to
+// the serial result.
+func (c *Campaign) pgPhase(states []arch.VFState) phase {
 	type cell struct {
 		vf   arch.VFState
 		pg   bool
@@ -422,25 +448,29 @@ func (c *Campaign) pgSweepAll(states []arch.VFState) (map[arch.VFState]pgidle.Sw
 	}
 	powers := make([]units.Watts, len(cells))
 	errs := make([]error, len(cells))
-	pool.ForEachJob(len(cells), c.opts.workers(), func(i int) {
-		var w float64
-		w, errs[i] = c.pgCell(cells[i].vf, cells[i].pg, cells[i].busy)
-		powers[i] = units.Watts(w)
-	})
-	out := make(map[arch.VFState]pgidle.Sweep, len(states))
+	jobs := make([]func(), len(cells))
 	for i, cl := range cells {
-		if errs[i] != nil {
-			return nil, errs[i]
+		jobs[i] = func() {
+			var w float64
+			w, errs[i] = c.pgCell(cl.vf, cl.pg, cl.busy)
+			powers[i] = units.Watts(w)
 		}
-		s := out[cl.vf]
-		if cl.pg {
-			s.PGOn = append(s.PGOn, powers[i])
-		} else {
-			s.PGOff = append(s.PGOff, powers[i])
-		}
-		out[cl.vf] = s
 	}
-	return out, nil
+	return phase{jobs: jobs, finish: func() error {
+		for i, cl := range cells {
+			if errs[i] != nil {
+				return errs[i]
+			}
+			s := c.PGSweeps[cl.vf]
+			if cl.pg {
+				s.PGOn = append(s.PGOn, powers[i])
+			} else {
+				s.PGOff = append(s.PGOff, powers[i])
+			}
+			c.PGSweeps[cl.vf] = s
+		}
+		return nil
+	}}
 }
 
 // train fits the full-campaign models and the Green Governors baseline.

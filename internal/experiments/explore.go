@@ -20,34 +20,53 @@ var exploreModes = []int{1, 2, 3, 4}
 
 // exploreTraces runs the Section V workloads (433/458 × x1..x4) at the
 // top VF state with power gating enabled, as the paper does ("power
-// gating is enabled for all of these experiments").
+// gating is enabled for all of these experiments"): one job list over
+// the worker pool, its cells sealed to the trace cache afterwards.
 func (c *Campaign) exploreTraces() (map[string]*trace.Trace, error) {
 	c.exploreOnce.Do(func() {
-		c.exploreTr = map[string]*trace.Trace{}
-		for _, num := range exploreBenches {
-			for _, n := range exploreModes {
-				run := workload.MultiInstance(num, n)
-				cfg := c.ChipConfig()
-				cfg.PowerGating = true
-				cfg.SensorSeed = seedOf("explore-"+run.Name, c.Table.Top())
-				scaled := scaleRun(run, c.opts.Scale)
-				ro := fxsim.RunOpts{
-					VF: c.Table.Top(), WarmTempK: 320,
-					Placement: fxsim.PlaceScatter, MaxTimeS: 600,
-				}
-				tr, err := c.simulate("explore", cfg, collectDef{Run: scaled, Opts: ro},
-					func() (*trace.Trace, error) {
-						return fxsim.New(cfg).Collect(scaled, ro)
-					})
-				if err != nil {
-					c.exploreErr = fmt.Errorf("experiments: explore run %s: %w", run.Name, err)
-					return
-				}
-				c.exploreTr[run.Name] = tr
-			}
-		}
+		p := c.explorePhase()
+		c.exploreErr = c.runPhases(p.jobs, p)
 	})
 	return c.exploreTr, c.exploreErr
+}
+
+// explorePhase simulates the Section V cells into c.exploreTr.
+func (c *Campaign) explorePhase() phase {
+	var runs []workload.Run
+	for _, num := range exploreBenches {
+		for _, n := range exploreModes {
+			runs = append(runs, workload.MultiInstance(num, n))
+		}
+	}
+	trs := make([]*trace.Trace, len(runs))
+	errs := make([]error, len(runs))
+	jobs := make([]func(), len(runs))
+	for i, run := range runs {
+		jobs[i] = func() {
+			cfg := c.ChipConfig()
+			cfg.PowerGating = true
+			cfg.SensorSeed = seedOf("explore-"+run.Name, c.Table.Top())
+			scaled := scaleRun(run, c.opts.Scale)
+			ro := fxsim.RunOpts{
+				VF: c.Table.Top(), WarmTempK: 320,
+				Placement: fxsim.PlaceScatter, MaxTimeS: 600,
+			}
+			trs[i], errs[i] = c.simulate("explore", cfg, collectDef{Run: scaled, Opts: ro},
+				func() (*trace.Trace, error) {
+					return fxsim.New(cfg).Collect(scaled, ro)
+				})
+		}
+	}
+	return phase{jobs: jobs, finish: func() error {
+		c.exploreTr = make(map[string]*trace.Trace, len(runs))
+		for i, run := range runs {
+			if errs[i] != nil {
+				return fmt.Errorf("experiments: explore run %s: %w", run.Name, errs[i])
+			}
+			c.exploreTr[run.Name] = trs[i]
+		}
+		return nil
+	}}
 }
 
 // pgModels returns the campaign models flipped into PG-enabled mode

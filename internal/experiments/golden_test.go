@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"ppep/internal/arch"
+	"ppep/internal/core/pgidle"
 	"ppep/internal/fxsim"
 	"ppep/internal/trace"
+	"ppep/internal/workload"
 )
 
 // goldenCampaignWant is the fingerprint of a small fixed-seed FX campaign,
@@ -83,7 +86,7 @@ func TestCollectIdleWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("idle transients on both platforms")
 	}
-	const heatS, coolS = 40, 90 // collectIdle's durations
+	const heatS, coolS = 40, 90 // idlePhase's durations
 	for _, p := range []struct {
 		platform, seedName string
 		table              arch.VFTable
@@ -96,7 +99,8 @@ func TestCollectIdleWorkerInvariance(t *testing.T) {
 		for _, workers := range []int{len(states), 1} {
 			c := &Campaign{Platform: p.platform, Table: p.table,
 				Idle: map[arch.VFState]*trace.Trace{}, opts: Options{Workers: workers}}
-			if err := c.collectIdle(p.seedName, c.ChipConfig); err != nil {
+			idle := c.idlePhase(p.seedName)
+			if err := c.runPhases(idle.jobs, idle); err != nil {
 				t.Fatal(err)
 			}
 			runs = append(runs, c)
@@ -117,4 +121,76 @@ func TestCollectIdleWorkerInvariance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestJobPairsShareNoWrites takes pairs of jobs from the campaign's job
+// lists and starts each pair on two goroutines released by one barrier,
+// first into a fresh trace cache and then again from it. Nothing orders
+// the two bodies, so under -race a write they share is reported. The
+// warm pass decodes and reports such a write every time; the cold pass
+// simulates, and the race detector drops access history while a
+// simulation ticks, so there it reports a write at the end of both
+// bodies only now and then. The pairs are the first two jobs of the FX
+// build's list (the idle cell that heats and the first collect cell)
+// and the first two jobs of each phase, exploration included.
+func TestJobPairsShareNoWrites(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a dozen campaign cells")
+	}
+	runs := truncate(workload.SPECRuns(), 1)
+	pairs := []struct {
+		name string
+		jobs func(c *Campaign) []func()
+	}{
+		{"build", func(c *Campaign) []func() {
+			return buildJobs(c.idlePhase("idle"), c.collectPhase(runs), c.pgPhase(c.Table.States()))
+		}},
+		{"idle", func(c *Campaign) []func() { return c.idlePhase("idle").jobs }},
+		{"collect", func(c *Campaign) []func() { return c.collectPhase(runs).jobs }},
+		{"pg", func(c *Campaign) []func() { return c.pgPhase(c.Table.States()).jobs }},
+		{"explore", func(c *Campaign) []func() { return c.explorePhase().jobs }},
+	}
+	for _, p := range pairs {
+		t.Run(p.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for _, pass := range []string{"cold", "warm"} {
+				c := &Campaign{Platform: arch.FX8320.Name, Table: arch.FX8320VFTable,
+					ByName: map[string]map[arch.VFState]*trace.Trace{},
+					Idle:   map[arch.VFState]*trace.Trace{}, PGSweeps: map[arch.VFState]pgidle.Sweep{},
+					opts: Options{Scale: 0.01, CacheDir: dir}}
+				if err := c.openCache(); err != nil {
+					t.Fatal(err)
+				}
+				runConcurrently(p.jobs(c)[:2])
+				c.cache.Flush()
+				if st := c.cache.Stats(); pass == "warm" && (st.Hits != 2 || st.Misses != 0) {
+					t.Errorf("warm pass: stats %+v, want 2 hits and no miss", st)
+				}
+			}
+		})
+	}
+}
+
+// runConcurrently starts every job on its own goroutine, releases them
+// together, and keeps each goroutine alive until all jobs have
+// returned: the race detector can lose the accesses of a goroutine that
+// has exited, and with them a write the other body shares.
+func runConcurrently(jobs []func()) {
+	start, hold := make(chan struct{}), make(chan struct{})
+	var returned, exited sync.WaitGroup
+	returned.Add(len(jobs))
+	exited.Add(len(jobs))
+	for _, job := range jobs {
+		go func() {
+			defer exited.Done()
+			<-start
+			job()
+			returned.Done()
+			<-hold
+		}()
+	}
+	close(start)
+	returned.Wait()
+	close(hold)
+	exited.Wait()
 }

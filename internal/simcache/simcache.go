@@ -7,15 +7,22 @@
 //
 // Properties (docs/CACHE.md):
 //
-//   - Content-addressed: one file per key, dir/<%016x key>.pptc, in the
-//     tracecodec binary format. Keys already encode the codec schema
-//     version, so a layout change simply misses and re-simulates.
-//   - Atomic writes: entries are written to a temp file in the cache
-//     directory and renamed into place, so readers (including other
-//     processes) never observe a partial entry.
-//   - Corruption-tolerant: an entry that fails to decode is counted,
-//     best-effort removed, and treated as a miss — the cache can never
-//     turn a damaged file into a wrong result.
+//   - Segmented: a Store appends every entry it computes, in the
+//     tracecodec binary format, to one temp segment file in the cache
+//     directory and keeps only a key → (offset, length) index in
+//     memory. Flush seals the segment: it appends a footer index and
+//     renames the file into place as dir/seg-<seq>-<id>.ppts. Open
+//     reads only the footers of sealed segments, and a hit reads one
+//     entry. Keys already encode the codec schema version, so a layout
+//     change simply misses and re-simulates.
+//   - Atomic visibility: other stores, including other processes, see
+//     sealed segments only, and only those sealed before their Open.
+//     For a key in more than one segment the newest segment wins.
+//   - Corruption-tolerant: a segment whose footer does not check out
+//     is counted, best-effort removed, and ignored; an entry that fails
+//     to read or decode is counted, dropped from the index, and treated
+//     as a miss — the cache can never turn damaged bytes into a wrong
+//     result.
 //   - Singleflight: concurrent GetOrCompute calls for the same key
 //     simulate once; followers block and share the leader's trace.
 //   - Fail-open: write failures (read-only disk, ENOSPC) are counted
@@ -25,12 +32,15 @@
 package simcache
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io/fs"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -40,33 +50,66 @@ import (
 
 // Options configures a Store.
 type Options struct {
-	// MaxBytes caps the total size of cache entries; after each write
-	// the oldest entries (by modification time) are evicted until the
-	// total is back under the cap. 0 means unbounded.
+	// MaxBytes caps the total size of the sealed segments; after each
+	// Flush the oldest segments are evicted whole, never the one just
+	// sealed, until the total is back under the cap. 0 means unbounded.
 	MaxBytes int64
 }
 
 // Stats is a snapshot of the store's counters.
 type Stats struct {
-	Hits         int64 // entries served by decoding a cached file
+	Hits         int64 // entries served by decoding a cached entry
 	Misses       int64 // absent entries (simulated and, normally, written)
-	Corrupt      int64 // undecodable entries (damage or schema mismatch), treated as misses
+	Corrupt      int64 // undecodable entries and segments with a bad footer, treated as misses
 	Coalesced    int64 // calls that shared another in-flight computation
-	Evicted      int64 // entries removed by the MaxBytes cap
-	WriteErrors  int64 // failed entry writes (the campaign proceeds regardless)
+	Evicted      int64 // entries in the segments removed by the MaxBytes cap
+	WriteErrors  int64 // failed entry writes, including entries of a segment that failed to seal (the campaign proceeds regardless)
 	BytesRead    int64 // encoded bytes decoded from cache
 	BytesWritten int64 // encoded bytes persisted
 }
 
-// Store is an on-disk trace cache. It is safe for concurrent use.
+// Segment layout: the entries back to back, then the index (one
+// indexEntrySize record per entry: u64 key, u64 offset, u64 length),
+// then a fixed trailer (u32 entry count, u32 CRC-32 of the index, u64
+// index offset, segMagic). All integers are little-endian.
+const (
+	segPrefix      = "seg-"
+	segExt         = ".ppts"
+	tmpPrefix      = ".tmp-"
+	segMagic       = "PPSEG\x00v1"
+	indexEntrySize = 24
+	trailerSize    = 4 + 4 + 8 + 8 // the last 8: segMagic
+)
+
+var errFooter = errors.New("simcache: bad segment footer")
+
+// loc is where an index entry's encoded bytes live: in a sealed
+// segment, or in this session's temp file.
+type loc struct {
+	f      *os.File
+	off, n int64
+}
+
+type indexEntry struct {
+	key    uint64
+	off, n int64
+}
+
+// Store is an on-disk trace cache. It is safe for concurrent use. It
+// keeps open, for reads, the segment files its index points into; they
+// are closed when the Store is garbage-collected.
 type Store struct {
 	dir  string
 	opts Options
 
-	mu       sync.Mutex
-	inflight map[uint64]*flight
+	mu      sync.Mutex // guards index, open, openOff and pending
+	index   map[uint64]loc
+	open    *os.File     // this session's temp segment, nil until a write
+	openOff int64        // bytes appended to open
+	pending []indexEntry // open's entries, in append order
 
-	evictMu sync.Mutex
+	flightMu sync.Mutex
+	inflight map[uint64]*flight
 
 	encoders sync.Pool
 
@@ -81,7 +124,8 @@ type flight struct {
 	err  error
 }
 
-// Open creates the cache directory if needed and returns a Store over it.
+// Open creates the cache directory if needed and returns a Store over
+// it, indexing the footers of the segments sealed so far.
 func Open(dir string, opts Options) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("simcache: empty cache directory")
@@ -89,37 +133,89 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("simcache: %w", err)
 	}
-	return &Store{
+	s := &Store{
 		dir:      dir,
 		opts:     opts,
+		index:    map[uint64]loc{},
 		inflight: map[uint64]*flight{},
 		encoders: sync.Pool{New: func() any { return new(tracecodec.Encoder) }},
-	}, nil
+	}
+	names, err := sealedSegments(dir)
+	if err != nil {
+		return nil, fmt.Errorf("simcache: %w", err)
+	}
+	// Oldest first, so a newer segment's entry replaces an older one's.
+	var loaded []*os.File
+	for _, name := range names {
+		if f := s.load(name); f != nil {
+			loaded = append(loaded, f)
+		}
+	}
+	live := map[*os.File]bool{}
+	for _, l := range s.index {
+		live[l.f] = true
+	}
+	for _, f := range loaded {
+		if !live[f] {
+			_ = f.Close() // read-only, and every entry it held is superseded
+		}
+	}
+	return s, nil
 }
 
 // Dir returns the cache directory.
 func (s *Store) Dir() string { return s.dir }
 
-func (s *Store) path(key uint64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%016x.pptc", key))
+// load opens one sealed segment and indexes its footer. A segment that
+// vanished since the listing (another store evicted it) is skipped; one
+// whose footer does not check out is counted corrupt and best-effort
+// removed.
+func (s *Store) load(name string) *os.File {
+	path := filepath.Join(s.dir, name)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil
+	}
+	entries, err := readIndex(f)
+	if err != nil {
+		_ = f.Close() // read-only
+		s.corrupt.Add(1)
+		// best-effort: a bad footer would be dropped on every Open; campaign correctness does not depend on the remove
+		_ = os.Remove(path)
+		return nil
+	}
+	for _, e := range entries {
+		s.index[e.key] = loc{f, e.off, e.n}
+	}
+	return f
 }
 
-// get attempts a disk read. It returns (nil, false) on any miss —
+// get attempts a cache read. It returns (nil, false) on any miss —
 // absent, unreadable, or undecodable — after updating the counters.
 func (s *Store) get(key uint64) (*trace.Trace, bool) {
-	data, err := os.ReadFile(s.path(key))
-	if err != nil {
+	s.mu.Lock()
+	l, ok := s.index[key]
+	s.mu.Unlock()
+	if !ok {
 		return nil, false
 	}
-	tr, err := tracecodec.Decode(data)
+	data := make([]byte, l.n)
+	_, err := l.f.ReadAt(data, l.off)
+	var tr *trace.Trace
+	if err == nil {
+		tr, err = tracecodec.Decode(data)
+	}
 	if err != nil {
 		s.corrupt.Add(1)
-		// best-effort: a corrupt entry would miss forever; campaign correctness does not depend on the remove
-		_ = os.Remove(s.path(key))
+		s.mu.Lock()
+		if s.index[key] == l {
+			delete(s.index, key)
+		}
+		s.mu.Unlock()
 		return nil, false
 	}
 	s.hits.Add(1)
-	s.bytesRead.Add(int64(len(data)))
+	s.bytesRead.Add(l.n)
 	return tr, true
 }
 
@@ -132,19 +228,19 @@ func (s *Store) GetOrCompute(key uint64, compute func() (*trace.Trace, error)) (
 		return tr, nil
 	}
 
-	s.mu.Lock()
+	s.flightMu.Lock()
 	if f, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
+		s.flightMu.Unlock()
 		s.coalesced.Add(1)
 		<-f.done
 		return f.tr, f.err
 	}
 	f := &flight{done: make(chan struct{})}
 	s.inflight[key] = f
-	s.mu.Unlock()
+	s.flightMu.Unlock()
 
-	// Leader: re-check the disk (a previous leader in this or another
-	// process may have finished between our miss and registration).
+	// Leader: re-check the index (a previous leader may have finished
+	// between our miss and registration).
 	tr, ok := s.get(key)
 	if !ok {
 		s.misses.Add(1)
@@ -155,15 +251,16 @@ func (s *Store) GetOrCompute(key uint64, compute func() (*trace.Trace, error)) (
 	}
 	f.tr = tr
 
-	s.mu.Lock()
+	s.flightMu.Lock()
 	delete(s.inflight, key)
-	s.mu.Unlock()
+	s.flightMu.Unlock()
 	close(f.done)
 	return f.tr, f.err
 }
 
-// put persists one entry via temp-file + rename. Failures are counted,
-// never fatal: the cache fails open.
+// put appends one entry to the session's segment, creating the temp
+// file on the first write. Failures are counted, never fatal: the
+// cache fails open.
 func (s *Store) put(key uint64, tr *trace.Trace) {
 	enc := s.encoders.Get().(*tracecodec.Encoder)
 	defer s.encoders.Put(enc)
@@ -172,80 +269,210 @@ func (s *Store) put(key uint64, tr *trace.Trace) {
 		s.writeErrors.Add(1)
 		return
 	}
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
-	if err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.open == nil {
+		f, err := os.CreateTemp(s.dir, tmpPrefix+"*")
+		if err != nil {
+			s.writeErrors.Add(1)
+			return
+		}
+		s.open, s.openOff = f, 0
+	}
+	// A failed write leaves openOff where it was, so the next entry
+	// overwrites whatever part of this one reached the file.
+	if _, err := s.open.WriteAt(data, s.openOff); err != nil {
 		s.writeErrors.Add(1)
 		return
 	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), s.path(key))
-	}
-	if werr != nil {
-		s.writeErrors.Add(1)
-		// best-effort: the failed temp file is garbage either way; rename failure already counted
-		_ = os.Remove(tmp.Name())
-		return
-	}
-	s.bytesWritten.Add(int64(len(data)))
-	if s.opts.MaxBytes > 0 {
-		s.evict(s.path(key))
-	}
+	n := int64(len(data))
+	s.index[key] = loc{s.open, s.openOff, n}
+	s.pending = append(s.pending, indexEntry{key, s.openOff, n})
+	s.openOff += n
+	s.bytesWritten.Add(n)
 }
 
-// evict removes oldest-first entries until the directory is under
-// MaxBytes, never touching keep (the entry just written). Concurrent
-// evictions coalesce: if one is running, later writers skip theirs.
-func (s *Store) evict(keep string) {
-	if !s.evictMu.TryLock() {
+// Flush seals the session's segment: it appends the footer index and
+// renames the temp file into place, where stores opened from then on
+// find it, then applies the MaxBytes cap. With nothing written since the
+// last Flush it does nothing. The session's entries stay readable
+// through this store either way. A failed seal removes the temp file
+// and counts each of its entries in write_errors; the cache fails open.
+func (s *Store) Flush() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f, size, entries := s.open, s.openOff, s.pending
+	if f == nil {
 		return
 	}
-	defer s.evictMu.Unlock()
+	s.open, s.openOff, s.pending = nil, 0, nil
+	if len(entries) > 0 {
+		name, err := s.seal(f, entries, size)
+		if err == nil {
+			if s.opts.MaxBytes > 0 {
+				s.evict(name)
+			}
+			return
+		}
+		s.writeErrors.Add(int64(len(entries)))
+		s.bytesWritten.Add(-size)
+	} else {
+		_ = f.Close() // holds no entry: every write to it failed
+	}
+	// best-effort: an unsealed temp file is garbage; the failure is already counted
+	_ = os.Remove(f.Name())
+}
 
-	entries, err := os.ReadDir(s.dir)
+// seal writes the footer after the size bytes of entries, cuts off any
+// bytes a failed write left past it, and renames the file into place
+// under the next sequence number.
+func (s *Store) seal(f *os.File, entries []indexEntry, size int64) (string, error) {
+	footer := make([]byte, len(entries)*indexEntrySize+trailerSize)
+	for i, e := range entries {
+		b := footer[i*indexEntrySize:]
+		binary.LittleEndian.PutUint64(b, e.key)
+		binary.LittleEndian.PutUint64(b[8:], uint64(e.off))
+		binary.LittleEndian.PutUint64(b[16:], uint64(e.n))
+	}
+	idx := footer[:len(entries)*indexEntrySize]
+	t := footer[len(idx):]
+	binary.LittleEndian.PutUint32(t, uint32(len(entries)))
+	binary.LittleEndian.PutUint32(t[4:], crc32.ChecksumIEEE(idx))
+	binary.LittleEndian.PutUint64(t[8:], uint64(size))
+	copy(t[16:], segMagic)
+	if _, err := f.WriteAt(footer, size); err != nil {
+		return "", err
+	}
+	if err := f.Truncate(size + int64(len(footer))); err != nil {
+		return "", err
+	}
+	names, err := sealedSegments(s.dir)
+	if err != nil {
+		return "", err
+	}
+	var seq uint64
+	if len(names) > 0 {
+		last, _ := segmentSeq(names[len(names)-1])
+		seq = last + 1
+	}
+	id := strings.TrimPrefix(filepath.Base(f.Name()), tmpPrefix)
+	name := fmt.Sprintf("%s%016x-%s%s", segPrefix, seq, id, segExt)
+	return name, os.Rename(f.Name(), filepath.Join(s.dir, name))
+}
+
+// readIndex reads and checks a sealed segment's footer.
+func readIndex(f *os.File) ([]indexEntry, error) {
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	size := info.Size()
+	if size < trailerSize {
+		return nil, errFooter
+	}
+	var t [trailerSize]byte
+	if _, err := f.ReadAt(t[:], size-trailerSize); err != nil {
+		return nil, err
+	}
+	count := int64(binary.LittleEndian.Uint32(t[:]))
+	sum := binary.LittleEndian.Uint32(t[4:])
+	idxOff := binary.LittleEndian.Uint64(t[8:])
+	idxLen := count * indexEntrySize
+	if string(t[16:]) != segMagic || idxLen > size-trailerSize || idxOff != uint64(size-trailerSize-idxLen) {
+		return nil, errFooter
+	}
+	idx := make([]byte, idxLen)
+	if _, err := f.ReadAt(idx, int64(idxOff)); err != nil {
+		return nil, err
+	}
+	if crc32.ChecksumIEEE(idx) != sum {
+		return nil, errFooter
+	}
+	entries := make([]indexEntry, count)
+	for i := range entries {
+		b := idx[i*indexEntrySize:]
+		off, n := binary.LittleEndian.Uint64(b[8:]), binary.LittleEndian.Uint64(b[16:])
+		if n == 0 || off > idxOff || n > idxOff-off {
+			return nil, errFooter
+		}
+		entries[i] = indexEntry{binary.LittleEndian.Uint64(b), int64(off), int64(n)}
+	}
+	return entries, nil
+}
+
+// sealedSegments lists the directory's sealed segments, oldest first:
+// by sequence number, then by name.
+func sealedSegments(dir string) ([]string, error) {
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, de := range des {
+		if _, ok := segmentSeq(de.Name()); ok && !de.IsDir() {
+			names = append(names, de.Name())
+		}
+	}
+	// The sequence is fixed-width hex, so name order is age order.
+	sort.Strings(names)
+	return names, nil
+}
+
+// segmentSeq parses the sequence number of a sealed segment's name,
+// seg-<%016x seq>-<id>.ppts.
+func segmentSeq(name string) (uint64, bool) {
+	const seqEnd = len(segPrefix) + 16
+	if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segExt) ||
+		len(name) <= seqEnd+len(segExt) || name[seqEnd] != '-' {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(name[len(segPrefix):seqEnd], 16, 64)
+	return seq, err == nil
+}
+
+// evict removes whole sealed segments, oldest first, until the
+// directory's segments total at most MaxBytes, never touching keep (the
+// segment just sealed). A removed segment this store has indexed stays
+// readable through its open file.
+func (s *Store) evict(keep string) {
+	names, err := sealedSegments(s.dir)
 	if err != nil {
 		return
 	}
-	type ent struct {
-		path string
-		info fs.FileInfo
-	}
-	var es []ent
+	sizes := make([]int64, len(names))
 	var total int64
-	for _, de := range entries {
-		if de.IsDir() || filepath.Ext(de.Name()) != ".pptc" {
-			continue
+	for i, name := range names {
+		if info, err := os.Stat(filepath.Join(s.dir, name)); err == nil {
+			sizes[i] = info.Size()
+			total += sizes[i]
 		}
-		info, err := de.Info()
-		if err != nil {
-			continue
-		}
-		total += info.Size()
-		es = append(es, ent{path: filepath.Join(s.dir, de.Name()), info: info})
 	}
-	sort.Slice(es, func(i, j int) bool {
-		ti, tj := es[i].info.ModTime(), es[j].info.ModTime()
-		if !ti.Equal(tj) {
-			return ti.Before(tj)
-		}
-		return es[i].path < es[j].path
-	})
-	for _, e := range es {
+	for i, name := range names {
 		if total <= s.opts.MaxBytes {
 			return
 		}
-		if e.path == keep {
+		if name == keep {
 			continue
 		}
-		if os.Remove(e.path) == nil {
-			total -= e.info.Size()
-			s.evicted.Add(1)
+		path := filepath.Join(s.dir, name)
+		n := segmentEntries(path)
+		if os.Remove(path) == nil {
+			total -= sizes[i]
+			s.evicted.Add(n)
 		}
 	}
+}
+
+// segmentEntries counts the entries of a sealed segment, 0 if its
+// footer cannot be read.
+func segmentEntries(path string) int64 {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0
+	}
+	entries, _ := readIndex(f) // an unreadable footer counts no entries
+	_ = f.Close()              // read-only
+	return int64(len(entries))
 }
 
 // Stats returns a snapshot of the counters.

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ppep/internal/arch"
 	"ppep/internal/trace"
@@ -90,19 +89,146 @@ func TestDistinctKeysDistinctEntries(t *testing.T) {
 	}
 }
 
-func TestCorruptEntryIsMissAndRecovers(t *testing.T) {
-	s := mustOpen(t, Options{})
-	want := testTrace("x", 3)
-	if _, err := s.GetOrCompute(7, func() (*trace.Trace, error) { return want, nil }); err != nil {
-		t.Fatal(err)
-	}
-	// Truncate the entry on disk.
-	path := s.path(7)
-	data, err := os.ReadFile(path)
+// sealOne writes one entry under key into a fresh session of dir and
+// seals it, returning the sealed segment's path.
+func sealOne(t *testing.T, dir string, opts Options, key uint64, tr *trace.Trace) string {
+	t.Helper()
+	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
+	if _, err := s.GetOrCompute(key, func() (*trace.Trace, error) { return tr, nil }); err != nil {
+		t.Fatal(err)
+	}
+	s.Flush()
+	return filepath.Join(dir, newest(t, dir))
+}
+
+// newest returns the name of the directory's newest sealed segment.
+func newest(t *testing.T, dir string) string {
+	t.Helper()
+	names, err := sealedSegments(dir)
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no sealed segment in %s (%v)", dir, err)
+	}
+	return names[len(names)-1]
+}
+
+// dirFiles lists the cache directory's sealed segments and temp files.
+func dirFiles(t *testing.T, dir string) (segs, tmps []string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		switch name := e.Name(); {
+		case strings.HasPrefix(name, tmpPrefix):
+			tmps = append(tmps, name)
+		case strings.HasPrefix(name, segPrefix) && strings.HasSuffix(name, segExt):
+			segs = append(segs, name)
+		default:
+			t.Fatalf("unexpected file %s in cache dir", name)
+		}
+	}
+	return segs, tmps
+}
+
+// patch overwrites len(b) bytes of the file at off.
+func patch(t *testing.T, path string, off int64, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSealReopenHit(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[uint64]*trace.Trace{}
+	for k := uint64(0); k < 5; k++ {
+		tr := testTrace("seal", int(k)+1)
+		want[k] = tr
+		if _, err := s.GetOrCompute(k, func() (*trace.Trace, error) { return tr, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Flush()
+	written := s.Stats().BytesWritten
+
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, tr := range want {
+		got, err := r.GetOrCompute(k, func() (*trace.Trace, error) { t.Fatalf("key %d recomputed after reopen", k); return nil, nil })
+		if err != nil || got.Fingerprint() != tr.Fingerprint() {
+			t.Fatalf("key %d: err=%v, wrong trace after reopen", k, err)
+		}
+	}
+	if st := r.Stats(); st.Hits != 5 || st.Misses != 0 || st.BytesRead != written {
+		t.Fatalf("reopened stats = %+v, want 5 hits reading the %d bytes written", st, written)
+	}
+	// A store that only read seals nothing.
+	r.Flush()
+	if segs, tmps := dirFiles(t, dir); len(segs) != 1 || len(tmps) != 0 {
+		t.Fatalf("segments %v, temp files %v: want one segment and no temp file", segs, tmps)
+	}
+}
+
+func TestStoreSeesSegmentsSealedBeforeOpen(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := testTrace("w", 3)
+	if _, err := w.GetOrCompute(1, func() (*trace.Trace, error) { return want, nil }); err != nil {
+		t.Fatal(err)
+	}
+	before, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Flush()
+	after, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := after.GetOrCompute(1, func() (*trace.Trace, error) { t.Fatal("store opened after the Flush recomputed"); return nil, nil }); err != nil {
+		t.Fatal(err)
+	}
+	computes := 0
+	if _, err := before.GetOrCompute(1, func() (*trace.Trace, error) { computes++; return want, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if computes != 1 {
+		t.Fatalf("store opened before the Flush computed %d times, want 1 (it sees no later segment)", computes)
+	}
+	if st := after.Stats(); st.Hits != 1 || st.Misses != 0 {
+		t.Fatalf("after-Flush store stats = %+v, want 1 hit", st)
+	}
+}
+
+func TestCorruptEntryIsMissAndRecovers(t *testing.T) {
+	dir := t.TempDir()
+	want := testTrace("x", 3)
+	// The segment's only entry starts at offset 0 with the codec magic.
+	seg := sealOne(t, dir, Options{}, 7, want)
+	patch(t, seg, 0, []byte("XXXX"))
+
+	s, err := Open(dir, Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	computes := 0
@@ -113,27 +239,80 @@ func TestCorruptEntryIsMissAndRecovers(t *testing.T) {
 	if tr.Fingerprint() != want.Fingerprint() {
 		t.Fatalf("recomputed trace wrong")
 	}
-	if st := s.Stats(); st.Corrupt != 1 {
-		t.Fatalf("stats = %+v, want Corrupt=1", st)
+	if st := s.Stats(); st.Corrupt != 1 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want Corrupt=1 Misses=1", st)
 	}
-	// The rewritten entry must now hit.
+	// The rewritten entry hits in this session, and from its newer
+	// segment after a reopen.
 	if _, err := s.GetOrCompute(7, func() (*trace.Trace, error) { t.Fatal("recompute"); return nil, nil }); err != nil {
 		t.Fatal(err)
+	}
+	s.Flush()
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.GetOrCompute(7, func() (*trace.Trace, error) { t.Fatal("recompute after reopen"); return nil, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.Corrupt != 0 || st.Hits != 1 {
+		t.Fatalf("reopened stats = %+v, want the newer segment's entry to win", st)
+	}
+}
+
+func TestCorruptFooterDropsSegment(t *testing.T) {
+	want := testTrace("f", 2)
+	for _, tc := range []struct {
+		name string
+		off  func(size int64) int64 // byte to flip, from the file size
+	}{
+		{"magic", func(size int64) int64 { return size - 1 }},
+		{"count", func(size int64) int64 { return size - trailerSize }},
+		{"entry length", func(size int64) int64 { return size - trailerSize - 1 }},
+		{"entry key", func(size int64) int64 { return size - trailerSize - indexEntrySize }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			seg := sealOne(t, dir, Options{}, 4, want)
+			info, err := os.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			off := tc.off(info.Size())
+			patch(t, seg, off, []byte{data[off] ^ 0x40})
+
+			s, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			computes := 0
+			if _, err := s.GetOrCompute(4, func() (*trace.Trace, error) { computes++; return want, nil }); err != nil || computes != 1 {
+				t.Fatalf("bad footer: err=%v computes=%d, want a miss", err, computes)
+			}
+			if st := s.Stats(); st.Corrupt != 1 {
+				t.Fatalf("stats = %+v, want Corrupt=1", st)
+			}
+			if _, err := os.Stat(seg); !os.IsNotExist(err) {
+				t.Fatalf("segment with a bad footer not removed: %v", err)
+			}
+		})
 	}
 }
 
 func TestSchemaMismatchIsMiss(t *testing.T) {
-	s := mustOpen(t, Options{})
+	dir := t.TempDir()
 	want := testTrace("x", 2)
-	if _, err := s.GetOrCompute(9, func() (*trace.Trace, error) { return want, nil }); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(s.path(9))
+	seg := sealOne(t, dir, Options{}, 9, want)
+	var v [4]byte
+	binary.LittleEndian.PutUint32(v[:], tracecodec.SchemaVersion+1)
+	patch(t, seg, 4, v[:])
+
+	s, err := Open(dir, Options{})
 	if err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint32(data[4:], tracecodec.SchemaVersion+1)
-	if err := os.WriteFile(s.path(9), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	computes := 0
@@ -142,6 +321,42 @@ func TestSchemaMismatchIsMiss(t *testing.T) {
 	}
 	if st := s.Stats(); st.Corrupt != 1 {
 		t.Fatalf("stats = %+v, want Corrupt=1 (schema mismatch counts as undecodable)", st)
+	}
+}
+
+// TestDuplicateKeyNewestSegmentWins seals the same key from two stores
+// that cannot see each other, in both orders: a third store serves the
+// trace of the segment sealed last.
+func TestDuplicateKeyNewestSegmentWins(t *testing.T) {
+	a, b := testTrace("a", 2), testTrace("b", 3)
+	for _, order := range [][2]*trace.Trace{{a, b}, {b, a}} {
+		dir := t.TempDir()
+		var stores [2]*Store
+		for i := range stores {
+			s, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stores[i] = s
+		}
+		for i, s := range stores {
+			tr := order[i]
+			if _, err := s.GetOrCompute(1, func() (*trace.Trace, error) { return tr, nil }); err != nil {
+				t.Fatal(err)
+			}
+			s.Flush()
+		}
+		r, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.GetOrCompute(1, func() (*trace.Trace, error) { t.Fatal("recompute"); return nil, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Run != order[1].Run {
+			t.Fatalf("sealed %q then %q: got %q, want the newest segment's", order[0].Run, order[1].Run, got.Run)
+		}
 	}
 }
 
@@ -191,6 +406,49 @@ func TestSingleflight(t *testing.T) {
 	}
 }
 
+// TestConcurrentWritersThenSeal computes distinct keys from several
+// goroutines at once, each re-reading the keys it wrote while the others
+// append, then seals: every entry hits after a reopen.
+func TestConcurrentWritersThenSeal(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, perWriter = 4, 8
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < perWriter; k++ {
+				key := uint64(w*perWriter + k)
+				for pass := 0; pass < 2; pass++ {
+					tr, err := s.GetOrCompute(key, func() (*trace.Trace, error) { return testTrace("c", int(key%5)+1), nil })
+					if err != nil || len(tr.Intervals) != int(key%5)+1 {
+						t.Errorf("key %d pass %d: err=%v", key, pass, err)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	s.Flush()
+	if st := s.Stats(); st.Misses != writers*perWriter || st.Hits != writers*perWriter {
+		t.Fatalf("stats = %+v, want one miss and one hit per key", st)
+	}
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key := uint64(0); key < writers*perWriter; key++ {
+		tr, err := r.GetOrCompute(key, func() (*trace.Trace, error) { t.Fatalf("key %d recomputed after reopen", key); return nil, nil })
+		if err != nil || len(tr.Intervals) != int(key%5)+1 {
+			t.Fatalf("key %d after reopen: err=%v", key, err)
+		}
+	}
+}
+
 func TestComputeErrorNotCached(t *testing.T) {
 	s := mustOpen(t, Options{})
 	boom := errors.New("boom")
@@ -213,81 +471,103 @@ func TestNoTempFilesLeftBehind(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	entries, err := os.ReadDir(s.Dir())
-	if err != nil {
-		t.Fatal(err)
+	if _, tmps := dirFiles(t, s.Dir()); len(tmps) != 1 {
+		t.Fatalf("temp files %v before Flush, want the session's one segment", tmps)
 	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), ".tmp-") {
-			t.Fatalf("leftover temp file %s", e.Name())
-		}
-		if filepath.Ext(e.Name()) != ".pptc" {
-			t.Fatalf("unexpected file %s in cache dir", e.Name())
-		}
+	s.Flush()
+	segs, tmps := dirFiles(t, s.Dir())
+	if len(segs) != 1 || len(tmps) != 0 {
+		t.Fatalf("segments %v, temp files %v after Flush: want one segment and no temp file", segs, tmps)
 	}
-	if len(entries) != 5 {
-		t.Fatalf("%d entries, want 5", len(entries))
+	// A second Flush with nothing new written is a no-op.
+	s.Flush()
+	if again, tmps := dirFiles(t, s.Dir()); len(again) != 1 || len(tmps) != 0 {
+		t.Fatalf("segments %v, temp files %v after an empty Flush", again, tmps)
 	}
 }
 
+// TestWriteFailureLeavesNoTempFile breaks the session's segment file
+// after its first entry: the next write and the seal fail, every
+// GetOrCompute still returns its trace, and Flush leaves neither a
+// temp file nor a segment behind.
+func TestWriteFailureLeavesNoTempFile(t *testing.T) {
+	s := mustOpen(t, Options{})
+	first := testTrace("first", 2)
+	if _, err := s.GetOrCompute(1, func() (*trace.Trace, error) { return first, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.open.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := testTrace("second", 3)
+	tr, err := s.GetOrCompute(2, func() (*trace.Trace, error) { return want, nil })
+	if err != nil || tr.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("failed write must still return the computed trace: err=%v", err)
+	}
+	if st := s.Stats(); st.WriteErrors != 1 {
+		t.Fatalf("stats = %+v, want WriteErrors=1 for the failed append", st)
+	}
+	s.Flush()
+	if st := s.Stats(); st.WriteErrors != 2 || st.BytesWritten != 0 {
+		t.Fatalf("stats = %+v, want the unsealed entry counted in WriteErrors and no bytes persisted", st)
+	}
+	if segs, tmps := dirFiles(t, s.Dir()); len(segs) != 0 || len(tmps) != 0 {
+		t.Fatalf("segments %v, temp files %v after a failed seal: want none", segs, tmps)
+	}
+}
+
+// TestEviction seals four one-entry segments under a cap of 2.5
+// segments, then one two-entry segment under a cap smaller than
+// itself: the oldest segments go whole, their entries counted, and the
+// segment just sealed always stays.
 func TestEviction(t *testing.T) {
 	dir := t.TempDir()
-	// Size the cap to hold roughly two entries.
-	probe, err := Open(dir, Options{})
+	probe := sealOne(t, dir, Options{}, 999, testTrace("probe", 4))
+	info, err := os.Stat(probe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := probe.GetOrCompute(999, func() (*trace.Trace, error) { return testTrace("probe", 4), nil }); err != nil {
-		t.Fatal(err)
-	}
-	entrySize := probe.Stats().BytesWritten
-	if err := os.Remove(probe.path(999)); err != nil {
+	segSize := info.Size()
+	if err := os.Remove(probe); err != nil {
 		t.Fatal(err)
 	}
 
-	s, err := Open(dir, Options{MaxBytes: 2*entrySize + entrySize/2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := Options{MaxBytes: 2*segSize + segSize/2}
+	var sealed []string
+	var evicted int64
 	for k := uint64(0); k < 4; k++ {
-		key := k
-		if _, err := s.GetOrCompute(key, func() (*trace.Trace, error) { return testTrace("e", 4), nil }); err != nil {
+		s, err := Open(dir, opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-		// Distinct mtimes so the oldest-first order is deterministic.
-		tick(t, s.path(key), int(key))
-	}
-	st := s.Stats()
-	if st.Evicted == 0 {
-		t.Fatalf("stats = %+v, want evictions under a 2.5-entry cap after 4 writes", st)
-	}
-	// The newest entry must have survived.
-	if _, err := os.Stat(s.path(3)); err != nil {
-		t.Fatalf("newest entry evicted: %v", err)
-	}
-	var total int64
-	entries, _ := os.ReadDir(dir)
-	for _, e := range entries {
-		info, err := e.Info()
-		if err == nil {
-			total += info.Size()
+		if _, err := s.GetOrCompute(k, func() (*trace.Trace, error) { return testTrace("e", 4), nil }); err != nil {
+			t.Fatal(err)
 		}
+		s.Flush()
+		sealed = append(sealed, newest(t, dir))
+		evicted += s.Stats().Evicted
 	}
-	if total > s.opts.MaxBytes {
-		t.Fatalf("cache %d bytes, cap %d", total, s.opts.MaxBytes)
+	segs, _ := dirFiles(t, dir)
+	if evicted != 2 || len(segs) != 2 || segs[0] != sealed[2] || segs[1] != sealed[3] {
+		t.Fatalf("evicted %d entries, left %v; want the two oldest of %v gone", evicted, segs, sealed)
 	}
-}
 
-// tick pushes a file's mtime i seconds into the past-ordered sequence so
-// eviction order is stable even on coarse-mtime filesystems.
-func tick(t *testing.T, path string, i int) {
-	t.Helper()
-	info, err := os.Stat(path)
+	s, err := Open(dir, Options{MaxBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mt := info.ModTime().Add(-time.Hour).Add(time.Duration(i) * 10 * time.Second)
-	if err := os.Chtimes(path, mt, mt); err != nil {
+	for k := uint64(10); k < 12; k++ {
+		if _, err := s.GetOrCompute(k, func() (*trace.Trace, error) { return testTrace("big", 4), nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Flush()
+	segs, _ = dirFiles(t, dir)
+	if st := s.Stats(); st.Evicted != 2 || len(segs) != 1 || segs[0] != newest(t, dir) {
+		t.Fatalf("stats = %+v, left %v: want both older segments evicted and the new one kept", st, segs)
+	}
+	// Entries of evicted segments this store indexed stay readable.
+	if _, err := s.GetOrCompute(3, func() (*trace.Trace, error) { t.Fatal("recompute of an indexed, evicted entry"); return nil, nil }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -309,6 +589,7 @@ func TestWriteFailureFailsOpen(t *testing.T) {
 	if err != nil || tr.Fingerprint() != want.Fingerprint() {
 		t.Fatalf("read-only cache must still return the computed trace: err=%v", err)
 	}
+	s.Flush()
 	if st := s.Stats(); st.WriteErrors == 0 {
 		t.Fatalf("stats = %+v, want WriteErrors > 0", st)
 	}

@@ -92,7 +92,7 @@ loadgen-smoke:
 
 # Fleet-engine smoke test: a small sharded fleet on the heterogeneous
 # mix, asserting (1) per-node fingerprints bit-identical to a
-# workers=1/shard=1 reference rerun — the engine's determinism
+# workers=1 reference rerun — the engine's determinism
 # contract — and (2) a deliberately lax throughput floor (CI machines
 # are noisy; the real numbers, with their spread and host, come from
 # `python3 perfbench/run.py --workload fleet`, see perfbench/README.md).

@@ -8,6 +8,7 @@ import (
 	"ppep/internal/experiments"
 	"ppep/internal/fxsim"
 	"ppep/internal/serve"
+	"ppep/internal/trace"
 	"ppep/internal/workload"
 )
 
@@ -27,7 +28,7 @@ func benchmarkTick(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		chip.Tick()
+		chip.TickN(1)
 	}
 }
 
@@ -49,7 +50,7 @@ func benchmarkTickNWith(b *testing.B, bench *workload.Benchmark) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		chip.TickN(arch.DecisionIntervalMS)
-		chip.ReadInterval()
+		chip.ReadIntervalInto(new(trace.Interval))
 	}
 }
 

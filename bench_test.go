@@ -177,7 +177,7 @@ func BenchmarkAnalyzeInterval(b *testing.B) {
 	iv := c.Runs[0].Trace.Intervals[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Models.Analyze(iv); err != nil {
+		if err := c.Models.AnalyzeInto(iv, new(core.Report)); err != nil {
 			b.Fatal(err)
 		}
 	}

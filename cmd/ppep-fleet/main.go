@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -29,6 +30,30 @@ import (
 	"ppep/internal/fleet"
 )
 
+// flags holds the command-line values validate checks.
+type flags struct {
+	nodes     int
+	seconds   float64
+	minMticks float64
+}
+
+// validate checks the flags and returns the number of decision
+// intervals -seconds spans (at least one). NaN fails every comparison,
+// so each bound is written so that it rejects NaN too.
+func (f flags) validate() (int, error) {
+	if f.nodes < 1 {
+		return 0, fmt.Errorf("ppep-fleet: -nodes %d must be positive", f.nodes)
+	}
+	n := f.seconds * 1000 / arch.DecisionIntervalMS
+	if !(f.seconds > 0 && n < math.MaxInt) {
+		return 0, fmt.Errorf("ppep-fleet: -seconds %v must be positive and finite, its interval count an int", f.seconds)
+	}
+	if !(f.minMticks >= 0) || math.IsInf(f.minMticks, 1) {
+		return 0, fmt.Errorf("ppep-fleet: -min-mticks %v must be non-negative and finite", f.minMticks)
+	}
+	return max(1, int(n)), nil
+}
+
 func main() {
 	var (
 		nodes     = flag.Int("nodes", 256, "fleet size")
@@ -36,7 +61,6 @@ func main() {
 		seconds   = flag.Float64("seconds", 1, "simulated seconds to advance")
 		mixName   = flag.String("mix", "mixed", "workload-mix preset (steady|jittered|mixed)")
 		seed      = flag.Int64("seed", 42, "fleet identity seed")
-		shard     = flag.Int("shard", 0, "nodes per pool job (0 = default)")
 		useModels = flag.Bool("models", false, "train slim PPEP models and publish per-VF predictions")
 		minMticks = flag.Float64("min-mticks", 0, "exit 1 if throughput is below this many Mticks/s (0 = no assertion)")
 		checkInv  = flag.Bool("check-invariance", false, "rerun at workers=1 and exit 1 unless per-node fingerprints match")
@@ -48,13 +72,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ppep-fleet:", err)
 		os.Exit(2)
 	}
-	if *nodes < 1 || *seconds <= 0 {
-		fmt.Fprintln(os.Stderr, "ppep-fleet: -nodes and -seconds must be positive")
+	intervals, err := flags{nodes: *nodes, seconds: *seconds, minMticks: *minMticks}.validate()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
 		os.Exit(2)
-	}
-	intervals := int(*seconds * 1000 / arch.DecisionIntervalMS)
-	if intervals < 1 {
-		intervals = 1
 	}
 
 	var models *core.Models
@@ -67,7 +89,7 @@ func main() {
 	}
 
 	cfg := fleet.Config{
-		Nodes: *nodes, Workers: *workers, ShardNodes: *shard,
+		Nodes: *nodes, Workers: *workers,
 		Seed: *seed, Mix: mix, Models: models, IdealSensor: true,
 	}
 	e, err := fleet.New(cfg)
@@ -107,7 +129,6 @@ func main() {
 	if *checkInv {
 		refCfg := cfg
 		refCfg.Workers = 1
-		refCfg.ShardNodes = 1
 		ref, err := fleet.New(refCfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ppep-fleet:", err)

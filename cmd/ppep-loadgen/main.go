@@ -22,6 +22,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"os/signal"
@@ -56,6 +57,12 @@ func main() {
 	}
 	if *conns <= 0 || *duration <= 0 {
 		fmt.Fprintln(os.Stderr, "ppep-loadgen: -c and -duration must be positive")
+		os.Exit(2)
+	}
+	// NaN fails every comparison, so a plain *minRPS > 0 test would
+	// switch the assertion off.
+	if !(*minRPS >= 0) || math.IsInf(*minRPS, 1) {
+		fmt.Fprintf(os.Stderr, "ppep-loadgen: -min-rps %v must be non-negative and finite\n", *minRPS)
 		os.Exit(2)
 	}
 

@@ -69,8 +69,8 @@ func main() {
 func replay(models *core.Models, path string, tr *trace.Trace, detail int) error {
 	var errs []float64
 	for i, iv := range tr.Intervals {
-		rep, err := models.Analyze(iv)
-		if err != nil {
+		rep := new(core.Report)
+		if err := models.AnalyzeInto(iv, rep); err != nil {
 			return fmt.Errorf("interval %d: %w", i, err)
 		}
 		if iv.MeasPowerW > 0 {

@@ -73,8 +73,8 @@ func (f flags) validate(table arch.VFTable) error {
 	if f.vf < 1 || f.vf > len(table) {
 		return fmt.Errorf("ppepd: -vf %d out of range: this platform has VF states 1..%d", f.vf, len(table))
 	}
-	if !positive(f.seconds) {
-		return fmt.Errorf("ppepd: -seconds %v must be positive and finite", f.seconds)
+	if !positive(f.seconds) || !(math.Round(f.seconds*1000/arch.DecisionIntervalMS) < math.MaxInt) {
+		return fmt.Errorf("ppepd: -seconds %v must be positive and finite, its interval count an int", f.seconds)
 	}
 	if policies[f.policy] == nil {
 		return fmt.Errorf("ppepd: -policy %q unknown: want none, energy, edp or cap", f.policy)

@@ -43,6 +43,7 @@ func TestFlagValidation(t *testing.T) {
 		{"hwmon rate 1.5", func(f *flags) { f.faultHwmon = 1.5 }, "-fault-hwmon"},
 		{"NaN seconds", func(f *flags) { f.seconds = math.NaN() }, "-seconds"},
 		{"infinite seconds", func(f *flags) { f.seconds = math.Inf(1) }, "-seconds"},
+		{"seconds overflow the interval count", func(f *flags) { f.seconds = 1e300 }, "-seconds"},
 		{"NaN scale", func(f *flags) { f.scale = math.NaN() }, "-scale"},
 		{"infinite scale", func(f *flags) { f.scale = math.Inf(1) }, "-scale"},
 		{"NaN cap", func(f *flags) { f.capW = math.NaN() }, "-cap"},

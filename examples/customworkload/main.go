@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"ppep/internal/arch"
+	"ppep/internal/core"
 	"ppep/internal/dvfs"
 	"ppep/internal/experiments"
 	"ppep/internal/fxsim"
@@ -69,8 +70,8 @@ func main() {
 	// optimum can move between parse- and lookup-dominated windows).
 	counts := map[arch.VFState]int{}
 	for _, iv := range tr.Intervals {
-		rep, err := camp.Models.Analyze(iv)
-		if err != nil {
+		rep := new(core.Report)
+		if err := camp.Models.AnalyzeInto(iv, rep); err != nil {
 			continue
 		}
 		counts[dvfs.EnergyOptimal(rep)]++

@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"ppep/internal/arch"
+	"ppep/internal/core"
 	"ppep/internal/dvfs"
 	"ppep/internal/experiments"
 	"ppep/internal/fxsim"
@@ -43,8 +44,8 @@ func main() {
 				log.Fatal(err)
 			}
 			iv := tr.Intervals[len(tr.Intervals)/2]
-			rep, err := models.Analyze(iv)
-			if err != nil {
+			rep := new(core.Report)
+			if err := models.AnalyzeInto(iv, rep); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("\n%s — energy-delay space (from one %v interval):\n", run.Name, rep.MeasuredVF)

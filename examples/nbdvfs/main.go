@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"ppep/internal/arch"
+	"ppep/internal/core"
 	"ppep/internal/dvfs"
 	"ppep/internal/experiments"
 	"ppep/internal/fxsim"
@@ -50,8 +51,8 @@ func main() {
 				log.Fatal(err)
 			}
 			agg := aggregate(tr)
-			rep, err := models.Analyze(agg)
-			if err != nil {
+			rep := new(core.Report)
+			if err := models.AnalyzeInto(agg, rep); err != nil {
 				log.Fatal(err)
 			}
 			pts := dvfs.NBWhatIf(&models, agg, rep, assume)

@@ -8,6 +8,7 @@ import (
 	"log"
 
 	"ppep/internal/arch"
+	"ppep/internal/core"
 	"ppep/internal/experiments"
 	"ppep/internal/fxsim"
 	"ppep/internal/workload"
@@ -44,8 +45,8 @@ func main() {
 	// 3. Analyze one interval: PPEP projects PPE at every VF state from
 	// a single 200 ms sample — no state switching needed.
 	iv := tr.Intervals[len(tr.Intervals)/2]
-	rep, err := models.Analyze(iv)
-	if err != nil {
+	rep := new(core.Report)
+	if err := models.AnalyzeInto(iv, rep); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("PPE projection from one interval at %v (measured %.1fW):\n",

@@ -202,10 +202,6 @@ type Topology struct {
 	// HasPowerGating reports whether CU-level power gating is available
 	// (FX-8320 yes, Phenom II no).
 	HasPowerGating bool
-	// HasPerCUPlanes enables per-CU voltage planes. Real FX hardware has
-	// a single voltage rail; the paper's power-capping study (Section
-	// V-B) assumes separate per-CU planes, so this is configurable.
-	HasPerCUPlanes bool
 }
 
 // NumCores returns the total core count.

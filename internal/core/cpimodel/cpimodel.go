@@ -34,30 +34,6 @@ func (s Sample) Predict(targetGHz units.GigaHertz) units.CPI {
 	return s.CCPI() + s.MCPI.ScaleFreq(targetGHz, s.FreqGHz)
 }
 
-// PredictIPS returns the instructions-per-second rate at targetGHz.
-func (s Sample) PredictIPS(targetGHz units.GigaHertz) units.InstPerSec {
-	cpi := s.Predict(targetGHz)
-	if cpi <= 0 {
-		return 0
-	}
-	return targetGHz.OverCPI(cpi)
-}
-
-// FromCounters extracts a Sample from one core's interval event counts.
-// It returns ok=false when the core retired no instructions (idle core) —
-// there is no CPI to speak of.
-func FromCounters(ev arch.EventVec, fGHz units.GigaHertz) (Sample, bool) {
-	inst := ev.Get(arch.RetiredInstructions)
-	if inst <= 0 {
-		return Sample{}, false
-	}
-	return Sample{
-		CPI:     units.CPI(ev.Get(arch.CPUClocksNotHalted) / inst),
-		MCPI:    units.CPI(ev.Get(arch.MABWaitCycles) / inst),
-		FreqGHz: fGHz,
-	}, true
-}
-
 // segTrace is a trace reduced to cumulative-instruction coordinates for
 // one core: cumInst[i] is the instruction count at the end of interval i.
 type segTrace struct {

@@ -26,36 +26,6 @@ func TestPredictEquation1(t *testing.T) {
 	}
 }
 
-func TestPredictIPS(t *testing.T) {
-	s := Sample{CPI: 1.0, MCPI: 0.4, FreqGHz: 3.5}
-	ips := s.PredictIPS(1.75)
-	want := 1.75e9 / 0.8
-	if math.Abs(float64(ips)-want) > 1 {
-		t.Errorf("IPS = %v, want %v", ips, want)
-	}
-	bad := Sample{CPI: 0, MCPI: 0, FreqGHz: 3.5}
-	if bad.PredictIPS(0) != 0 {
-		t.Error("degenerate sample must predict zero IPS")
-	}
-}
-
-func TestFromCounters(t *testing.T) {
-	var ev arch.EventVec
-	ev.Set(arch.RetiredInstructions, 1e9)
-	ev.Set(arch.CPUClocksNotHalted, 1.2e9)
-	ev.Set(arch.MABWaitCycles, 3e8)
-	s, ok := FromCounters(ev, 2.9)
-	if !ok {
-		t.Fatal("rejected valid counters")
-	}
-	if math.Abs(float64(s.CPI-1.2)) > 1e-12 || math.Abs(float64(s.MCPI-0.3)) > 1e-12 || s.FreqGHz != 2.9 {
-		t.Errorf("sample %+v", s)
-	}
-	if _, ok := FromCounters(arch.EventVec{}, 2.9); ok {
-		t.Error("idle core accepted")
-	}
-}
-
 // collect runs one single-threaded benchmark on a fresh chip at vf.
 func collect(t *testing.T, b *workload.Benchmark, vf arch.VFState) *trace.Trace {
 	t.Helper()

@@ -3,7 +3,6 @@ package cpimodel_test
 import (
 	"fmt"
 
-	"ppep/internal/arch"
 	"ppep/internal/core/cpimodel"
 )
 
@@ -19,16 +18,4 @@ func ExampleSample_Predict() {
 	// Output:
 	// CPI(1.4 GHz) = 0.76
 	// CPI(3.5 GHz) = 1.00
-}
-
-// Samples come straight from three performance counters.
-func ExampleFromCounters() {
-	var ev arch.EventVec
-	ev.Set(arch.RetiredInstructions, 2e9)
-	ev.Set(arch.CPUClocksNotHalted, 3e9)
-	ev.Set(arch.MABWaitCycles, 1e9)
-	s, ok := cpimodel.FromCounters(ev, 2.9)
-	fmt.Println(ok, s.CPI, s.MCPI, s.CCPI())
-	// Output:
-	// true 1.5 0.5 1
 }

@@ -51,12 +51,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// The loaded models must produce identical analyses.
 	iv := ts.Runs[0].Trace.Intervals[1]
-	a, err := m2.Analyze(iv)
-	if err != nil {
+	a := new(Report)
+	if err := m2.AnalyzeInto(iv, a); err != nil {
 		t.Fatal(err)
 	}
-	b, err := got.Analyze(iv)
-	if err != nil {
+	b := new(Report)
+	if err := got.AnalyzeInto(iv, b); err != nil {
 		t.Fatal(err)
 	}
 	for i := range a.PerVF {

@@ -90,27 +90,15 @@ func (r *Report) At(s arch.VFState) Projection { return r.PerVF[int(s)-1] }
 // estimate of what the chip is doing right now.
 func (r *Report) Current() Projection { return r.At(r.MeasuredVF) }
 
-// Analyze runs the PPEP pipeline on one interval.
-func (m *Models) Analyze(iv trace.Interval) (*Report, error) {
-	rep := &Report{}
-	if err := m.AnalyzeInto(iv, rep); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
 // AnalyzeInto runs the PPEP pipeline on one interval into a
 // caller-owned report. When the report's projection slices already have
 // the right shape (same table size, same core count — the steady state
 // of any caller analyzing a stream of intervals from one chip) they are
 // reused and the analysis performs zero allocations; otherwise the
-// report is (re)sized exactly as Analyze sizes a fresh one. The
-// computed values are bit-identical to Analyze's — Analyze is this
-// function applied to a zero report. A reused report is overwritten in
-// place, so callers that retain reports must hand each interval a fresh
-// one (that is Analyze). The fleet engine's per-node report scratch is
-// the intended consumer; TestAnalyzeIntoAllocs pins the zero-alloc
-// reuse path.
+// report is (re)sized. A reused report is overwritten in place, so
+// callers that retain reports hand each interval a fresh one
+// (new(Report)); the fleet engine's per-node report scratch is the
+// reusing consumer, and TestAnalyzeIntoAllocs pins that path.
 func (m *Models) AnalyzeInto(iv trace.Interval, rep *Report) error {
 	if m.Idle == nil || m.Dyn == nil {
 		return fmt.Errorf("core: models not trained")
@@ -244,8 +232,8 @@ func (m *Models) idleAt(s arch.VFState, v units.Volts, iv *trace.Interval) units
 // EstimateChipW is the one-state shortcut: PPEP's estimate of the chip
 // power for an interval at its measured VF state.
 func (m *Models) EstimateChipW(iv trace.Interval) (units.Watts, error) {
-	rep, err := m.Analyze(iv)
-	if err != nil {
+	rep := new(Report)
+	if err := m.AnalyzeInto(iv, rep); err != nil {
 		return 0, err
 	}
 	return rep.Current().ChipW, nil
@@ -295,7 +283,7 @@ func (m *Models) PredictChipW(iv trace.Interval, topo arch.Topology, assign []ar
 	}
 	idle := m.idleAt(topState, maxV, &iv)
 	total := idle + dyn
-	// Mirror Analyze's thermal feedback so uniform assignments agree
+	// Mirror AnalyzeInto's thermal feedback so uniform assignments agree
 	// with the corresponding projection exactly.
 	if m.Thermal != nil && !m.PGEnabled && topState != iv.VF() {
 		for it := 0; it < 2; it++ {
@@ -358,12 +346,6 @@ func (m *Models) SplitDetail(iv trace.Interval, proj Projection) SplitPower {
 		s.CoreIdleW = proj.IdleW
 	}
 	return s
-}
-
-// SplitCoreNB is the two-way shortcut over SplitDetail.
-func (m *Models) SplitCoreNB(iv trace.Interval, proj Projection) (coreW, nbW units.Watts) {
-	s := m.SplitDetail(iv, proj)
-	return s.CoreW(), s.NBW()
 }
 
 // cusOf infers the CU count from the interval size assuming the FX

@@ -120,8 +120,8 @@ func TestCrossVFPowerPrediction(t *testing.T) {
 				var predSum float64
 				var n int
 				for _, iv := range src.Intervals {
-					rep, err := m.Analyze(iv)
-					if err != nil {
+					rep := new(Report)
+					if err := m.AnalyzeInto(iv, rep); err != nil {
 						t.Fatal(err)
 					}
 					predSum += float64(rep.At(to).ChipW)
@@ -144,8 +144,8 @@ func TestCrossVFPowerPrediction(t *testing.T) {
 func TestAnalyzeStructure(t *testing.T) {
 	m, ts := miniCampaign(t)
 	iv := ts.Runs[0].Trace.Intervals[1]
-	rep, err := m.Analyze(iv)
-	if err != nil {
+	rep := new(Report)
+	if err := m.AnalyzeInto(iv, rep); err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.PerVF) != 5 {
@@ -181,15 +181,15 @@ func TestAnalyzeStructure(t *testing.T) {
 
 // TestAnalyzeIntoReuseMatchesAnalyze pins the reuse contract: a report
 // handed back interval after interval (the fleet engine's per-node
-// scratch) must produce exactly what a fresh Analyze produces, even
+// scratch) must produce exactly what a fresh zero report gets, even
 // after analyzing a different interval in between.
 func TestAnalyzeIntoReuseMatchesAnalyze(t *testing.T) {
 	m, ts := miniCampaign(t)
 	var reused Report
 	for _, k := range []int{1, 2, 3, 1} {
 		iv := ts.Runs[k].Trace.Intervals[1]
-		want, err := m.Analyze(iv)
-		if err != nil {
+		want := new(Report)
+		if err := m.AnalyzeInto(iv, want); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.AnalyzeInto(iv, &reused); err != nil {
@@ -236,11 +236,11 @@ func TestAnalyzeIntoAllocs(t *testing.T) {
 
 func TestAnalyzeErrors(t *testing.T) {
 	var m Models
-	if _, err := m.Analyze(trace.Interval{}); err == nil {
+	if err := m.AnalyzeInto(trace.Interval{}, new(Report)); err == nil {
 		t.Error("untrained models accepted")
 	}
 	tm, ts := miniCampaign(t)
-	if _, err := tm.Analyze(trace.Interval{}); err == nil {
+	if err := tm.AnalyzeInto(trace.Interval{}, new(Report)); err == nil {
 		t.Error("empty interval accepted")
 	}
 	// A state past the model table (a VF5 interval under a 3-state
@@ -248,7 +248,7 @@ func TestAnalyzeErrors(t *testing.T) {
 	iv := ts.Runs[0].Trace.Intervals[1]
 	iv.PerCoreVF = append([]arch.VFState(nil), iv.PerCoreVF...)
 	iv.PerCoreVF[0] = arch.VFState(len(tm.Table) + 1)
-	if _, err := tm.Analyze(iv); err == nil {
+	if err := tm.AnalyzeInto(iv, new(Report)); err == nil {
 		t.Error("interval VF state outside the model table accepted")
 	}
 }
@@ -270,13 +270,13 @@ func TestPredictChipWPerCU(t *testing.T) {
 	if lo >= hi {
 		t.Errorf("per-CU prediction not monotone: %v vs %v", lo, hi)
 	}
-	// Uniform assignment must agree with the Analyze projection.
-	rep, err := m.Analyze(iv)
-	if err != nil {
+	// Uniform assignment must agree with the AnalyzeInto projection.
+	rep := new(Report)
+	if err := m.AnalyzeInto(iv, rep); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(float64(hi-rep.At(arch.VF5).ChipW)) > 1e-6 {
-		t.Errorf("uniform per-CU %v vs Analyze %v", hi, rep.At(arch.VF5).ChipW)
+		t.Errorf("uniform per-CU %v vs AnalyzeInto %v", hi, rep.At(arch.VF5).ChipW)
 	}
 	// Validation errors.
 	if _, err := m.PredictChipW(iv, topo, all5[:2]); err == nil {
@@ -300,12 +300,12 @@ func TestSplitCoreNBShapes(t *testing.T) {
 		for _, rt := range ts.Runs {
 			if rt.Name == name && rt.VF == arch.VF5 {
 				iv := rt.Trace.Intervals[len(rt.Trace.Intervals)/2]
-				rep, err := m.Analyze(iv)
-				if err != nil {
+				rep := new(Report)
+				if err := m.AnalyzeInto(iv, rep); err != nil {
 					t.Fatal(err)
 				}
-				coreW, nbW := m.SplitCoreNB(iv, rep.At(arch.VF5))
-				return nbW.Per(coreW + nbW)
+				split := m.SplitDetail(iv, rep.At(arch.VF5))
+				return split.NBW().Per(split.TotalW())
 			}
 		}
 		t.Fatalf("run %s not found", name)

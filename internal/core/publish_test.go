@@ -77,7 +77,7 @@ func randomCounts(rng *rand.Rand) arch.EventVec {
 // TestPublishInvariant is the property behind the daemon's publish
 // gate: an interval of random finite, non-negative counts, at every VF
 // state and with 1..NumCores cores on the FX-8320 and Phenom II tables,
-// either makes Analyze fail or yields a prediction table that passes
+// either makes AnalyzeInto fail or yields a prediction table that passes
 // Validate.
 func TestPublishInvariant(t *testing.T) {
 	fx, _ := miniCampaign(t)
@@ -107,13 +107,13 @@ func TestPublishInvariant(t *testing.T) {
 						iv.PerCoreVF = append(iv.PerCoreVF, vf)
 						iv.Busy = append(iv.Busy, iv.Counters[c].Get(arch.RetiredInstructions) > 0)
 					}
-					rep, err := p.models.Analyze(iv)
-					if err != nil {
+					rep := new(Report)
+					if err := p.models.AnalyzeInto(iv, rep); err != nil {
 						refused++
 						continue
 					}
 					if err := p.models.PredictionTable(1, iv, rep).Validate(); err != nil {
-						t.Fatalf("%s VF%d, %d cores: Analyze accepted %v, and its table fails: %v",
+						t.Fatalf("%s VF%d, %d cores: AnalyzeInto accepted %v, and its table fails: %v",
 							p.name, vf, n, iv.Counters, err)
 					}
 					published++

@@ -15,8 +15,8 @@ import (
 func TestPredictionTable(t *testing.T) {
 	m, ts := miniCampaign(t)
 	iv := ts.Runs[0].Trace.Intervals[1]
-	rep, err := m.Analyze(iv)
-	if err != nil {
+	rep := new(Report)
+	if err := m.AnalyzeInto(iv, rep); err != nil {
 		t.Fatal(err)
 	}
 	tab := m.PredictionTable(42, iv, rep)
@@ -80,8 +80,8 @@ func TestPredictionTableIdle(t *testing.T) {
 	m, ts := miniCampaign(t)
 	idle := ts.IdleTraces[arch.VF3].Intervals
 	iv := idle[len(idle)-1]
-	rep, err := m.Analyze(iv)
-	if err != nil {
+	rep := new(Report)
+	if err := m.AnalyzeInto(iv, rep); err != nil {
 		t.Fatal(err)
 	}
 	tab := m.PredictionTable(1, iv, rep)
@@ -106,8 +106,8 @@ func TestPredictionTableIdle(t *testing.T) {
 func TestPredictionTableValidate(t *testing.T) {
 	m, ts := miniCampaign(t)
 	iv := ts.Runs[0].Trace.Intervals[1]
-	rep, err := m.Analyze(iv)
-	if err != nil {
+	rep := new(Report)
+	if err := m.AnalyzeInto(iv, rep); err != nil {
 		t.Fatal(err)
 	}
 	good := m.PredictionTable(1, iv, rep)

@@ -211,8 +211,8 @@ func (d *Daemon) sample() (trace.Interval, error) {
 // analysis refusal, counted in AnalyzeErrors: the interval is dropped,
 // and the device state is sound.
 func (d *Daemon) publish(iv trace.Interval) (Record, error) {
-	rep, err := d.Models.Analyze(iv)
-	if err != nil {
+	rep := new(core.Report)
+	if err := d.Models.AnalyzeInto(iv, rep); err != nil {
 		d.counters.AnalyzeErrors.Add(1)
 		return Record{}, err
 	}

@@ -170,7 +170,8 @@ func TestDaemonMultiplexedCountsMatchOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		twin.TickN(arch.DecisionIntervalMS)
-		want := twin.ReadInterval()
+		var want trace.Interval
+		twin.ReadIntervalInto(&want)
 		if err := twin.SetAllPStates(cycle[(n+1)%len(cycle)]); err != nil {
 			t.Fatal(err)
 		}
@@ -505,8 +506,8 @@ func TestSamplerGroupRotation(t *testing.T) {
 // OnInterval observer attached the way internal/serve chains one. The
 // budget is 3 allocs for the interval's owned slices (Counters,
 // PerCoreVF, Busy — the history ring retains them, so they cannot be
-// pooled), 4 fixed allocs in Models.Analyze (Report + PerVF backing
-// plus the two shared projection arrays), and 2 for the published
+// pooled), 4 fixed allocs for the analysis (a fresh Report, its PerVF
+// backing and the two shared projection arrays), and 2 for the published
 // prediction table (the table and its rows — both retained by lock-free
 // readers, so they cannot be pooled either); everything else must come
 // from pre-sized or reused buffers, the chip's own interval record

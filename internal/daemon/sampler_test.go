@@ -538,8 +538,8 @@ func testGroupCallsMatch(t *testing.T, rate float64) {
 			t.Fatalf("rate %g, call %d: group call failed with %q, per register with %q", rate, i, gerr, rerr)
 		}
 		if rng.Intn(4) == 0 {
-			gchip.Tick()
-			rchip.Tick()
+			gchip.TickN(1)
+			rchip.TickN(1)
 		}
 		for c := 0; c < cores; c++ {
 			if g, r := gchip.CounterFile(c).Counts(), rchip.CounterFile(c).Counts(); g != r {

@@ -45,9 +45,6 @@ type CapStep struct {
 type PPEPCapper struct {
 	Models *core.Models
 	Target CapSchedule
-	// MarginFrac backs the effective budget off the cap to absorb
-	// prediction error and sensor noise (default 4% when zero).
-	MarginFrac float64
 	// Uniform restricts the controller to a single chip-wide state (the
 	// real FX's shared voltage rail) instead of per-CU assignments —
 	// the ablation counterpart of the Section V-B per-CU assumption.
@@ -56,15 +53,15 @@ type PPEPCapper struct {
 	History []CapStep
 }
 
+// capMargin backs PPEPCapper's effective budget off the cap to absorb
+// prediction error and sensor noise.
+const capMargin = 0.04
+
 // Decide implements fxsim.Controller.
 func (p *PPEPCapper) Decide(chip *fxsim.Chip, iv trace.Interval) {
 	topo := chip.Topology()
 	capW := p.Target(units.Seconds(iv.TimeS))
-	margin := p.MarginFrac
-	if margin == 0 {
-		margin = 0.04
-	}
-	budget := units.Watts(float64(capW) * (1 - margin))
+	budget := units.Watts(float64(capW) * (1 - capMargin))
 	var assign []arch.VFState
 	if p.Uniform {
 		assign = p.chooseUniform(iv, topo, budget)

@@ -169,8 +169,8 @@ func TestEDSpaceShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	iv := tr.Intervals[len(tr.Intervals)/2]
-	rep, err := m.Analyze(iv)
-	if err != nil {
+	rep := new(core.Report)
+	if err := m.AnalyzeInto(iv, rep); err != nil {
 		t.Fatal(err)
 	}
 	pts := EDSpace(rep)
@@ -206,8 +206,8 @@ func TestNBWhatIfSavesEnergy(t *testing.T) {
 		t.Fatal(err)
 	}
 	iv := tr.Intervals[len(tr.Intervals)/2]
-	rep, err := m.Analyze(iv)
-	if err != nil {
+	rep := new(core.Report)
+	if err := m.AnalyzeInto(iv, rep); err != nil {
 		t.Fatal(err)
 	}
 	// Attach a PG decomposition (a copy, to keep the shared models

@@ -68,21 +68,17 @@ func (g *StaticGovernor) Decide(chip *fxsim.Chip, iv trace.Interval) {
 // the top state above the up-threshold, stepping down one state at a time
 // below the down-threshold. No prediction involved.
 type OnDemandGovernor struct {
-	// UpThreshold and DownThreshold bound the utilization band
-	// (defaults 0.80 / 0.30 when zero).
-	UpThreshold, DownThreshold float64
 	recorder
 }
 
+// The utilization band of OnDemandGovernor.
+const (
+	onDemandUp   = 0.80
+	onDemandDown = 0.30
+)
+
 // Decide implements fxsim.Controller.
 func (g *OnDemandGovernor) Decide(chip *fxsim.Chip, iv trace.Interval) {
-	up, down := g.UpThreshold, g.DownThreshold
-	if up == 0 {
-		up = 0.80
-	}
-	if down == 0 {
-		down = 0.30
-	}
 	tbl := chip.VFTable()
 	// Utilization: the busiest core's unhalted-cycle share of its clock.
 	util := 0.0
@@ -98,43 +94,31 @@ func (g *OnDemandGovernor) Decide(chip *fxsim.Chip, iv trace.Interval) {
 	}
 	cur := chip.PState(0)
 	switch {
-	case util >= up:
+	case util >= onDemandUp:
 		// a rejected request leaves the previous state; retried next interval
 		_ = chip.SetAllPStates(tbl.Top())
-	case util <= down && cur > tbl.Bottom():
+	case util <= onDemandDown && cur > tbl.Bottom():
 		// a rejected request leaves the previous state; retried next interval
 		_ = chip.SetAllPStates(cur - 1)
 	}
 	g.record(chip, iv)
 }
 
-// PPEPEnergyGovernor picks the predicted energy-optimal state each
-// interval — the proactive policy Section V-C1 envisions.
-type PPEPEnergyGovernor struct {
+// PPEPGovernor applies a PPEP state pick to each interval's projections:
+// EnergyOptimal is the proactive energy policy Section V-C1 envisions,
+// EDPOptimal its EDP counterpart.
+type PPEPGovernor struct {
 	Models *core.Models
+	Pick   func(*core.Report) arch.VFState
 	recorder
 }
 
 // Decide implements fxsim.Controller.
-func (g *PPEPEnergyGovernor) Decide(chip *fxsim.Chip, iv trace.Interval) {
-	if rep, err := g.Models.Analyze(iv); err == nil {
+func (g *PPEPGovernor) Decide(chip *fxsim.Chip, iv trace.Interval) {
+	rep := new(core.Report)
+	if err := g.Models.AnalyzeInto(iv, rep); err == nil {
 		// a rejected request leaves the previous state; retried next interval
-		_ = chip.SetAllPStates(EnergyOptimal(rep))
-	}
-	g.record(chip, iv)
-}
-
-// PPEPEDPGovernor picks the predicted EDP-optimal state each interval.
-type PPEPEDPGovernor struct {
-	Models *core.Models
-	recorder
-}
-
-// Decide implements fxsim.Controller.
-func (g *PPEPEDPGovernor) Decide(chip *fxsim.Chip, iv trace.Interval) {
-	if rep, err := g.Models.Analyze(iv); err == nil {
-		// a rejected request leaves the previous state; retried next interval
-		_ = chip.SetAllPStates(EDPOptimal(rep))
+		_ = chip.SetAllPStates(g.Pick(rep))
 	}
 	g.record(chip, iv)
 }

@@ -5,6 +5,7 @@ import (
 
 	"ppep/internal/arch"
 	"ppep/internal/fxsim"
+	"ppep/internal/trace"
 	"ppep/internal/workload"
 )
 
@@ -66,10 +67,9 @@ func TestOnDemandDropsWhenIdle(t *testing.T) {
 	chip := fxsim.New(cfg)
 	// No workload at all: utilization zero, must walk down to VF1.
 	for i := 0; i < 6; i++ {
-		for k := 0; k < 200; k++ {
-			chip.Tick()
-		}
-		iv := chip.ReadInterval()
+		chip.TickN(200)
+		var iv trace.Interval
+		chip.ReadIntervalInto(&iv)
 		g.Decide(chip, iv)
 	}
 	if chip.PState(0) != arch.VF1 {
@@ -89,13 +89,13 @@ func TestEnergyHelpers(t *testing.T) {
 
 func TestPPEPGovernorsSteer(t *testing.T) {
 	m := trainedModels(t)
-	eg := &PPEPEnergyGovernor{Models: m}
+	eg := &PPEPGovernor{Models: m, Pick: EnergyOptimal}
 	runGovernor(t, eg, 3)
 	lastE := eg.History[len(eg.History)-1]
 	if lastE.VF > arch.VF2 {
 		t.Errorf("energy governor parked at %v, want a low state", lastE.VF)
 	}
-	pg := &PPEPEDPGovernor{Models: m}
+	pg := &PPEPGovernor{Models: m, Pick: EDPOptimal}
 	runGovernor(t, pg, 3)
 	lastP := pg.History[len(pg.History)-1]
 	if lastP.VF < arch.VF3 {

@@ -398,12 +398,12 @@ func (c *Campaign) AblationThermalFeedback() (*Result, error) {
 			var pSum, fSum float64
 			var n int
 			for _, iv := range core.SteadyIntervals(src) {
-				pr, err := plain.Analyze(iv)
-				if err != nil {
+				pr := new(core.Report)
+				if err := plain.AnalyzeInto(iv, pr); err != nil {
 					continue
 				}
-				fr, err := fb.Analyze(iv)
-				if err != nil {
+				fr := new(core.Report)
+				if err := fb.AnalyzeInto(iv, fr); err != nil {
 					continue
 				}
 				pSum += float64(pr.At(to).ChipW)

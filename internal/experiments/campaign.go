@@ -37,8 +37,6 @@ type Options struct {
 	MaxRunsPerSuite int
 	// Workers bounds the parallel simulation fan-out (0 = GOMAXPROCS).
 	Workers int
-	// SkipPhenom omits the secondary-platform validation campaign.
-	SkipPhenom bool
 	// CacheDir, when non-empty, enables the persistent simulation-trace
 	// cache: every deterministic cell (benchmark collection, idle
 	// transients, PG sweep cells, exploration runs) is keyed by its full
@@ -421,7 +419,8 @@ func pgCellTrace(cfg fxsim.Config, vf arch.VFState, busy int) (*trace.Trace, err
 	const intervals = 1 + 4
 	for k := 0; k < intervals; k++ {
 		chip.TickN(arch.DecisionIntervalMS)
-		tr.Intervals = append(tr.Intervals, chip.ReadInterval())
+		tr.Intervals = append(tr.Intervals, trace.Interval{})
+		chip.ReadIntervalInto(&tr.Intervals[len(tr.Intervals)-1])
 	}
 	return tr, nil
 }

@@ -96,8 +96,8 @@ func (c *Campaign) explorePPE(tr *trace.Trace) (threadPPE, error) {
 	topo := arch.FX8320
 	threads := 0
 	for _, iv := range tr.Intervals {
-		rep, err := m.Analyze(iv)
-		if err != nil {
+		rep := new(core.Report)
+		if err := m.AnalyzeInto(iv, rep); err != nil {
 			return out, err
 		}
 		busyInChip := 0
@@ -241,8 +241,8 @@ func (c *Campaign) Fig10() (*Result, error) {
 				continue
 			}
 			agg := aggregateInterval(tr)
-			rep, err := m.Analyze(agg)
-			if err != nil {
+			rep := new(core.Report)
+			if err := m.AnalyzeInto(agg, rep); err != nil {
 				return nil, err
 			}
 			for i := len(states) - 1; i >= 0; i-- {
@@ -307,8 +307,8 @@ func (c *Campaign) Fig11() (*Result, error) {
 				continue
 			}
 			agg := aggregateInterval(tr)
-			rep, err := m.Analyze(agg)
-			if err != nil {
+			rep := new(core.Report)
+			if err := m.AnalyzeInto(agg, rep); err != nil {
 				return nil, err
 			}
 			pts := dvfs.NBWhatIf(m, agg, rep, dvfs.PaperNBAssumptions())

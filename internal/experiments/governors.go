@@ -43,11 +43,11 @@ func (c *Campaign) GovernorComparison() (*Result, error) {
 			return g, &g.History
 		}},
 		{"ppep-energy", func() (fxsim.Controller, *[]dvfs.GovStep) {
-			g := &dvfs.PPEPEnergyGovernor{Models: c.Models}
+			g := &dvfs.PPEPGovernor{Models: c.Models, Pick: dvfs.EnergyOptimal}
 			return g, &g.History
 		}},
 		{"ppep-edp", func() (fxsim.Controller, *[]dvfs.GovStep) {
-			g := &dvfs.PPEPEDPGovernor{Models: c.Models}
+			g := &dvfs.PPEPGovernor{Models: c.Models, Pick: dvfs.EDPOptimal}
 			return g, &g.History
 		}},
 	}

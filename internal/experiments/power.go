@@ -198,8 +198,8 @@ func (c *Campaign) Fig3() (*Result, *Result, error) {
 					predDyn[to] = &stats.Running{}
 				}
 				for _, iv := range core.SteadyIntervals(src) {
-					rep, err := fm.models.Analyze(iv)
-					if err != nil {
+					rep := new(core.Report)
+					if err := fm.models.AnalyzeInto(iv, rep); err != nil {
 						continue
 					}
 					for _, to := range c.Table.States() {

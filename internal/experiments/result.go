@@ -79,13 +79,6 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // pct formats a fraction as a percentage string.
 func pct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }
 

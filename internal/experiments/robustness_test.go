@@ -28,8 +28,8 @@ func TestPhenomCampaignSmoke(t *testing.T) {
 	}
 	// Its analyses stay well-formed on its own intervals.
 	iv := c.Runs[0].Trace.Intervals[0]
-	rep, err := c.Models.Analyze(iv)
-	if err != nil {
+	rep := new(core.Report)
+	if err := c.Models.AnalyzeInto(iv, rep); err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.PerVF) != 4 {
@@ -48,8 +48,8 @@ func TestAnalyzeSurvivesSensorDropout(t *testing.T) {
 	c := testCampaign(t)
 	iv := c.Runs[0].Trace.Intervals[1]
 	iv.MeasPowerW = 0 // the Arduino hiccuped; estimates don't use it
-	rep, err := c.Models.Analyze(iv)
-	if err != nil {
+	rep := new(core.Report)
+	if err := c.Models.AnalyzeInto(iv, rep); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range rep.PerVF {
@@ -99,8 +99,8 @@ func TestAnalyzeAllIdleInterval(t *testing.T) {
 	for i := range iv.PerCoreVF {
 		iv.PerCoreVF[i] = arch.VF3
 	}
-	rep, err := c.Models.Analyze(iv)
-	if err != nil {
+	rep := new(core.Report)
+	if err := c.Models.AnalyzeInto(iv, rep); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range rep.PerVF {

@@ -33,11 +33,11 @@ import (
 	"ppep/internal/units"
 )
 
-// DefaultShardNodes is the shard granularity when Config.ShardNodes is
-// zero: small enough to load-balance heterogeneous mixes across
-// workers, large enough that the per-shard dispatch cost is noise
-// against ~8 node-intervals of simulation.
-const DefaultShardNodes = 8
+// shardNodes is the number of consecutive nodes one pool job advances:
+// small enough to load-balance heterogeneous mixes across workers,
+// large enough that the per-shard dispatch cost is noise against ~8
+// node-intervals of simulation. Shard size never affects results.
+const shardNodes = 8
 
 // Config sizes and seeds a fleet.
 type Config struct {
@@ -46,10 +46,6 @@ type Config struct {
 	// Workers bounds the pool advancing the fleet; 0 means GOMAXPROCS.
 	// Workers=1 advances inline on the calling goroutine.
 	Workers int
-	// ShardNodes is the number of consecutive nodes one pool job
-	// advances; 0 means DefaultShardNodes. Shard size never affects
-	// results, only load balance.
-	ShardNodes int
 	// Seed is the fleet identity seed; 0 means 42. Every per-node seed
 	// and jitter derives from (Seed, node index).
 	Seed int64
@@ -86,12 +82,11 @@ type node struct {
 // Engine owns the fleet. Construct with New; see the package comment
 // for the concurrency contract.
 type Engine struct {
-	cfg        Config
-	workers    int
-	shardNodes int
-	nShards    int
-	nVF        int
-	nodes      []node
+	cfg     Config
+	workers int
+	nShards int
+	nVF     int
+	nodes   []node
 	// rows is the publish staging buffer: shard jobs write disjoint
 	// index ranges, publish copies it into the immutable snapshot.
 	rows []NodeStat
@@ -106,8 +101,8 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("fleet: Nodes must be ≥ 1, got %d", cfg.Nodes)
 	}
-	if cfg.Workers < 0 || cfg.ShardNodes < 0 {
-		return nil, fmt.Errorf("fleet: negative Workers or ShardNodes")
+	if cfg.Workers < 0 {
+		return nil, fmt.Errorf("fleet: negative Workers")
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 42
@@ -116,19 +111,15 @@ func New(cfg Config) (*Engine, error) {
 		cfg.Mix = MixJittered
 	}
 	e := &Engine{
-		cfg:        cfg,
-		workers:    cfg.Workers,
-		shardNodes: cfg.ShardNodes,
-		nodes:      make([]node, cfg.Nodes),
-		rows:       make([]NodeStat, cfg.Nodes),
+		cfg:     cfg,
+		workers: cfg.Workers,
+		nShards: (cfg.Nodes + shardNodes - 1) / shardNodes,
+		nodes:   make([]node, cfg.Nodes),
+		rows:    make([]NodeStat, cfg.Nodes),
 	}
 	if e.workers == 0 {
 		e.workers = runtime.GOMAXPROCS(0)
 	}
-	if e.shardNodes == 0 {
-		e.shardNodes = DefaultShardNodes
-	}
-	e.nShards = (cfg.Nodes + e.shardNodes - 1) / e.shardNodes
 
 	chipCfg := fxsim.DefaultFX8320Config()
 	chipCfg.IdealSensor = cfg.IdealSensor
@@ -181,8 +172,8 @@ func (e *Engine) Workers() int { return e.workers }
 // immutable snapshot, which readers may retain. See Snapshot.
 func (e *Engine) Advance() {
 	pool.ForEachJob(e.nShards, e.workers, func(shard int) {
-		lo := shard * e.shardNodes
-		hi := lo + e.shardNodes
+		lo := shard * shardNodes
+		hi := lo + shardNodes
 		if hi > len(e.nodes) {
 			hi = len(e.nodes)
 		}

@@ -13,7 +13,7 @@ import (
 // (seed 42, mixed preset, 8 nodes) after 5 decision intervals — the
 // cross-refactor witness that node identity derivation and the
 // simulated histories stay bit-exact, the same way golden_test.go pins
-// single-chip runs. Any worker or shard count must reproduce it.
+// single-chip runs. Any worker count or fleet size must reproduce it.
 // Re-recorded with the fxsim goldens (tracecodec.SchemaVersion 2).
 const goldenFleetFP = uint64(0x834c45054a11f95b)
 
@@ -42,31 +42,28 @@ func runFleet(t *testing.T, cfg Config, intervals int) []uint64 {
 }
 
 // TestFleetShardInvariance pins the determinism contract: per-node
-// fingerprints are bit-identical at workers ∈ {1, 2, NumCPU} and across
-// shard sizes, and node 0 of the reference fleet matches the golden
-// constant.
+// fingerprints are bit-identical at workers ∈ {1, 2, NumCPU} on a fleet
+// of three shards, the last one partial, and node 0 matches the golden
+// constant (a node's history does not depend on the fleet's size).
 func TestFleetShardInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-configuration fleet run")
 	}
+	const nodes = 2*shardNodes + shardNodes/2
 	base := goldenConfig()
+	base.Nodes = nodes
 	base.Workers = 1
 	ref := runFleet(t, base, goldenIntervals)
 	if ref[0] != goldenFleetFP {
 		t.Errorf("golden fleet node-0 fingerprint = %#x, want %#x", ref[0], goldenFleetFP)
 	}
-	variants := []Config{
-		{Nodes: goldenNodes, Mix: MixMixed, IdealSensor: true, Workers: 2},
-		{Nodes: goldenNodes, Mix: MixMixed, IdealSensor: true, Workers: runtime.NumCPU()},
-		{Nodes: goldenNodes, Mix: MixMixed, IdealSensor: true, Workers: 2, ShardNodes: 1},
-		{Nodes: goldenNodes, Mix: MixMixed, IdealSensor: true, Workers: runtime.NumCPU(), ShardNodes: 3},
-	}
-	for _, cfg := range variants {
+	for _, workers := range []int{2, runtime.NumCPU()} {
+		cfg := base
+		cfg.Workers = workers
 		got := runFleet(t, cfg, goldenIntervals)
 		for i := range ref {
 			if got[i] != ref[i] {
-				t.Errorf("workers=%d shard=%d: node %d fingerprint %#x, want %#x",
-					cfg.Workers, cfg.ShardNodes, i, got[i], ref[i])
+				t.Errorf("workers=%d: node %d fingerprint %#x, want %#x", workers, i, got[i], ref[i])
 			}
 		}
 	}

@@ -37,16 +37,16 @@ func busyChip(t testing.TB) *Chip {
 func TestTickZeroAlloc(t *testing.T) {
 	t.Run("busy", func(t *testing.T) {
 		c := busyChip(t)
-		if n := testing.AllocsPerRun(200, c.Tick); n != 0 {
-			t.Errorf("busy Tick allocates %.1f times per call, want 0", n)
+		if n := testing.AllocsPerRun(200, func() { c.TickN(1) }); n != 0 {
+			t.Errorf("busy tick allocates %.1f times per call, want 0", n)
 		}
 	})
 	t.Run("idle", func(t *testing.T) {
 		cfg := DefaultFX8320Config()
 		cfg.IdealSensor = true
 		c := New(cfg)
-		if n := testing.AllocsPerRun(200, c.Tick); n != 0 {
-			t.Errorf("idle Tick allocates %.1f times per call, want 0", n)
+		if n := testing.AllocsPerRun(200, func() { c.TickN(1) }); n != 0 {
+			t.Errorf("idle tick allocates %.1f times per call, want 0", n)
 		}
 	})
 	t.Run("gated", func(t *testing.T) {
@@ -54,36 +54,35 @@ func TestTickZeroAlloc(t *testing.T) {
 		cfg.IdealSensor = true
 		cfg.PowerGating = true
 		c := New(cfg)
-		if n := testing.AllocsPerRun(200, c.Tick); n != 0 {
-			t.Errorf("gated Tick allocates %.1f times per call, want 0", n)
+		if n := testing.AllocsPerRun(200, func() { c.TickN(1) }); n != 0 {
+			t.Errorf("gated tick allocates %.1f times per call, want 0", n)
 		}
 	})
 }
 
-// TestReadIntervalAllocs pins the interval-collection allocation budget:
-// exactly one exact-capacity allocation per handed-out slice (PerCoreVF,
-// Counters, Busy, TrueCoreDynW) and nothing from append growth. The
-// record must own its slices — the daemon retains intervals in its
-// history ring long after the chip has moved on — so these four cannot
-// be pooled away; the former append-growth path cost 10 allocs and
-// ~1.6 KB per interval (visible in BenchmarkTickN before this budget).
+// TestReadIntervalAllocs pins the interval-collection allocation budget
+// of a zero record: exactly one exact-capacity allocation per handed-out
+// slice (PerCoreVF, Counters, Busy, TrueCoreDynW) and nothing from
+// append growth. A retained record must own its slices — the daemon
+// keeps intervals in its history ring long after the chip has moved on
+// — so these four cannot be pooled away; the former append-growth path
+// cost 10 allocs and ~1.6 KB per interval.
 func TestReadIntervalAllocs(t *testing.T) {
 	c := busyChip(t)
 	n := testing.AllocsPerRun(100, func() {
 		c.TickN(arch.DecisionIntervalMS)
-		c.ReadInterval()
+		var iv trace.Interval
+		c.ReadIntervalInto(&iv)
 	})
 	if n != 4 {
-		t.Errorf("TickN+ReadInterval allocates %.1f times per interval, want exactly 4", n)
+		t.Errorf("TickN+ReadIntervalInto on a zero record allocates %.1f times per interval, want exactly 4", n)
 	}
 }
 
 // TestReadIntervalIntoAllocs pins the reuse path: handing the same
 // record back every interval reuses its four slices, so the steady
 // state allocates nothing at all — the contract the fleet engine's
-// per-node scratch depends on. The values must also be bit-identical
-// to ReadInterval's (checked against a parallel chip with the same
-// seed and workload).
+// per-node scratch depends on.
 func TestReadIntervalIntoAllocs(t *testing.T) {
 	c := busyChip(t)
 	var iv trace.Interval
@@ -99,7 +98,9 @@ func TestReadIntervalIntoAllocs(t *testing.T) {
 }
 
 // TestReadIntervalIntoMatchesReadInterval pins bit-exact equivalence of
-// the two collection paths across a run with VF changes and idle cores.
+// a reused record and a fresh zero one (read from a parallel chip with
+// the same seed and workload) across a run with VF changes and idle
+// cores.
 func TestReadIntervalIntoMatchesReadInterval(t *testing.T) {
 	a := busyChip(t)
 	b := busyChip(t)
@@ -119,10 +120,11 @@ func TestReadIntervalIntoMatchesReadInterval(t *testing.T) {
 		}
 		a.TickN(arch.DecisionIntervalMS)
 		b.TickN(arch.DecisionIntervalMS)
-		want := a.ReadInterval()
+		var want trace.Interval
+		a.ReadIntervalInto(&want)
 		b.ReadIntervalInto(&reused)
 		if want.Fold(trace.FingerprintSeed) != reused.Fold(trace.FingerprintSeed) {
-			t.Fatalf("interval %d: ReadIntervalInto diverges from ReadInterval", k)
+			t.Fatalf("interval %d: a reused record diverges from a fresh one", k)
 		}
 	}
 }
@@ -176,7 +178,7 @@ func TestConfigNBNotShared(t *testing.T) {
 
 // TestCounterFilesFeedOneModel pins the one-counter-model rule: once
 // counter files are attached, a core's events feed its counter file
-// and not its mux, and ReadInterval returns no counters — while every
+// and not its mux, and ReadIntervalInto returns no counters — while every
 // power, thermal and VF field stays equal to a chip without
 // counter files.
 func TestCounterFilesFeedOneModel(t *testing.T) {
@@ -193,7 +195,8 @@ func TestCounterFilesFeedOneModel(t *testing.T) {
 			t.Fatal("a chip with counter files still feeds its mux")
 		}
 		files.ReadIntervalInto(&reuse)
-		want := plain.ReadInterval()
+		var want trace.Interval
+		plain.ReadIntervalInto(&want)
 		if len(reuse.Counters) != 0 || len(want.Counters) != len(want.Busy) {
 			t.Fatalf("interval %d: %d counter vectors with counter files, %d without", n, len(reuse.Counters), len(want.Counters))
 		}

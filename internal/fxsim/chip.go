@@ -125,7 +125,7 @@ type Chip struct {
 	trueNBSum   float64
 	coreDynSum  []units.Watts
 	tickCount   int
-	intervalVF  []arch.VFState // reused buffer; ReadInterval copies it out
+	intervalVF  []arch.VFState // reused buffer; ReadIntervalInto copies it out
 
 	// Tick-loop caches (see the "simulator performance" section of
 	// DESIGN.md). The busy counters are maintained incrementally by
@@ -541,7 +541,7 @@ func (c *Chip) nbGated() bool {
 }
 
 // snapshotVF records the per-core VF states for the current interval into
-// the chip's reusable buffer (ReadInterval copies it out, so handed-out
+// the chip's reusable buffer (ReadIntervalInto copies it out, so handed-out
 // intervals never alias it).
 //
 //ppep:inline
@@ -601,22 +601,13 @@ func (c *Chip) cuCoeffs(cu int, v units.Volts, f units.GigaHertz) *cuOpCache {
 	return m
 }
 
-// Tick advances the chip by one 1 ms step: runs every bound thread,
-// accumulates counters, computes true power, advances thermals, and takes
-// a sensor sample every 20 ms. The tick loop is allocation-free: the
-// power breakdown lives in chip-owned scratch buffers and all
-// operating-point coefficients come from caches that Set*/Bind/Unbind
-// keep current.
-//
-//ppep:hotpath
-func (c *Chip) Tick() { c.tick() }
-
-// TickN advances the chip by n ticks. The per-tick loop invariants (NB
-// latency params, operating-point coefficients, busy counters) are
-// persistent caches on the chip rather than per-call hoists, so TickN
-// costs exactly n times one tick with no warm-up; it exists so hot
-// callers (Collect, HeatCool, the PG sweeps, the daemon) express
-// "advance one measurement window" as a single call.
+// TickN advances the chip by n 1 ms steps. Each step runs every bound
+// thread, accumulates counters, computes true power, advances thermals,
+// and takes a sensor sample every 20 ms. The tick loop is
+// allocation-free: the power breakdown lives in chip-owned scratch
+// buffers and all operating-point coefficients come from caches that
+// Set*/Bind/Unbind keep current, so TickN costs exactly n times one tick
+// with no warm-up.
 //
 //ppep:hotpath
 func (c *Chip) TickN(n int) {
@@ -748,7 +739,7 @@ func (c *Chip) tick() {
 // EnableCounterFiles attaches a register-level counter file to every core
 // so the MSR device (internal/msr) can expose PERF_CTL/PERF_CTR access.
 // Each core's events then feed one counter model, the counter file: the
-// multiplexed counters are no longer fed, and ReadInterval returns the
+// multiplexed counters are no longer fed, and ReadIntervalInto returns the
 // power, thermal and VF fields with an empty Counters. The register path
 // is how such a chip's counts are read.
 func (c *Chip) EnableCounterFiles() {
@@ -769,36 +760,20 @@ func (c *Chip) CounterFile(core int) *pmc.CounterFile {
 	return c.counters[core]
 }
 
-// ReadInterval closes the current measurement interval: it reads and
-// resets every core's multiplexed counters, averages the sensor samples,
-// and returns the assembled record. Call every 200 ticks for the paper's
-// 200 ms cadence. On a chip with counter files (EnableCounterFiles) the
-// record's Counters is empty: the counts live in the register files.
-//
-// The handed-out record owns all four per-core slices (callers retain
-// intervals long after the chip has moved on), so one exact-capacity
-// allocation per slice is inherent; what the append-growth path used to
-// add on top (10 allocs, ~1.6 KB per interval) is avoided by pre-sizing.
-// TestReadIntervalAllocs pins the budget. Callers that do NOT retain the
-// record past the next interval should use ReadIntervalInto, which
-// reuses the caller's slices and is allocation-free in steady state.
-func (c *Chip) ReadInterval() trace.Interval {
-	var iv trace.Interval
-	c.ReadIntervalInto(&iv)
-	return iv
-}
-
 // ReadIntervalInto closes the current measurement interval into a
-// caller-owned record, reusing its slices whenever their capacity
-// allows (a record handed back on every call allocates only on the
-// first). The assembled values are bit-identical to ReadInterval's —
-// ReadInterval is this function applied to a zero record. The record
-// must not be read concurrently with the chip's tick loop, and a record
-// retained across the next ReadIntervalInto call on the same record is
-// overwritten — callers that keep history must copy it out (or use
-// ReadInterval). TestReadIntervalIntoAllocs pins the zero-alloc reuse
-// path; the fleet engine's per-node scratch records are the intended
-// consumer.
+// caller-owned record: it reads and resets every core's multiplexed
+// counters, averages the sensor samples, and assembles the record. Call
+// every 200 ticks for the paper's 200 ms cadence. On a chip with
+// counter files (EnableCounterFiles) the record's Counters is empty: the
+// counts live in the register files.
+//
+// The record's slices are reused whenever their capacity allows: a
+// record handed back on every call allocates only on the first, and a
+// zero record gets one exact-capacity allocation per per-core slice
+// (TestReadIntervalAllocs pins both). The record must not be read
+// concurrently with the chip's tick loop, and a record retained across
+// the next call on the same record is overwritten: callers that keep
+// history read each interval into a fresh one.
 func (c *Chip) ReadIntervalInto(iv *trace.Interval) {
 	dur := float64(c.tickCount) * TickS
 	iv.TimeS = c.timeS

@@ -131,13 +131,13 @@ func TestForkIsDeepCopy(t *testing.T) {
 	}
 	busy.SetTempK(340)
 	busy.TickN(1000)
-	busy.ReadInterval()
+	readInterval(busy)
 	if !reflect.DeepEqual(parent, twin) {
 		t.Fatal("running a fork changed the parent")
 	}
 	parent.TickN(400)
 	twin.TickN(400)
-	if !reflect.DeepEqual(parent.ReadInterval(), twin.ReadInterval()) {
+	if !reflect.DeepEqual(readInterval(parent), readInterval(twin)) {
 		t.Error("parent and same-seed fork diverged")
 	}
 	if a, b := parent.EngineStats(), twin.EngineStats(); a != b {

@@ -19,6 +19,13 @@ func newChip(t *testing.T, mut func(*Config)) *Chip {
 	return New(cfg)
 }
 
+// readInterval closes the chip's interval into a fresh record.
+func readInterval(c *Chip) trace.Interval {
+	var iv trace.Interval
+	c.ReadIntervalInto(&iv)
+	return iv
+}
+
 func TestChipInitialState(t *testing.T) {
 	c := newChip(t, nil)
 	if c.TimeS() != 0 {
@@ -138,7 +145,10 @@ func TestCollectProducesIntervals(t *testing.T) {
 		}
 	}
 	// All instructions retired exactly once.
-	got := tr.TotalInstructions()
+	var got float64
+	for _, iv := range tr.Intervals {
+		got += iv.Instructions()
+	}
 	if math.Abs(got-2e9)/2e9 > 0.05 {
 		t.Errorf("instructions %v, want ≈2e9 (multiplexing extrapolation)", got)
 	}
@@ -221,11 +231,8 @@ func TestCPUBoundNoContention(t *testing.T) {
 func TestPowerGatingReducesIdlePower(t *testing.T) {
 	idlePower := func(pg bool) float64 {
 		c := newChip(t, func(cfg *Config) { cfg.PowerGating = pg })
-		for i := 0; i < 400; i++ {
-			c.Tick()
-		}
-		iv := c.ReadInterval()
-		return iv.TruePowerW
+		c.TickN(400)
+		return readInterval(c).TruePowerW
 	}
 	open := idlePower(false)
 	gated := idlePower(true)
@@ -248,10 +255,8 @@ func TestPowerGatingPerCUSteps(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for i := 0; i < 400; i++ {
-			c.Tick()
-		}
-		return c.ReadInterval().TruePowerW
+		c.TickN(400)
+		return readInterval(c).TruePowerW
 	}
 	prev := power(0)
 	for n := 1; n <= 4; n++ {
@@ -567,7 +572,7 @@ func TestEngineStatsCountsEveryTick(t *testing.T) {
 		}
 		const n = 3*arch.DecisionIntervalMS + 7
 		c.TickN(n - 1)
-		c.Tick()
+		c.TickN(1)
 		if got, want := c.EngineStats(), (EngineStats{ReferenceTicks: n}); got != want {
 			t.Errorf("%s: EngineStats = %+v after %d ticks, want %+v", tc.name, got, n, want)
 		}

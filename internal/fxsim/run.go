@@ -65,8 +65,8 @@ func (c *Chip) coreOrder(p Placement) []int {
 }
 
 // Controller receives each closed interval and may adjust the chip's
-// P-states before the next one. The PPEP daemon and the baseline iterative
-// governor both plug in here.
+// P-states before the next one. The dvfs package's governors and cappers
+// plug in here; the daemon steers its chip through daemon.Policy.
 type Controller interface {
 	Decide(chip *Chip, iv trace.Interval)
 }
@@ -106,7 +106,7 @@ func (c *Chip) Collect(r workload.Run, opts RunOpts) (*trace.Trace, error) {
 	}
 	c.UnbindAll()
 	// Align interval boundaries with run start.
-	c.ReadInterval()
+	c.ReadIntervalInto(new(trace.Interval))
 	if _, err := c.PlaceRun(r, opts.Placement, opts.Restart); err != nil {
 		return nil, err
 	}
@@ -116,7 +116,8 @@ func (c *Chip) Collect(r workload.Run, opts RunOpts) (*trace.Trace, error) {
 	start := c.timeS
 	for {
 		c.TickN(ticksPerInterval)
-		iv := c.ReadInterval()
+		var iv trace.Interval
+		c.ReadIntervalInto(&iv)
 		tr.Intervals = append(tr.Intervals, iv)
 		if opts.Controller != nil {
 			opts.Controller.Decide(c, iv)
@@ -168,7 +169,7 @@ func (c *Chip) Heat(heatS float64) error {
 	}
 	c.TickN(heatTicks)
 	c.UnbindAll()
-	c.ReadInterval() // discard the heating interval
+	c.ReadIntervalInto(new(trace.Interval)) // discard the heating interval
 	return nil
 }
 
@@ -189,7 +190,8 @@ func (c *Chip) Cool(vf arch.VFState, coolS float64) (*trace.Trace, error) {
 		c.TickN(n)
 		done += n
 		if n == arch.DecisionIntervalMS {
-			tr.Intervals = append(tr.Intervals, c.ReadInterval())
+			tr.Intervals = append(tr.Intervals, trace.Interval{})
+			c.ReadIntervalInto(&tr.Intervals[len(tr.Intervals)-1])
 		}
 	}
 	return tr, nil

@@ -259,7 +259,6 @@ func TestHotRootsAnnotated(t *testing.T) {
 		t.Fatalf("loading module: %v", err)
 	}
 	for _, name := range []string{
-		"(*ppep/internal/fxsim.Chip).Tick",
 		"(*ppep/internal/fxsim.Chip).TickN",
 		"(*ppep/internal/uarch.Core).Step",
 		"(*ppep/internal/uarch.Core).Reset",

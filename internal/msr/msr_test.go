@@ -91,9 +91,7 @@ func TestCounterProgramAndRead(t *testing.T) {
 	if err := chip.Bind(0, workload.BenchA(), true); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 200; i++ {
-		chip.Tick()
-	}
+	chip.TickN(200)
 	v, err := d.Rdmsr(0, PerfCtr(0))
 	if err != nil {
 		t.Fatal(err)
@@ -105,9 +103,7 @@ func TestCounterProgramAndRead(t *testing.T) {
 	if err := d.Wrmsr(0, PerfCtr(0), 0); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 200; i++ {
-		chip.Tick()
-	}
+	chip.TickN(200)
 	v2, err := d.Rdmsr(0, PerfCtr(0))
 	if err != nil {
 		t.Fatal(err)

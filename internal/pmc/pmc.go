@@ -40,9 +40,6 @@ type Mux struct {
 	clockMS float64       // position within the mux rotation
 }
 
-// NewMux returns a multiplexer with the default group split.
-func NewMux() *Mux { return &Mux{} }
-
 // GroupOf reports the mux group of the given event: group 0 counts
 // E1–E6, group 1 counts E7–E12, the split the daemon's sampler programs.
 // The performance-model events (E10–E12) share a group so their ratios

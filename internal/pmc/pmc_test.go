@@ -17,7 +17,7 @@ func steadyVec(v float64) *arch.EventVec {
 }
 
 func TestMuxGroupSplit(t *testing.T) {
-	m := NewMux()
+	m := &Mux{}
 	// Performance events E10–E12 must share a group so CPI and MCPI
 	// ratios stay consistent.
 	g := m.GroupOf(arch.CPUClocksNotHalted)
@@ -42,7 +42,7 @@ func TestMuxGroupSplit(t *testing.T) {
 func TestMuxSteadyWorkloadIsExact(t *testing.T) {
 	// For a steady event stream, extrapolation reconstructs the true
 	// counts exactly.
-	m := NewMux()
+	m := &Mux{}
 	for tick := 0; tick < 200; tick++ { // 200 × 1 ms
 		m.Accumulate(steadyVec(10), 1)
 	}
@@ -58,7 +58,7 @@ func TestMuxPhaseChangeError(t *testing.T) {
 	// A burst confined to one 20 ms window is over- or under-counted
 	// depending on which group was live — the multiplexing error the
 	// paper describes for rapidly phase-changing programs.
-	m := NewMux()
+	m := &Mux{}
 	for tick := 0; tick < 200; tick++ {
 		inc := steadyVec(0)
 		if tick < 20 { // burst only in the first window (group 0 live)
@@ -80,7 +80,7 @@ func TestMuxPhaseChangeError(t *testing.T) {
 }
 
 func TestMuxDisabledIsOracle(t *testing.T) {
-	m := NewMux()
+	m := &Mux{}
 	m.Disabled = true
 	for tick := 0; tick < 200; tick++ {
 		inc := steadyVec(0)
@@ -98,7 +98,7 @@ func TestMuxDisabledIsOracle(t *testing.T) {
 }
 
 func TestMuxReadResets(t *testing.T) {
-	m := NewMux()
+	m := &Mux{}
 	for tick := 0; tick < 40; tick++ {
 		m.Accumulate(steadyVec(5), 1)
 	}
@@ -114,7 +114,7 @@ func TestMuxReadResets(t *testing.T) {
 func TestMuxRotationContinuesAcrossReads(t *testing.T) {
 	// The 20 ms rotation clock is not reset by reads; a read in the
 	// middle of a window must not bias the next interval.
-	m := NewMux()
+	m := &Mux{}
 	for tick := 0; tick < 30; tick++ {
 		m.Accumulate(steadyVec(1), 1)
 	}
@@ -132,7 +132,7 @@ func TestMuxRotationContinuesAcrossReads(t *testing.T) {
 }
 
 func TestMuxZeroLiveTime(t *testing.T) {
-	m := NewMux()
+	m := &Mux{}
 	got := m.ReadInterval(200) // nothing accumulated
 	for i, v := range got {
 		if v != 0 {
@@ -202,7 +202,7 @@ func TestCounterFileWraps48Bits(t *testing.T) {
 func TestMuxRelativeErrorBoundedForSlowPhases(t *testing.T) {
 	// Phases slower than the window produce modest error; this guards
 	// the extrapolation arithmetic (liveMS bookkeeping) against drift.
-	m := NewMux()
+	m := &Mux{}
 	var truth float64
 	for tick := 0; tick < 1000; tick++ {
 		level := 10.0

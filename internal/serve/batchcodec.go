@@ -1,7 +1,7 @@
-// Binary encoding for /predict/batch, in the style of
-// internal/tracecodec: a versioned magic-tagged layout, floats carried
-// as raw IEEE-754 bits (so a decoded table is bit-identical to the
-// published one), and a bounds-checked decoder that degrades corrupt
+// Binary encoding for /predict/batch, built on internal/tracecodec's
+// float writer and cursor: a versioned magic-tagged layout, floats
+// carried as raw IEEE-754 bits (so a decoded table is bit-identical to
+// the published one), and a bounds-checked decoder that degrades corrupt
 // input to an error instead of a panic or a partial table.
 //
 // Layout (all integers little-endian):
@@ -21,10 +21,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"ppep/internal/arch"
 	"ppep/internal/core"
+	"ppep/internal/tracecodec"
 	"ppep/internal/units"
 )
 
@@ -62,10 +62,10 @@ func EncodeBatch(t *core.PredictionTable) []byte {
 	off += 4
 	binary.LittleEndian.PutUint64(b[off:], t.Seq)
 	off += 8
-	off = putBatchF64(b, off, float64(t.TimeS))
-	off = putBatchF64(b, off, float64(t.DurS))
-	off = putBatchF64(b, off, float64(t.MeasPowerW))
-	off = putBatchF64(b, off, float64(t.TempK))
+	off = tracecodec.PutF64(b, off, float64(t.TimeS))
+	off = tracecodec.PutF64(b, off, float64(t.DurS))
+	off = tracecodec.PutF64(b, off, float64(t.MeasPowerW))
+	off = tracecodec.PutF64(b, off, float64(t.TempK))
 	binary.LittleEndian.PutUint32(b[off:], uint32(t.MeasuredVF))
 	off += 4
 	binary.LittleEndian.PutUint32(b[off:], uint32(len(t.Rows)))
@@ -74,89 +74,39 @@ func EncodeBatch(t *core.PredictionTable) []byte {
 		r := &t.Rows[i]
 		binary.LittleEndian.PutUint32(b[off:], uint32(r.VF))
 		off += 4
-		off = putBatchF64(b, off, float64(r.CPI))
-		off = putBatchF64(b, off, float64(r.TotalIPS))
-		off = putBatchF64(b, off, float64(r.ChipW))
-		off = putBatchF64(b, off, float64(r.IdleW))
-		off = putBatchF64(b, off, float64(r.DynW))
-		off = putBatchF64(b, off, float64(r.IntervalEnergyJ))
-		off = putBatchF64(b, off, float64(r.JPerInst))
-		off = putBatchF64(b, off, float64(r.EDP))
+		off = tracecodec.PutF64(b, off, float64(r.CPI))
+		off = tracecodec.PutF64(b, off, float64(r.TotalIPS))
+		off = tracecodec.PutF64(b, off, float64(r.ChipW))
+		off = tracecodec.PutF64(b, off, float64(r.IdleW))
+		off = tracecodec.PutF64(b, off, float64(r.DynW))
+		off = tracecodec.PutF64(b, off, float64(r.IntervalEnergyJ))
+		off = tracecodec.PutF64(b, off, float64(r.JPerInst))
+		off = tracecodec.PutF64(b, off, float64(r.EDP))
 	}
 	return b[:off]
 }
 
-// putBatchF64 writes one float as raw IEEE-754 bits and advances the
-// cursor; inlined into EncodeBatch's per-row loop.
-//
-//ppep:inline
-func putBatchF64(b []byte, off int, x float64) int {
-	binary.LittleEndian.PutUint64(b[off:], math.Float64bits(x))
-	return off + 8
-}
-
-// batchReader is a bounds-checked cursor over an encoded frame; every
-// take flips ok to false instead of slicing past the end.
-type batchReader struct {
-	b   []byte
-	off int
-	ok  bool
-}
-
-// take yields the next n bytes, or flips ok and returns nil past the
-// end; small enough that u32/u64/f64 collapse to straight-line loads.
-//
-//ppep:inline
-func (r *batchReader) take(n int) []byte {
-	if !r.ok || n < 0 || len(r.b)-r.off < n {
-		r.ok = false
-		return nil
-	}
-	s := r.b[r.off : r.off+n]
-	r.off += n
-	return s
-}
-
-//ppep:inline
-func (r *batchReader) u32() uint32 {
-	if s := r.take(4); s != nil {
-		return binary.LittleEndian.Uint32(s)
-	}
-	return 0
-}
-
-//ppep:inline
-func (r *batchReader) u64() uint64 {
-	if s := r.take(8); s != nil {
-		return binary.LittleEndian.Uint64(s)
-	}
-	return 0
-}
-
-//ppep:inline
-func (r *batchReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
 // DecodeBatch parses a binary /predict/batch response. The decoded
 // table is bit-identical to the one the server published.
 func DecodeBatch(data []byte) (*core.PredictionTable, error) {
-	r := &batchReader{b: data, ok: true}
-	if string(r.take(4)) != batchMagic {
+	r := tracecodec.NewReader(data)
+	if string(r.Take(4)) != batchMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBatchCorrupt)
 	}
-	if v := r.u32(); v != BatchSchemaVersion {
+	if v := r.U32(); v != BatchSchemaVersion {
 		return nil, fmt.Errorf("%w: version %d, want %d", ErrBatchSchema, v, BatchSchemaVersion)
 	}
-	t := &core.PredictionTable{Seq: r.u64()}
-	t.TimeS = units.Seconds(r.f64())
-	t.DurS = units.Seconds(r.f64())
-	t.MeasPowerW = units.Watts(r.f64())
-	t.TempK = units.Kelvin(r.f64())
-	t.MeasuredVF = arch.VFState(r.u32())
-	nRows := int(r.u32())
-	if !r.ok {
+	t := &core.PredictionTable{Seq: r.U64()}
+	t.TimeS = units.Seconds(r.F64())
+	t.DurS = units.Seconds(r.F64())
+	t.MeasPowerW = units.Watts(r.F64())
+	t.TempK = units.Kelvin(r.F64())
+	t.MeasuredVF = arch.VFState(r.U32())
+	nRows := int(r.U32())
+	if !r.OK() {
 		return nil, fmt.Errorf("%w: truncated header", ErrBatchCorrupt)
 	}
-	if nRows < 0 || nRows > (len(data)-r.off)/batchRowSize {
+	if nRows < 0 || nRows > r.Rem()/batchRowSize {
 		return nil, fmt.Errorf("%w: row count %d exceeds data", ErrBatchCorrupt, nRows)
 	}
 	if nRows > 0 {
@@ -164,20 +114,20 @@ func DecodeBatch(data []byte) (*core.PredictionTable, error) {
 	}
 	for i := range t.Rows {
 		row := &t.Rows[i]
-		row.VF = arch.VFState(r.u32())
-		row.CPI = units.CPI(r.f64())
-		row.TotalIPS = units.InstPerSec(r.f64())
-		row.ChipW = units.Watts(r.f64())
-		row.IdleW = units.Watts(r.f64())
-		row.DynW = units.Watts(r.f64())
-		row.IntervalEnergyJ = units.Joules(r.f64())
-		row.JPerInst = units.JoulesPerInst(r.f64())
-		row.EDP = units.EDP(r.f64())
+		row.VF = arch.VFState(r.U32())
+		row.CPI = units.CPI(r.F64())
+		row.TotalIPS = units.InstPerSec(r.F64())
+		row.ChipW = units.Watts(r.F64())
+		row.IdleW = units.Watts(r.F64())
+		row.DynW = units.Watts(r.F64())
+		row.IntervalEnergyJ = units.Joules(r.F64())
+		row.JPerInst = units.JoulesPerInst(r.F64())
+		row.EDP = units.EDP(r.F64())
 	}
-	if !r.ok {
+	if !r.OK() {
 		return nil, fmt.Errorf("%w: truncated rows", ErrBatchCorrupt)
 	}
-	if rem := len(data) - r.off; rem != 0 {
+	if rem := r.Rem(); rem != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBatchCorrupt, rem)
 	}
 	return t, nil

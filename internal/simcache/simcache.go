@@ -23,8 +23,6 @@
 //     to read or decode is counted, dropped from the index, and treated
 //     as a miss — the cache can never turn damaged bytes into a wrong
 //     result.
-//   - Singleflight: concurrent GetOrCompute calls for the same key
-//     simulate once; followers block and share the leader's trace.
 //   - Fail-open: write failures (read-only disk, ENOSPC) are counted
 //     but never fail the campaign; the computed trace is returned.
 //
@@ -61,7 +59,6 @@ type Stats struct {
 	Hits         int64 // entries served by decoding a cached entry
 	Misses       int64 // absent entries (simulated and, normally, written)
 	Corrupt      int64 // undecodable entries and segments with a bad footer, treated as misses
-	Coalesced    int64 // calls that shared another in-flight computation
 	Evicted      int64 // entries in the segments removed by the MaxBytes cap
 	WriteErrors  int64 // failed entry writes, including entries of a segment that failed to seal (the campaign proceeds regardless)
 	BytesRead    int64 // encoded bytes decoded from cache
@@ -108,20 +105,11 @@ type Store struct {
 	openOff int64        // bytes appended to open
 	pending []indexEntry // open's entries, in append order
 
-	flightMu sync.Mutex
-	inflight map[uint64]*flight
-
 	encoders sync.Pool
 
-	hits, misses, corrupt, coalesced atomic.Int64
-	evicted, writeErrors             atomic.Int64
-	bytesRead, bytesWritten          atomic.Int64
-}
-
-type flight struct {
-	done chan struct{}
-	tr   *trace.Trace
-	err  error
+	hits, misses, corrupt   atomic.Int64
+	evicted, writeErrors    atomic.Int64
+	bytesRead, bytesWritten atomic.Int64
 }
 
 // Open creates the cache directory if needed and returns a Store over
@@ -137,7 +125,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:      dir,
 		opts:     opts,
 		index:    map[uint64]loc{},
-		inflight: map[uint64]*flight{},
 		encoders: sync.Pool{New: func() any { return new(tracecodec.Encoder) }},
 	}
 	names, err := sealedSegments(dir)
@@ -220,42 +207,21 @@ func (s *Store) get(key uint64) (*trace.Trace, bool) {
 }
 
 // GetOrCompute returns the cached trace for key, or runs compute,
-// persists its result, and returns it. Concurrent calls with the same
-// key compute once. compute errors are returned verbatim and nothing
-// is cached for them.
+// persists its result, and returns it. compute errors are returned
+// verbatim and nothing is cached for them. Concurrent calls that miss
+// on one key each compute and append an entry (the campaign's cells
+// have distinct keys, so it never does this); the segment's index then
+// holds the key more than once, and its last entry wins.
 func (s *Store) GetOrCompute(key uint64, compute func() (*trace.Trace, error)) (*trace.Trace, error) {
 	if tr, ok := s.get(key); ok {
 		return tr, nil
 	}
-
-	s.flightMu.Lock()
-	if f, ok := s.inflight[key]; ok {
-		s.flightMu.Unlock()
-		s.coalesced.Add(1)
-		<-f.done
-		return f.tr, f.err
+	s.misses.Add(1)
+	tr, err := compute()
+	if err == nil {
+		s.put(key, tr)
 	}
-	f := &flight{done: make(chan struct{})}
-	s.inflight[key] = f
-	s.flightMu.Unlock()
-
-	// Leader: re-check the index (a previous leader may have finished
-	// between our miss and registration).
-	tr, ok := s.get(key)
-	if !ok {
-		s.misses.Add(1)
-		tr, f.err = compute()
-		if f.err == nil {
-			s.put(key, tr)
-		}
-	}
-	f.tr = tr
-
-	s.flightMu.Lock()
-	delete(s.inflight, key)
-	s.flightMu.Unlock()
-	close(f.done)
-	return f.tr, f.err
+	return tr, err
 }
 
 // put appends one entry to the session's segment, creating the temp
@@ -481,7 +447,6 @@ func (s *Store) Stats() Stats {
 		Hits:         s.hits.Load(),
 		Misses:       s.misses.Load(),
 		Corrupt:      s.corrupt.Load(),
-		Coalesced:    s.coalesced.Load(),
 		Evicted:      s.evicted.Load(),
 		WriteErrors:  s.writeErrors.Load(),
 		BytesRead:    s.bytesRead.Load(),
@@ -492,6 +457,6 @@ func (s *Store) Stats() Stats {
 // String renders the counters in the machine-greppable key=value form
 // the CI warm-cache smoke step matches on.
 func (st Stats) String() string {
-	return fmt.Sprintf("hits=%d misses=%d corrupt=%d coalesced=%d evicted=%d write_errors=%d bytes_read=%d bytes_written=%d",
-		st.Hits, st.Misses, st.Corrupt, st.Coalesced, st.Evicted, st.WriteErrors, st.BytesRead, st.BytesWritten)
+	return fmt.Sprintf("hits=%d misses=%d corrupt=%d evicted=%d write_errors=%d bytes_read=%d bytes_written=%d",
+		st.Hits, st.Misses, st.Corrupt, st.Evicted, st.WriteErrors, st.BytesRead, st.BytesWritten)
 }

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"ppep/internal/arch"
@@ -360,13 +359,20 @@ func TestDuplicateKeyNewestSegmentWins(t *testing.T) {
 	}
 }
 
-func TestSingleflight(t *testing.T) {
-	s := mustOpen(t, Options{})
-	var computes atomic.Int64
-	release := make(chan struct{})
-	want := testTrace("sf", 2)
-
+// TestConcurrentDuplicateKey has eight calls miss on one key at once:
+// each computes and appends its entry, every caller gets the trace,
+// the sealed segment's index holds the key eight times, and a fresh
+// store hits it without a miss.
+func TestConcurrentDuplicateKey(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := testTrace("dup", 2)
 	const callers = 8
+	var inCompute sync.WaitGroup
+	inCompute.Add(callers)
 	var wg sync.WaitGroup
 	results := make([]*trace.Trace, callers)
 	for i := 0; i < callers; i++ {
@@ -374,8 +380,9 @@ func TestSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			tr, err := s.GetOrCompute(11, func() (*trace.Trace, error) {
-				computes.Add(1)
-				<-release
+				// Every caller misses before any of them writes.
+				inCompute.Done()
+				inCompute.Wait()
 				return want, nil
 			})
 			if err != nil {
@@ -384,25 +391,49 @@ func TestSingleflight(t *testing.T) {
 			results[i] = tr
 		}(i)
 	}
-	// Let the goroutines pile up on the flight, then release the leader.
-	for s.Stats().Coalesced < callers-1 {
-		if computes.Load() > 1 {
-			break
-		}
-	}
-	close(release)
 	wg.Wait()
-
-	if n := computes.Load(); n != 1 {
-		t.Fatalf("compute ran %d times for one key, want 1", n)
-	}
 	for i, tr := range results {
 		if tr == nil || tr.Fingerprint() != want.Fingerprint() {
 			t.Fatalf("caller %d got wrong trace", i)
 		}
 	}
-	if st := s.Stats(); st.Coalesced != callers-1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want Coalesced=%d Misses=1", st, callers-1)
+	if st := s.Stats(); st.Misses != callers {
+		t.Fatalf("stats = %+v, want Misses=%d", st, callers)
+	}
+
+	s.Flush()
+	segs, tmps := dirFiles(t, dir)
+	if len(segs) != 1 || len(tmps) != 0 {
+		t.Fatalf("segments %v, temp files %v: want one segment and no temp file", segs, tmps)
+	}
+	f, err := os.Open(filepath.Join(dir, segs[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := readIndex(f)
+	_ = f.Close() // read-only
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != callers {
+		t.Fatalf("sealed index has %d entries, want %d", len(entries), callers)
+	}
+	for _, e := range entries {
+		if e.key != 11 {
+			t.Fatalf("sealed index holds key %d, want only 11", e.key)
+		}
+	}
+
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.GetOrCompute(11, func() (*trace.Trace, error) { t.Fatal("duplicate key recomputed after reopen"); return nil, nil })
+	if err != nil || got.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("err=%v, wrong trace after reopen", err)
+	}
+	if st := r.Stats(); st.Hits != 1 || st.Misses != 0 || st.Corrupt != 0 {
+		t.Fatalf("reopened stats = %+v, want 1 hit and misses=0", st)
 	}
 }
 

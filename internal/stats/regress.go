@@ -35,13 +35,6 @@ func OLSIntercept(x [][]float64, y []float64) (*LinearModel, error) {
 	return olsRidge(x, y, 1e-9, true)
 }
 
-// Ridge fits y ≈ X·w with an L2 penalty lambda on the weights
-// (no intercept). lambda is applied relative to each feature's mean
-// square, so features of very different scales are penalized evenly.
-func Ridge(x [][]float64, y []float64, lambda float64) (*LinearModel, error) {
-	return olsRidge(x, y, lambda, false)
-}
-
 func olsRidge(x [][]float64, y []float64, lambda float64, intercept bool) (*LinearModel, error) {
 	if len(x) == 0 {
 		return nil, errors.New("stats: no samples")

@@ -184,7 +184,7 @@ func TestRidgeShrinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heavy, err := Ridge(xs, ys, 10)
+	heavy, err := olsRidge(xs, ys, 10, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,11 +71,6 @@ func (m *Model) SteadyTempK(powerW units.Watts) units.Kelvin {
 	return m.AmbientK + m.RthKPerW.Times(powerW)
 }
 
-// TimeConstantS returns the RC time constant.
-func (m *Model) TimeConstantS() units.Seconds {
-	return m.RthKPerW.TimesHeatCap(m.CthJPerK)
-}
-
 // expNeg computes e^(−x) for x ≥ 0, clamping negative inputs to zero so
 // Step never amplifies the distance to steady state.
 func expNeg(x float64) float64 {

@@ -42,8 +42,8 @@ func TestCoolsToAmbient(t *testing.T) {
 
 func TestTimeConstant(t *testing.T) {
 	m := New(200, 0.3, 300)
-	if m.TimeConstantS() != 60 {
-		t.Errorf("tau = %v", m.TimeConstantS())
+	if tau := m.RthKPerW.TimesHeatCap(m.CthJPerK); tau != 60 {
+		t.Errorf("tau = %v", tau)
 	}
 	// After one time constant of heating from ambient, the node should be
 	// at 1−1/e ≈ 63.2% of the way to steady state.
@@ -166,7 +166,7 @@ func TestDefaultFX8320Shape(t *testing.T) {
 	if hot < 325 || hot > 345 {
 		t.Errorf("steady hot temp %v outside Figure 1's plausible band", hot)
 	}
-	tau := m.TimeConstantS()
+	tau := m.RthKPerW.TimesHeatCap(m.CthJPerK)
 	if tau < 30 || tau > 120 {
 		t.Errorf("time constant %v s implausible for a desktop cooler", tau)
 	}

@@ -128,24 +128,6 @@ func (t *Trace) AvgMeasPowerW() float64 {
 	return sum / float64(len(t.Intervals))
 }
 
-// MeasEnergyJ returns the run's measured energy (power × time summed).
-func (t *Trace) MeasEnergyJ() float64 {
-	var e float64
-	for _, iv := range t.Intervals {
-		e += iv.MeasPowerW * iv.DurS
-	}
-	return e
-}
-
-// TotalInstructions returns the chip-wide instructions retired.
-func (t *Trace) TotalInstructions() float64 {
-	var n float64
-	for _, iv := range t.Intervals {
-		n += iv.Instructions()
-	}
-	return n
-}
-
 // Fingerprint returns an order-sensitive FNV-1a hash over every field of
 // every interval at full float64 bit precision. Two traces fingerprint
 // equal iff they are bit-identical, so the simulator's golden-equivalence

@@ -139,19 +139,23 @@ func putName(b []byte, off int, s string) int {
 	return off + copy(b[off:], s)
 }
 
-func putF64(b []byte, off int, x float64) int {
+// PutF64 writes one float as raw IEEE-754 bits at off and returns the
+// advanced offset.
+//
+//ppep:inline
+func PutF64(b []byte, off int, x float64) int {
 	binary.LittleEndian.PutUint64(b[off:], math.Float64bits(x))
 	return off + 8
 }
 
 func putFrame(b []byte, off int, iv *trace.Interval) int {
-	off = putF64(b, off, iv.TimeS)
-	off = putF64(b, off, iv.DurS)
-	off = putF64(b, off, iv.TempK)
-	off = putF64(b, off, iv.MeasPowerW)
-	off = putF64(b, off, iv.TruePowerW)
-	off = putF64(b, off, iv.TrueCoreW)
-	off = putF64(b, off, iv.TrueNBW)
+	off = PutF64(b, off, iv.TimeS)
+	off = PutF64(b, off, iv.DurS)
+	off = PutF64(b, off, iv.TempK)
+	off = PutF64(b, off, iv.MeasPowerW)
+	off = PutF64(b, off, iv.TruePowerW)
+	off = PutF64(b, off, iv.TrueCoreW)
+	off = PutF64(b, off, iv.TrueNBW)
 	binary.LittleEndian.PutUint32(b[off:], uint32(len(iv.PerCoreVF)))
 	off += 4
 	for _, s := range iv.PerCoreVF {
@@ -162,7 +166,7 @@ func putFrame(b []byte, off int, iv *trace.Interval) int {
 	off += 4
 	for ci := range iv.Counters {
 		for _, x := range iv.Counters[ci] {
-			off = putF64(b, off, x)
+			off = PutF64(b, off, x)
 		}
 	}
 	binary.LittleEndian.PutUint32(b[off:], uint32(len(iv.Busy)))
@@ -178,20 +182,32 @@ func putFrame(b []byte, off int, iv *trace.Interval) int {
 	binary.LittleEndian.PutUint32(b[off:], uint32(len(iv.TrueCoreDynW)))
 	off += 4
 	for _, w := range iv.TrueCoreDynW {
-		off = putF64(b, off, w)
+		off = PutF64(b, off, w)
 	}
 	return off
 }
 
-// reader is a bounds-checked cursor; every take sets ok=false instead
-// of slicing past the end, so corrupt input degrades to an error.
-type reader struct {
+// Reader is a bounds-checked cursor over an encoded buffer; every Take
+// past the end sets OK to false instead of slicing out of range, so
+// corrupt input degrades to an error. The serving layer's batch frames
+// are read through it too.
+type Reader struct {
 	b   []byte
 	off int
 	ok  bool
 }
 
-func (r *reader) take(n int) []byte {
+// NewReader returns a cursor at the start of b.
+func NewReader(b []byte) *Reader { return &Reader{b: b, ok: true} }
+
+// OK reports whether every read so far stayed within the buffer.
+func (r *Reader) OK() bool { return r.ok }
+
+// Take yields the next n bytes, or clears OK and returns nil past the
+// end; small enough that U32/U64/F64 collapse to straight-line loads.
+//
+//ppep:inline
+func (r *Reader) Take(n int) []byte {
 	if !r.ok || n < 0 || len(r.b)-r.off < n {
 		r.ok = false
 		return nil
@@ -201,66 +217,75 @@ func (r *reader) take(n int) []byte {
 	return s
 }
 
-func (r *reader) u16() uint16 {
-	if s := r.take(2); s != nil {
+func (r *Reader) u16() uint16 {
+	if s := r.Take(2); s != nil {
 		return binary.LittleEndian.Uint16(s)
 	}
 	return 0
 }
 
-func (r *reader) u32() uint32 {
-	if s := r.take(4); s != nil {
+// U32 reads a little-endian uint32 (0 past the end).
+//
+//ppep:inline
+func (r *Reader) U32() uint32 {
+	if s := r.Take(4); s != nil {
 		return binary.LittleEndian.Uint32(s)
 	}
 	return 0
 }
 
-func (r *reader) u64() uint64 {
-	if s := r.take(8); s != nil {
+// U64 reads a little-endian uint64 (0 past the end).
+//
+//ppep:inline
+func (r *Reader) U64() uint64 {
+	if s := r.Take(8); s != nil {
 		return binary.LittleEndian.Uint64(s)
 	}
 	return 0
 }
 
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
+// F64 reads a float carried as raw IEEE-754 bits (0 past the end).
+//
+//ppep:inline
+func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
-func (r *reader) name() string { return string(r.take(int(r.u16()))) }
+func (r *Reader) name() string { return string(r.Take(int(r.u16()))) }
 
-// rem returns the unread byte count.
-func (r *reader) rem() int { return len(r.b) - r.off }
+// Rem returns the unread byte count.
+func (r *Reader) Rem() int { return len(r.b) - r.off }
 
 // Decode parses an encoded trace. Zero-length per-interval slices
 // decode as nil (the codec does not distinguish nil from empty).
 func Decode(data []byte) (*trace.Trace, error) {
-	r := &reader{b: data, ok: true}
-	if string(r.take(4)) != magic {
+	r := NewReader(data)
+	if string(r.Take(4)) != magic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	if v := r.u32(); v != SchemaVersion {
+	if v := r.U32(); v != SchemaVersion {
 		return nil, fmt.Errorf("%w: schema version %d, want %d", ErrSchema, v, SchemaVersion)
 	}
-	if ne := r.u32(); ne != arch.NumEvents {
+	if ne := r.U32(); ne != arch.NumEvents {
 		return nil, fmt.Errorf("%w: event vector width %d, want %d", ErrSchema, ne, arch.NumEvents)
 	}
 	t := &trace.Trace{}
 	t.Run = r.name()
 	t.Suite = r.name()
 	t.Platform = r.name()
-	nIv := int(r.u32())
+	nIv := int(r.U32())
 	if !r.ok {
 		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
 	// Each interval costs at least 4 (frameLen) + frameFixed bytes, so a
 	// count implying more data than present is rejected before allocating.
-	if nIv < 0 || nIv > r.rem()/(4+frameFixed) {
+	if nIv < 0 || nIv > r.Rem()/(4+frameFixed) {
 		return nil, fmt.Errorf("%w: interval count %d exceeds data", ErrCorrupt, nIv)
 	}
 	if nIv > 0 {
 		t.Intervals = make([]trace.Interval, nIv)
 	}
 	for i := range t.Intervals {
-		frameLen := int(r.u32())
-		frame := r.take(frameLen)
+		frameLen := int(r.U32())
+		frame := r.Take(frameLen)
 		if frame == nil {
 			return nil, fmt.Errorf("%w: truncated at interval %d", ErrCorrupt, i)
 		}
@@ -268,35 +293,35 @@ func Decode(data []byte) (*trace.Trace, error) {
 			return nil, fmt.Errorf("interval %d: %w", i, err)
 		}
 	}
-	if r.rem() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.rem())
+	if r.Rem() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, r.Rem())
 	}
 	return t, nil
 }
 
 func decodeFrame(frame []byte, iv *trace.Interval) error {
-	r := &reader{b: frame, ok: true}
-	iv.TimeS = r.f64()
-	iv.DurS = r.f64()
-	iv.TempK = r.f64()
-	iv.MeasPowerW = r.f64()
-	iv.TruePowerW = r.f64()
-	iv.TrueCoreW = r.f64()
-	iv.TrueNBW = r.f64()
+	r := NewReader(frame)
+	iv.TimeS = r.F64()
+	iv.DurS = r.F64()
+	iv.TempK = r.F64()
+	iv.MeasPowerW = r.F64()
+	iv.TruePowerW = r.F64()
+	iv.TrueCoreW = r.F64()
+	iv.TrueNBW = r.F64()
 
-	nVF := int(r.u32())
-	if !r.ok || nVF < 0 || nVF > r.rem()/8 {
+	nVF := int(r.U32())
+	if !r.ok || nVF < 0 || nVF > r.Rem()/8 {
 		return fmt.Errorf("%w: bad VF count", ErrCorrupt)
 	}
 	if nVF > 0 {
 		iv.PerCoreVF = make([]arch.VFState, nVF)
 	}
 	for i := range iv.PerCoreVF {
-		iv.PerCoreVF[i] = arch.VFState(int64(r.u64()))
+		iv.PerCoreVF[i] = arch.VFState(int64(r.U64()))
 	}
 
-	nCtr := int(r.u32())
-	if !r.ok || nCtr < 0 || nCtr > r.rem()/(8*arch.NumEvents) {
+	nCtr := int(r.U32())
+	if !r.ok || nCtr < 0 || nCtr > r.Rem()/(8*arch.NumEvents) {
 		return fmt.Errorf("%w: bad counter count", ErrCorrupt)
 	}
 	if nCtr > 0 {
@@ -304,19 +329,19 @@ func decodeFrame(frame []byte, iv *trace.Interval) error {
 	}
 	for i := range iv.Counters {
 		for j := range iv.Counters[i] {
-			iv.Counters[i][j] = r.f64()
+			iv.Counters[i][j] = r.F64()
 		}
 	}
 
-	nBusy := int(r.u32())
-	if !r.ok || nBusy < 0 || nBusy > r.rem() {
+	nBusy := int(r.U32())
+	if !r.ok || nBusy < 0 || nBusy > r.Rem() {
 		return fmt.Errorf("%w: bad busy count", ErrCorrupt)
 	}
 	if nBusy > 0 {
 		iv.Busy = make([]bool, nBusy)
 	}
 	for i := range iv.Busy {
-		switch b := r.take(1); {
+		switch b := r.Take(1); {
 		case b == nil:
 			return fmt.Errorf("%w: truncated busy flags", ErrCorrupt)
 		case b[0] == 1:
@@ -326,22 +351,22 @@ func decodeFrame(frame []byte, iv *trace.Interval) error {
 		}
 	}
 
-	nDyn := int(r.u32())
-	if !r.ok || nDyn < 0 || nDyn > r.rem()/8 {
+	nDyn := int(r.U32())
+	if !r.ok || nDyn < 0 || nDyn > r.Rem()/8 {
 		return fmt.Errorf("%w: bad dyn-power count", ErrCorrupt)
 	}
 	if nDyn > 0 {
 		iv.TrueCoreDynW = make([]float64, nDyn)
 	}
 	for i := range iv.TrueCoreDynW {
-		iv.TrueCoreDynW[i] = r.f64()
+		iv.TrueCoreDynW[i] = r.F64()
 	}
 
 	if !r.ok {
 		return fmt.Errorf("%w: truncated frame", ErrCorrupt)
 	}
-	if r.rem() != 0 {
-		return fmt.Errorf("%w: %d trailing frame bytes", ErrCorrupt, r.rem())
+	if r.Rem() != 0 {
+		return fmt.Errorf("%w: %d trailing frame bytes", ErrCorrupt, r.Rem())
 	}
 	return nil
 }

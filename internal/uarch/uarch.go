@@ -79,14 +79,6 @@ type Core struct {
 	rates workload.Rates
 }
 
-// NewCore binds a thread of the benchmark to a fresh core context.
-// fTopGHz is the platform's highest core frequency.
-func NewCore(b *workload.Benchmark, fTopGHz float64) *Core {
-	c := &Core{}
-	c.Reset(b, fTopGHz)
-	return c
-}
-
 // Reset rebinds the core context to a fresh thread of the benchmark,
 // reusing the existing allocation. The simulator's thread-restart path
 // runs inside the tick loop, which must stay allocation-free, so
@@ -106,18 +98,6 @@ func (c *Core) Reset(b *workload.Benchmark, fTopGHz float64) {
 //
 //ppep:inline
 func (c *Core) Finished() bool { return c.finished }
-
-// Progress returns the fraction of instructions retired (0..1).
-func (c *Core) Progress() float64 {
-	if c.Bench.Instructions <= 0 {
-		return 1
-	}
-	p := c.Done / c.Bench.Instructions
-	if p > 1 {
-		p = 1
-	}
-	return p
-}
 
 // TickResult is the outcome of one simulation tick on one core.
 type TickResult struct {

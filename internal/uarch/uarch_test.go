@@ -11,6 +11,13 @@ import (
 
 var testLat = mem.Latencies{L3NS: 20, DRAMNS: 80}
 
+// newCore binds a thread of the benchmark to a fresh core context.
+func newCore(b *workload.Benchmark, fTopGHz float64) *Core {
+	c := &Core{}
+	c.Reset(b, fTopGHz)
+	return c
+}
+
 // step runs one Core.Step into a fresh result.
 func step(c *Core, fGHz, dtS float64, lat mem.Latencies) TickResult {
 	var r TickResult
@@ -40,7 +47,7 @@ func steadyBench() *workload.Benchmark {
 }
 
 func TestStepArithmetic(t *testing.T) {
-	c := NewCore(steadyBench(), 3.5)
+	c := newCore(steadyBench(), 3.5)
 	r := step(c, 3.5, 0.001, testLat)
 
 	// Expected CPI: base 0.6 + mispred 0.004·20 + MCPI.
@@ -82,7 +89,7 @@ func TestObservation2Structural(t *testing.T) {
 	// a noise-free benchmark with zero frequency sensitivity.
 	b := steadyBench()
 	gap := func(f float64) float64 {
-		c := NewCore(b, 3.5)
+		c := newCore(b, 3.5)
 		r := step(c, f, 0.001, testLat)
 		return r.CPI - r.Events.Get(arch.DispatchStalls)/r.Instructions
 	}
@@ -103,7 +110,7 @@ func TestObservation1Structural(t *testing.T) {
 	// FreqSens is zero.
 	b := steadyBench()
 	perInst := func(f float64) [8]float64 {
-		c := NewCore(b, 3.5)
+		c := newCore(b, 3.5)
 		r := step(c, f, 0.001, testLat)
 		var out [8]float64
 		for i := 0; i < 8; i++ {
@@ -124,7 +131,7 @@ func TestFreqSensViolatesObservation1Slightly(t *testing.T) {
 	b := steadyBench()
 	b.FreqSens[3] = 0.08 // DCAccess sensitivity
 	perInst := func(f float64) float64 {
-		c := NewCore(b, 3.5)
+		c := newCore(b, 3.5)
 		r := step(c, f, 0.001, testLat)
 		return r.Events.Get(arch.DataCacheAccesses) / r.Instructions
 	}
@@ -140,7 +147,7 @@ func TestFreqSensViolatesObservation1Slightly(t *testing.T) {
 func TestMCPIScalesWithFrequency(t *testing.T) {
 	b := steadyBench()
 	mcpi := func(f float64) float64 {
-		c := NewCore(b, 3.5)
+		c := newCore(b, 3.5)
 		r := step(c, f, 0.001, testLat)
 		return r.Events.Get(arch.MABWaitCycles) / r.Instructions
 	}
@@ -154,7 +161,7 @@ func TestMCPIScalesWithFrequency(t *testing.T) {
 func TestRunsToCompletion(t *testing.T) {
 	b := steadyBench()
 	b.Instructions = 1e7 // tiny run
-	c := NewCore(b, 3.5)
+	c := newCore(b, 3.5)
 	var total float64
 	ticks := 0
 	for !c.Finished() {
@@ -168,8 +175,8 @@ func TestRunsToCompletion(t *testing.T) {
 	if math.Abs(total-1e7) > 1 {
 		t.Errorf("retired %v instructions, want 1e7", total)
 	}
-	if c.Progress() != 1 {
-		t.Errorf("progress = %v", c.Progress())
+	if c.Done < c.Bench.Instructions {
+		t.Errorf("done = %v of %v instructions", c.Done, c.Bench.Instructions)
 	}
 	// Further steps are no-ops.
 	r := step(c, 3.5, 0.001, testLat)
@@ -186,7 +193,7 @@ func TestJitterIsPositionLocked(t *testing.T) {
 	b.Phases[0].Noise = 0.15
 
 	ratesAt := func(f float64, targetDone float64) float64 {
-		c := NewCore(b, 3.5)
+		c := newCore(b, 3.5)
 		for c.Done < targetDone && !c.Finished() {
 			step(c, f, 0.001, testLat)
 		}
@@ -247,7 +254,7 @@ func TestJitterKnots(t *testing.T) {
 	fracs := []float64{0, 0.25, 0.5, 0.75}
 	// Walking forward at one σ reuses the trailing knot of each segment.
 	for _, sigma := range []float64{0.05, 0.15, 0.5} {
-		c := NewCore(b, 3.5)
+		c := newCore(b, 3.5)
 		for k := int64(0); k < 64; k++ {
 			for _, frac := range fracs {
 				check(c, k, frac, sigma)
@@ -256,7 +263,7 @@ func TestJitterKnots(t *testing.T) {
 	}
 	// σ changing inside a segment (a phase boundary) and jumping
 	// segments both recompute the two knots from scratch.
-	c := NewCore(b, 3.5)
+	c := newCore(b, 3.5)
 	for _, k := range []int64{7, 8, 3, 40, 41, 0} {
 		for _, frac := range fracs {
 			for _, sigma := range []float64{0.15, 0.05} {
@@ -271,7 +278,7 @@ func TestJitterRespectsPhysicalBounds(t *testing.T) {
 	b.Phases[0].Noise = 0.5 // extreme
 	b.Phases[0].PerInst.Mispred = b.Phases[0].PerInst.Branch * 0.9
 	b.Phases[0].PerInst.L2Miss = b.Phases[0].PerInst.L2Req * 0.9
-	c := NewCore(b, 3.5)
+	c := newCore(b, 3.5)
 	for i := 0; i < 2000 && !c.Finished(); i++ {
 		r := step(c, 3.5, 0.001, testLat)
 		if r.Events.Get(arch.RetiredMispredBranches) > r.Events.Get(arch.RetiredBranches)+1e-9 {
@@ -288,8 +295,8 @@ func TestJitterRespectsPhysicalBounds(t *testing.T) {
 
 func TestHigherDRAMLatencySlowsMemBound(t *testing.T) {
 	b := steadyBench()
-	fast := NewCore(b, 3.5)
-	slow := NewCore(b, 3.5)
+	fast := newCore(b, 3.5)
+	slow := newCore(b, 3.5)
 	rf := step(fast, 3.5, 0.001, mem.Latencies{L3NS: 20, DRAMNS: 80})
 	rs := step(slow, 3.5, 0.001, mem.Latencies{L3NS: 20, DRAMNS: 200})
 	if rs.Instructions >= rf.Instructions {
@@ -324,7 +331,7 @@ func TestHashGaussStatistics(t *testing.T) {
 }
 
 func TestZeroDtIsNoop(t *testing.T) {
-	c := NewCore(steadyBench(), 3.5)
+	c := newCore(steadyBench(), 3.5)
 	r := step(c, 3.5, 0, testLat)
 	if r.Instructions != 0 {
 		t.Error("zero dt must retire nothing")
@@ -332,11 +339,11 @@ func TestZeroDtIsNoop(t *testing.T) {
 }
 
 func TestProgressMonotone(t *testing.T) {
-	c := NewCore(steadyBench(), 3.5)
+	c := newCore(steadyBench(), 3.5)
 	prev := 0.0
 	for i := 0; i < 1000; i++ {
 		step(c, 3.5, 0.001, testLat)
-		if p := c.Progress(); p < prev {
+		if p := c.Done; p < prev {
 			t.Fatalf("progress went backwards: %v < %v", p, prev)
 		} else {
 			prev = p
@@ -353,7 +360,7 @@ func TestFreqSensMemoFollowsTheClock(t *testing.T) {
 	for d := range b.FreqSens {
 		b.FreqSens[d] = 0.01 * float64(d+1)
 	}
-	c := NewCore(b, 3.5)
+	c := newCore(b, 3.5)
 	for _, f := range []float64{3.5, 1.4, 1.4, 2.9, 3.5} {
 		fresh := *c
 		fresh.fsOK = false

@@ -7,8 +7,6 @@ var (
 	benchA      *Benchmark
 	steadyOnce  sync.Once
 	benchSteady *Benchmark
-	idleOnce    sync.Once
-	idleBench   *Benchmark
 )
 
 // BenchA returns the paper's Section IV-D microbenchmark: an L1-resident
@@ -59,40 +57,4 @@ func BenchSteady() *Benchmark {
 		benchSteady = &b
 	})
 	return benchSteady
-}
-
-// OSHousekeeping returns a profile for the background OS activity that
-// exists whenever a core is awake. The paper folds its power into "active
-// idle dynamic power" (Section IV-A); the simulator runs it at a tiny duty
-// cycle on core 0 when nothing else is scheduled there.
-func OSHousekeeping() *Benchmark {
-	idleOnce.Do(func() {
-		idleBench = &Benchmark{
-			Name:         "os-housekeeping",
-			Suite:        "micro",
-			Class:        Balanced,
-			Instructions: 1e12,
-			Phases: []Phase{{
-				Name:    "daemon",
-				Weight:  1,
-				BaseCPI: 1.4,
-				PerInst: Rates{
-					Uops:     1.3,
-					FPU:      0.01,
-					ICFetch:  0.30,
-					DCAccess: 0.40,
-					L2Req:    0.02,
-					Branch:   0.18,
-					Mispred:  0.008,
-					L2Miss:   0.004,
-					Prefetch: 0.005,
-					TLBWalk:  0.002,
-				},
-				L3MissRatio: 0.4,
-				MLP:         1.2,
-				Noise:       0.05,
-			}},
-		}
-	})
-	return idleBench
 }

@@ -99,33 +99,3 @@ func LoadProfile(r io.Reader) (*Benchmark, error) {
 	}
 	return b, nil
 }
-
-// SaveProfile writes a benchmark profile as indented JSON.
-func SaveProfile(w io.Writer, b *Benchmark) error {
-	if err := b.Validate(); err != nil {
-		return err
-	}
-	out := profileJSON{
-		Name:         b.Name,
-		Suite:        b.Suite,
-		Class:        b.Class.String(),
-		FP:           b.FP,
-		Instructions: b.Instructions,
-		Loops:        b.Loops,
-		FreqSens:     append([]float64(nil), b.FreqSens[:]...),
-	}
-	for _, p := range b.Phases {
-		out.Phases = append(out.Phases, phaseJSON{
-			Name: p.Name, Weight: p.Weight, BaseCPI: p.BaseCPI,
-			L3MissRatio: p.L3MissRatio, MLP: p.MLP, Noise: p.Noise,
-			Uops: p.PerInst.Uops, FPU: p.PerInst.FPU,
-			ICFetch: p.PerInst.ICFetch, DCAccess: p.PerInst.DCAccess,
-			L2Req: p.PerInst.L2Req, Branch: p.PerInst.Branch,
-			Mispred: p.PerInst.Mispred, L2Miss: p.PerInst.L2Miss,
-			Prefetch: p.PerInst.Prefetch, TLBWalk: p.PerInst.TLBWalk,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}

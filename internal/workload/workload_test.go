@@ -11,7 +11,7 @@ func allBenchmarks() []*Benchmark {
 	out = append(out, SPECBenchmarks()...)
 	out = append(out, PARSECBenchmarks()...)
 	out = append(out, NPBBenchmarks()...)
-	out = append(out, BenchA(), OSHousekeeping())
+	out = append(out, BenchA())
 	return out
 }
 

@@ -63,8 +63,11 @@ smoke:
 # timing and `trace cache` lines may differ. The cache directory must
 # hold exactly one sealed segment after the cold run and still exactly
 # one after the warm run (which therefore wrote nothing), and no `.tmp-*`
-# file after either. Bit-transparency of every trace is covered
-# separately by TestCacheEquivalence.
+# file after either. Before the warm run, a copy of the cold run's
+# segment with the schema field of its trailer set to the previous
+# tracecodec.SchemaVersion is planted in the directory: the warm run
+# must remove it. Bit-transparency of every trace is covered separately
+# by TestCacheEquivalence.
 smoke-cache:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/ppep-experiments" ./cmd/ppep-experiments && \
@@ -73,7 +76,11 @@ smoke-cache:
 	files() { segs=$$(ls -A "$$dir/cache" | grep -c '^seg-.*\.ppts$$' || :) && tmps=$$(ls -A "$$dir/cache" | grep -c '^\.tmp-' || :) && \
 		{ [ "$$segs" = 1 ] && [ "$$tmps" = 0 ] || \
 		{ echo "smoke-cache: after the $$1 run the cache holds $$segs sealed segments and $$tmps temp files (want 1 and 0)"; return 1; }; }; } && \
-	none=$$(run) && cold=$$(run -cache-dir "$$dir/cache") && files cold && warm=$$(run -cache-dir "$$dir/cache") && files warm && \
+	plant() { old="$$dir/cache/seg-0000000000000000-previous-schema.ppts" && cp "$$dir/cache"/seg-*.ppts "$$old" && \
+		at=$$(( $$(wc -c < "$$old") - 12 )) && schema=$$(od -An -tu4 --endian=little -j "$$at" -N4 "$$old" | tr -d ' ') && \
+		printf "\\$$(printf %03o $$((schema - 1)))\\000\\000\\000" | dd of="$$old" bs=1 seek="$$at" conv=notrunc status=none; } && \
+	none=$$(run) && cold=$$(run -cache-dir "$$dir/cache") && files cold && plant && warm=$$(run -cache-dir "$$dir/cache") && files warm && \
+	{ [ ! -e "$$old" ] || { echo "smoke-cache: the warm run kept the segment of the previous schema"; exit 1; }; } && \
 	echo "$$warm" | grep 'trace cache' && \
 	{ echo "$$warm" | grep -q 'misses=0 ' || { echo "smoke-cache: warm run re-simulated (want misses=0)"; exit 1; }; } && \
 	want=$$(echo "$$none" | results) && \

@@ -113,11 +113,11 @@ func TestCacheEquivalence(t *testing.T) {
 // dropEntries rewrites every sealed segment in dir without the entries
 // whose trace drop selects, and returns how many it dropped. It follows
 // the segment layout of docs/CACHE.md: the entries, then one 24-byte
-// index record (key, offset, length) per entry, then a 24-byte trailer
-// (entry count, CRC-32 of the index, index offset, magic).
+// index record (key, offset, length) per entry, then a 28-byte trailer
+// (entry count, CRC-32 of the index, index offset, schema, magic).
 func dropEntries(t *testing.T, dir string, drop func(*trace.Trace) bool) int {
 	t.Helper()
-	const recSize, trailerSize = 24, 24
+	const recSize, trailerSize = 24, 28
 	le := binary.LittleEndian
 	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.ppts"))
 	if err != nil {

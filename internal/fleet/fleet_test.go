@@ -14,8 +14,8 @@ import (
 // cross-refactor witness that node identity derivation and the
 // simulated histories stay bit-exact, the same way golden_test.go pins
 // single-chip runs. Any worker count or fleet size must reproduce it.
-// Re-recorded with the fxsim goldens (tracecodec.SchemaVersion 2).
-const goldenFleetFP = uint64(0x834c45054a11f95b)
+// Re-recorded with the fxsim goldens (tracecodec.SchemaVersion 3).
+const goldenFleetFP = uint64(0x80aa4ac3df99628c)
 
 const (
 	goldenNodes     = 8

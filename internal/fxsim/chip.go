@@ -130,9 +130,11 @@ type Chip struct {
 	// Tick-loop caches (see the "simulator performance" section of
 	// DESIGN.md). The busy counters are maintained incrementally by
 	// Bind/Unbind and thread completion; the VF-derived values are
-	// refreshed by SetPState/SetNBPoint. Every cached value is exactly
-	// what the uncached path recomputed per tick, so a fixed SensorSeed
-	// still produces bit-identical interval sequences (golden_test.go).
+	// refreshed by SetPState/SetNBPoint. Every cached value is a pure
+	// function of its key, so a fixed SensorSeed produces bit-identical
+	// interval sequences (golden_test.go); the leakage temperature factor
+	// and the folded core-power coefficients round differently from a
+	// per-tick evaluation, by the amounts drift_test.go bounds.
 	fTopGHz     units.GigaHertz // top-state core frequency
 	cuBusyCores []int           // busy cores per CU
 	busyCUs     int             // CUs with ≥1 busy core
@@ -142,6 +144,11 @@ type Chip struct {
 	nbLat       mem.LatencyParams
 	nbDyn       powertruth.NBDynCoeffs
 	nbLeakVolt  float64 // NB leakage voltage factor
+	// leakTemp is the leakage temperature factor, evaluated at the start
+	// of every PowerSamplePeriodMS sensor window and whenever SetTempK
+	// moves the temperature: over one 20 ms window the package warms by
+	// about a millikelvin, which moves leakage by about 1e-5 relative.
+	leakTemp float64
 	// cuOp is every CU's operating point for the current tick and its
 	// power-model coefficients: refreshCUOps derives it at the top of
 	// the tick and again whenever a thread finishes mid-sweep.
@@ -153,12 +160,10 @@ type Chip struct {
 	cuOpStale   bool
 	scratchDyn  []units.Watts // Breakdown.CoreDynW backing store
 	scratchLeak []units.Watts // Breakdown.CULeakW backing store
-	// The reference tick's scratch: every busy core's Step writes
-	// stepRes and the power model reads act, both through pointers, and
-	// breakdown (over scratchDyn/scratchLeak) is refilled every tick, so
-	// the sweep neither copies nor zeroes any of them.
+	// The tick's scratch: every busy core's Step writes stepRes through a
+	// pointer, and breakdown (over scratchDyn/scratchLeak) is refilled
+	// every tick, so the sweep neither copies nor zeroes either.
 	stepRes   uarch.TickResult
-	act       powertruth.Activity
 	breakdown powertruth.Breakdown
 
 	// ticks counts every tick run. It is atomic because EngineStats is
@@ -195,7 +200,13 @@ type cuOpCache struct {
 	dyn      powertruth.CoreDynCoeffs
 	haltedW  units.Watts // dynamic power of a halted, ungated core
 	leakVolt float64
-	ok       bool
+	// evW[k] is the switching power, in watts before the EPI scale, of
+	// one event of kind k per tick at this point: E1..E8 at their
+	// EventNJ, dispatch stalls (E9) at StallNJ, each times 1e-9·Scale/TickS.
+	// pfW and tlbW are the same for a prefetch and a TLB walk.
+	evW       [9]float64
+	pfW, tlbW float64
+	ok        bool
 }
 
 // New builds a chip at the top VF state, thermally at ambient.
@@ -240,6 +251,7 @@ func New(cfg Config) *Chip {
 	c.sharedV = topPoint.Voltage
 	c.cuOpStale = true
 	c.refreshNBCaches()
+	c.refreshLeakTemp()
 	c.snapshotVF()
 	return c
 }
@@ -289,12 +301,12 @@ func (c *Chip) Fork(sensorSeed int64) *Chip {
 		nbLat:        c.nbLat,
 		nbDyn:        c.nbDyn,
 		nbLeakVolt:   c.nbLeakVolt,
+		leakTemp:     c.leakTemp,
 		cuOp:         slices.Clone(c.cuOp),
 		cuOpStale:    c.cuOpStale,
 		scratchDyn:   slices.Clone(c.scratchDyn),
 		scratchLeak:  slices.Clone(c.scratchLeak),
 		stepRes:      c.stepRes,
-		act:          c.act,
 		breakdown:    c.breakdown,
 	}
 	for i, cf := range c.counters {
@@ -342,10 +354,10 @@ func (c *Chip) TempK() units.Kelvin {
 }
 
 // SetTempK forces the package temperature (experiment setup).
-func (c *Chip) SetTempK(t units.Kelvin) { c.therm.SetTempK(t) }
-
-// Thermal returns the thermal model (used by heat/cool experiments).
-func (c *Chip) Thermal() *thermal.Model { return c.therm }
+func (c *Chip) SetTempK(t units.Kelvin) {
+	c.therm.SetTempK(t)
+	c.refreshLeakTemp()
+}
 
 // SetPState requests a P-state for one CU.
 func (c *Chip) SetPState(cu int, s arch.VFState) error {
@@ -596,10 +608,41 @@ func (c *Chip) cuCoeffs(cu int, v units.Volts, f units.GigaHertz) *cuOpCache {
 		m.dyn = c.cfg.Power.CoreDynCoeffsAt(v, f)
 		m.haltedW = c.cfg.Power.CoreDynamicWWith(m.dyn, &powertruth.Activity{Halted: true})
 		m.leakVolt = c.cfg.Power.CULeakVoltScale(v)
+		p := c.cfg.Power
+		perEvent := 1e-9 * m.dyn.Scale / TickS
+		for k, nj := range p.EventNJ {
+			m.evW[k] = float64(nj) * perEvent
+		}
+		m.evW[8] = float64(p.StallNJ) * perEvent
+		m.pfW = float64(p.PrefetchNJ) * perEvent
+		m.tlbW = float64(p.TLBWalkNJ) * perEvent
 		m.ok = true
 	}
 	return m
 }
+
+// coreDynW is powertruth's core dynamic power of one busy core's tick at
+// this operating point, computed from the tick's event counts with the
+// per-event coefficients folded: the same sum as CoreDynamicWWith over
+// the per-second rates, to rounding.
+//
+//ppep:inline
+func (m *cuOpCache) coreDynW(r *uarch.TickResult) units.Watts {
+	ev := &r.Events
+	var w float64
+	for k := 0; k < 8; k++ {
+		w += m.evW[k] * ev[k]
+	}
+	// Indexed, not Get: Get's by-value receiver copies the whole vector.
+	w += m.evW[8] * ev[int(arch.DispatchStalls)-1]
+	w += m.pfW * r.Prefetches
+	w += m.tlbW * r.TLBWalks
+	return units.Watts(w*r.EPIScale) + m.dyn.ClockW
+}
+
+// refreshLeakTemp evaluates the leakage temperature factor at the
+// package's current temperature.
+func (c *Chip) refreshLeakTemp() { c.leakTemp = c.cfg.Power.LeakTempScale(c.therm.TempK()) }
 
 // TickN advances the chip by n 1 ms steps. Each step runs every bound
 // thread, accumulates counters, computes true power, advances thermals,
@@ -633,7 +676,7 @@ func (c *Chip) tick() {
 
 	anyAwake := !c.nbGated()
 	maxFreq := units.GigaHertz(0)
-	r, act := &c.stepRes, &c.act
+	r := &c.stepRes
 
 	// The sweep runs core by core in index order, CU by CU: a CU owns
 	// the cores cu·CoresPerCU onwards, so no core pays a division to
@@ -670,15 +713,9 @@ func (c *Chip) tick() {
 			}
 			nbAct.L3AccessPS += r.L3Accesses / TickS
 			nbAct.DRAMPS += r.DRAMAccesses / TickS
-			for k := range act.Events {
-				act.Events[k] = r.Events[k] * (1 / TickS)
-			}
-			act.PrefetchPS = r.Prefetches / TickS
-			act.TLBWalkPS = r.TLBWalks / TickS
-			act.EPIScale = r.EPIScale
 			// The finishing core's power is that of the point it ran the
 			// tick at, so it is taken before markIdle can move the point.
-			breakdown.CoreDynW[i] = c.cfg.Power.CoreDynamicWWith(op.dyn, act)
+			breakdown.CoreDynW[i] = op.coreDynW(r)
 			if r.Finished {
 				if c.restart[i] {
 					c.threads[i].Reset(c.benches[i], float64(c.fTopGHz))
@@ -693,8 +730,10 @@ func (c *Chip) tick() {
 		}
 	}
 
-	tK := c.therm.TempK()
-	tempScale := c.cfg.Power.LeakTempScale(tK)
+	if c.tickIdx%int64(arch.PowerSamplePeriodMS) == 0 {
+		c.refreshLeakTemp()
+	}
+	tempScale := c.leakTemp
 	for cu := range c.cuOp {
 		breakdown.CULeakW[cu] = c.cfg.Power.CULeakageWWith(c.cuOp[cu].leakVolt, tempScale, c.cuGated(cu))
 	}

@@ -38,3 +38,27 @@ func TestConfigFingerprint(t *testing.T) {
 		t.Fatal("NB change behind pointer not reflected in fingerprint")
 	}
 }
+
+// TestDefaultConfigFingerprints pins the platform component of every
+// trace-cache key. The fingerprint mixes in exported field names, so
+// renaming, adding or removing an exported field of Config or of what it
+// reaches (arch.Topology, powertruth.Config, mem.NB) re-keys the whole
+// cache even when no simulated trace changes. A failure here is that
+// re-keying: re-record the constants and bump tracecodec.SchemaVersion
+// with them, so the old schema's segments are removed from cache
+// directories instead of being kept on disk unread.
+func TestDefaultConfigFingerprints(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want uint64
+	}{
+		{"FX-8320", DefaultFX8320Config(), 0xe285128e572bdae8},
+		{"Phenom II", DefaultPhenomIIConfig(), 0x45ce2ff953e1d8dc},
+	} {
+		if got := tc.cfg.Fingerprint(); got != tc.want {
+			t.Errorf("%s config fingerprint %#x, pinned %#x: the cache key's platform component moved; bump tracecodec.SchemaVersion and re-record the pin",
+				tc.name, got, tc.want)
+		}
+	}
+}

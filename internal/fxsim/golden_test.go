@@ -14,15 +14,18 @@ import (
 // trace holds for the same cache key, so re-baselining them must bump
 // tracecodec.SchemaVersion as well, or a warm cache keeps serving traces
 // of the old model.
-const goldenSchemaVersion = 2
+const goldenSchemaVersion = 3
 
 // The golden fingerprints below pin the simulator's determinism
 // guarantee: for a fixed SensorSeed, every optimization of the tick loop
 // must reproduce bit-identical trace.Interval sequences — counters,
 // powers, temperatures, VF snapshots — across all operating modes (shared
 // rail, power gating, boost, per-CU planes, restart, idle transients).
-// They were last re-recorded when the position-locked jitter became a
-// linear interpolation of the multiplier between segment knots.
+// They were last re-recorded (tracecodec.SchemaVersion 3) when the tick
+// began to evaluate its jittered rates as lines in the segment position,
+// fold core dynamic power per operating point, and evaluate the leakage
+// temperature factor once per sensor window; TestTickDrift bounds how far
+// that moved a run from the per-tick reference.
 //
 // If one of these fails after an intentional *behavioural* change to the
 // simulator physics, re-record it, bump tracecodec.SchemaVersion and
@@ -35,7 +38,7 @@ var goldenCollect = []struct {
 }{
 	{
 		name: "shared-rail 433x4 @VF3",
-		want: 0x92749ec4951b7afc,
+		want: 0x3ca5bc5829a4c237,
 		run: func(t *testing.T) *trace.Trace {
 			cfg := DefaultFX8320Config()
 			chip := New(cfg)
@@ -49,7 +52,7 @@ var goldenCollect = []struct {
 	},
 	{
 		name: "power-gated 433x1 @VF2",
-		want: 0x028f12352b1a954b,
+		want: 0x705bdd189672ba1e,
 		run: func(t *testing.T) *trace.Trace {
 			cfg := DefaultFX8320Config()
 			cfg.PowerGating = true
@@ -65,7 +68,7 @@ var goldenCollect = []struct {
 	},
 	{
 		name: "boost 458x1 @VF5",
-		want: 0x48b8048aa10d2f46,
+		want: 0x9ba319c905c82de3,
 		run: func(t *testing.T) *trace.Trace {
 			cfg := DefaultFX8320Config()
 			cfg.BoostEnabled = true
@@ -81,7 +84,7 @@ var goldenCollect = []struct {
 	},
 	{
 		name: "per-CU planes restart 433x2 @VF4",
-		want: 0x458e3d096e385c18,
+		want: 0xec78d3748f60f057,
 		run: func(t *testing.T) *trace.Trace {
 			cfg := DefaultFX8320Config()
 			cfg.PerCUPlanes = true
@@ -97,7 +100,7 @@ var goldenCollect = []struct {
 	},
 	{
 		name: "heatcool transient @VF4",
-		want: 0x02e1f14a4d34e0a1,
+		want: 0x26b11acae400741b,
 		run: func(t *testing.T) *trace.Trace {
 			cfg := DefaultFX8320Config()
 			cfg.SensorSeed = 17

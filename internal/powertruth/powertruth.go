@@ -166,8 +166,10 @@ func (c *Config) CoreDynCoeffsAt(v units.Volts, fGHz units.GigaHertz) CoreDynCoe
 }
 
 // CoreDynamicWWith is CoreDynamicW with the operating-point terms hoisted.
-// A halted activity reads only its Halted flag, so the tick loop reuses
-// one Activity across cores without clearing it.
+// A halted activity reads only its Halted flag. The simulator's tick
+// calls it for the halted power only: for a busy core it folds the event
+// energies with the operating point's Scale once per point (fxsim's
+// cuOpCache), which this function stays the reference for.
 //
 //ppep:hotpath
 func (c *Config) CoreDynamicWWith(k CoreDynCoeffs, a *Activity) units.Watts {
@@ -226,7 +228,8 @@ func (c *Config) NBDynamicW(nb NBActivity, nbV units.Volts, nbF units.GigaHertz)
 
 // LeakTempScale returns the temperature factor of the leakage model. The
 // CU and NB terms share the same T exponent, so the simulator computes it
-// once per tick for all five leakage evaluations.
+// once for all five leakage evaluations, at the start of every 20 ms
+// sensor window.
 //
 //ppep:hotpath
 //ppep:inline

@@ -14,7 +14,10 @@
 //     renames the file into place as dir/seg-<seq>-<id>.ppts. Open
 //     reads only the footers of sealed segments, and a hit reads one
 //     entry. Keys already encode the codec schema version, so a layout
-//     change simply misses and re-simulates.
+//     change simply misses and re-simulates; each segment also records
+//     the schema it was written under, and Open removes the segments of
+//     any other schema, so a schema bump does not leave the old cache on
+//     disk for good.
 //   - Atomic visibility: other stores, including other processes, see
 //     sealed segments only, and only those sealed before their Open.
 //     For a key in more than one segment the newest segment wins.
@@ -59,7 +62,7 @@ type Stats struct {
 	Hits         int64 // entries served by decoding a cached entry
 	Misses       int64 // absent entries (simulated and, normally, written)
 	Corrupt      int64 // undecodable entries and segments with a bad footer, treated as misses
-	Evicted      int64 // entries in the segments removed by the MaxBytes cap
+	Evicted      int64 // entries in the segments removed by the MaxBytes cap or written under another schema
 	WriteErrors  int64 // failed entry writes, including entries of a segment that failed to seal (the campaign proceeds regardless)
 	BytesRead    int64 // encoded bytes decoded from cache
 	BytesWritten int64 // encoded bytes persisted
@@ -68,14 +71,18 @@ type Stats struct {
 // Segment layout: the entries back to back, then the index (one
 // indexEntrySize record per entry: u64 key, u64 offset, u64 length),
 // then a fixed trailer (u32 entry count, u32 CRC-32 of the index, u64
-// index offset, segMagic). All integers are little-endian.
+// index offset, u32 tracecodec.SchemaVersion, segMagic). All integers
+// are little-endian. Segments sealed before the trailer recorded the
+// schema end in segMagicV1 after the index offset; they read as schema 0.
 const (
 	segPrefix      = "seg-"
 	segExt         = ".ppts"
 	tmpPrefix      = ".tmp-"
-	segMagic       = "PPSEG\x00v1"
+	segMagic       = "PPSEG\x00v2"
+	segMagicV1     = "PPSEG\x00v1"
 	indexEntrySize = 24
-	trailerSize    = 4 + 4 + 8 + 8 // the last 8: segMagic
+	trailerSize    = 4 + 4 + 8 + 4 + 8 // the last 8: segMagic
+	trailerSizeV1  = 4 + 4 + 8 + 8
 )
 
 var errFooter = errors.New("simcache: bad segment footer")
@@ -113,7 +120,9 @@ type Store struct {
 }
 
 // Open creates the cache directory if needed and returns a Store over
-// it, indexing the footers of the segments sealed so far.
+// it, indexing the footers of the segments sealed so far. Segments
+// written under another tracecodec.SchemaVersion can never hit, so Open
+// removes them, best effort, and counts their entries as evicted.
 func Open(dir string, opts Options) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("simcache: empty cache directory")
@@ -156,19 +165,24 @@ func (s *Store) Dir() string { return s.dir }
 // load opens one sealed segment and indexes its footer. A segment that
 // vanished since the listing (another store evicted it) is skipped; one
 // whose footer does not check out is counted corrupt and best-effort
-// removed.
+// removed, and one of another schema is best-effort removed and its
+// entries counted evicted.
 func (s *Store) load(name string) *os.File {
 	path := filepath.Join(s.dir, name)
 	f, err := os.Open(path)
 	if err != nil {
 		return nil
 	}
-	entries, err := readIndex(f)
-	if err != nil {
+	entries, schema, err := readIndex(f)
+	if err != nil || schema != tracecodec.SchemaVersion {
 		_ = f.Close() // read-only
-		s.corrupt.Add(1)
-		// best-effort: a bad footer would be dropped on every Open; campaign correctness does not depend on the remove
-		_ = os.Remove(path)
+		if err != nil {
+			s.corrupt.Add(1)
+			// best-effort: a bad footer would be dropped on every Open; campaign correctness does not depend on the remove
+			_ = os.Remove(path)
+		} else if os.Remove(path) == nil {
+			s.evicted.Add(int64(len(entries)))
+		}
 		return nil
 	}
 	for _, e := range entries {
@@ -305,7 +319,8 @@ func (s *Store) seal(f *os.File, entries []indexEntry, size int64) (string, erro
 	binary.LittleEndian.PutUint32(t, uint32(len(entries)))
 	binary.LittleEndian.PutUint32(t[4:], crc32.ChecksumIEEE(idx))
 	binary.LittleEndian.PutUint64(t[8:], uint64(size))
-	copy(t[16:], segMagic)
+	binary.LittleEndian.PutUint32(t[16:], tracecodec.SchemaVersion)
+	copy(t[20:], segMagic)
 	if _, err := f.WriteAt(footer, size); err != nil {
 		return "", err
 	}
@@ -326,44 +341,54 @@ func (s *Store) seal(f *os.File, entries []indexEntry, size int64) (string, erro
 	return name, os.Rename(f.Name(), filepath.Join(s.dir, name))
 }
 
-// readIndex reads and checks a sealed segment's footer.
-func readIndex(f *os.File) ([]indexEntry, error) {
+// readIndex reads and checks a sealed segment's footer, returning its
+// entries and the schema it was written under (0 for a segMagicV1
+// segment, which predates the field).
+func readIndex(f *os.File) ([]indexEntry, uint32, error) {
 	info, err := f.Stat()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	size := info.Size()
-	if size < trailerSize {
-		return nil, errFooter
+	var buf [trailerSize]byte
+	t := buf[trailerSize-min(size, trailerSize):]
+	if _, err := f.ReadAt(t, size-int64(len(t))); err != nil {
+		return nil, 0, err
 	}
-	var t [trailerSize]byte
-	if _, err := f.ReadAt(t[:], size-trailerSize); err != nil {
-		return nil, err
+	var schema uint32
+	switch {
+	case len(t) == trailerSize && string(t[20:]) == segMagic:
+		schema = binary.LittleEndian.Uint32(t[16:])
+	case len(t) >= trailerSizeV1 && string(t[len(t)-8:]) == segMagicV1:
+		t = t[len(t)-trailerSizeV1:]
+	default:
+		return nil, 0, errFooter
 	}
-	count := int64(binary.LittleEndian.Uint32(t[:]))
+	tl := int64(len(t))
+	count := int64(binary.LittleEndian.Uint32(t))
 	sum := binary.LittleEndian.Uint32(t[4:])
 	idxOff := binary.LittleEndian.Uint64(t[8:])
 	idxLen := count * indexEntrySize
-	if string(t[16:]) != segMagic || idxLen > size-trailerSize || idxOff != uint64(size-trailerSize-idxLen) {
-		return nil, errFooter
+	if idxLen > size-tl || idxOff != uint64(size-tl-idxLen) {
+		return nil, 0, errFooter
 	}
 	idx := make([]byte, idxLen)
 	if _, err := f.ReadAt(idx, int64(idxOff)); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if crc32.ChecksumIEEE(idx) != sum {
-		return nil, errFooter
+		return nil, 0, errFooter
 	}
 	entries := make([]indexEntry, count)
 	for i := range entries {
 		b := idx[i*indexEntrySize:]
 		off, n := binary.LittleEndian.Uint64(b[8:]), binary.LittleEndian.Uint64(b[16:])
 		if n == 0 || off > idxOff || n > idxOff-off {
-			return nil, errFooter
+			return nil, 0, errFooter
 		}
 		entries[i] = indexEntry{binary.LittleEndian.Uint64(b), int64(off), int64(n)}
 	}
-	return entries, nil
+	return entries, schema, nil
 }
 
 // sealedSegments lists the directory's sealed segments, oldest first:
@@ -436,8 +461,8 @@ func segmentEntries(path string) int64 {
 	if err != nil {
 		return 0
 	}
-	entries, _ := readIndex(f) // an unreadable footer counts no entries
-	_ = f.Close()              // read-only
+	entries, _, _ := readIndex(f) // an unreadable footer counts no entries
+	_ = f.Close()                 // read-only
 	return int64(len(entries))
 }
 

@@ -323,6 +323,87 @@ func TestSchemaMismatchIsMiss(t *testing.T) {
 	}
 }
 
+// TestOtherSchemaSegmentsRemoved seals three segments and marks one with
+// the previous schema and one in the layout from before segments
+// recorded theirs: Open removes both, counts their entries as evicted
+// and not as corrupt, and keeps serving the current segment.
+func TestOtherSchemaSegmentsRemoved(t *testing.T) {
+	dir := t.TempDir()
+	want := testTrace("x", 2)
+	current := sealOne(t, dir, Options{}, 1, want)
+	f, err := os.Open(current)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, schema, err := readIndex(f)
+	_ = f.Close() // read-only
+	if err != nil || schema != tracecodec.SchemaVersion {
+		t.Fatalf("sealed segment records schema %d (err %v), want %d", schema, err, tracecodec.SchemaVersion)
+	}
+
+	// Seal two entries to mark with the previous schema and one to
+	// rewrite in the old layout; every Open removes marked segments, so
+	// all three are sealed before any is marked.
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(2); k <= 3; k++ {
+		if _, err := s.GetOrCompute(k, func() (*trace.Trace, error) { return want, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Flush()
+	previous := filepath.Join(dir, newest(t, dir))
+	legacy := sealOne(t, dir, Options{}, 4, want)
+
+	info, err := os.Stat(previous)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v [4]byte
+	binary.LittleEndian.PutUint32(v[:], tracecodec.SchemaVersion-1)
+	patch(t, previous, info.Size()-12, v[:])
+	// The old layout's trailer ends with the index offset followed
+	// directly by its magic.
+	data, err := os.ReadFile(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = append(data[:len(data)-12], segMagicV1...)
+	if err := os.WriteFile(legacy, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.Evicted != 3 || st.Corrupt != 0 {
+		t.Fatalf("stats = %+v, want Evicted=3 (the other schemas' entries) and Corrupt=0", st)
+	}
+	for _, gone := range []string{previous, legacy} {
+		if _, err := os.Stat(gone); !os.IsNotExist(err) {
+			t.Errorf("segment %s of another schema not removed: %v", filepath.Base(gone), err)
+		}
+	}
+	if segs, _ := dirFiles(t, dir); len(segs) != 1 || filepath.Join(dir, segs[0]) != current {
+		t.Fatalf("segments %v, want only %s", segs, filepath.Base(current))
+	}
+	if _, err := r.GetOrCompute(1, func() (*trace.Trace, error) { t.Fatal("current segment's entry recomputed"); return nil, nil }); err != nil {
+		t.Fatal(err)
+	}
+	computes := 0
+	for k := uint64(2); k <= 4; k++ {
+		if _, err := r.GetOrCompute(k, func() (*trace.Trace, error) { computes++; return want, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if computes != 3 {
+		t.Fatalf("%d of the removed segments' 3 keys recomputed, want all", computes)
+	}
+}
+
 // TestDuplicateKeyNewestSegmentWins seals the same key from two stores
 // that cannot see each other, in both orders: a third store serves the
 // trace of the segment sealed last.
@@ -410,7 +491,7 @@ func TestConcurrentDuplicateKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := readIndex(f)
+	entries, _, err := readIndex(f)
 	_ = f.Close() // read-only
 	if err != nil {
 		t.Fatal(err)

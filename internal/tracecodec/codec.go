@@ -44,9 +44,13 @@ import (
 // cache key holds no other simulator-model component, so only this bump
 // keeps a warm cache from serving traces of the old model. Old entries
 // then miss (the version is part of the key) or decode as ErrSchema, and
-// are re-simulated (docs/CACHE.md). Version 2: jitter interpolated
-// linearly in the multiplier between segment knots.
-const SchemaVersion = 2
+// are re-simulated (docs/CACHE.md), and simcache.Open removes sealed
+// segments written under another version. Version 2: jitter interpolated
+// linearly in the multiplier between segment knots. Version 3: jittered
+// rates evaluated as lines in the segment position, core dynamic power
+// folded per operating point, and the leakage temperature factor
+// evaluated once per 20 ms sensor window.
+const SchemaVersion = 3
 
 const magic = "PPTC"
 

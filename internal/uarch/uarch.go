@@ -47,9 +47,7 @@ type Core struct {
 
 	// Tick-loop memos. The jitter knots bounding the current segment
 	// are constant within one (segment, σ) and the EPI scale within one
-	// phase, so both are cached between ticks; every refresh recomputes
-	// exactly the value the uncached path produced (the simulator's
-	// fixed-seed golden tests pin this bit-for-bit).
+	// phase, so both are cached between ticks.
 	jitSeg   int64
 	jitSigma float64
 	jitOK    bool
@@ -64,19 +62,16 @@ type Core struct {
 	phase    *workload.Phase
 	phaseEnd float64
 
-	// fsMul[d] is the frequency-sensitivity factor 1 + FreqSens[d]·df of
-	// the event dimension d at the clock fsF (valid when fsOK). A core
-	// runs many ticks at one clock, so jitteredRates recomputes the eight
-	// factors only when the clock moves.
-	fsF   float64
-	fsOK  bool
-	fsMul [dimBaseCPI]float64
-
-	// Step's scratch: the jitter multipliers and the jittered rates of
-	// the current tick, kept on the core so the tick path neither copies
-	// nor zeroes them.
-	mul   [numJitterDims]float64
-	rates workload.Rates
+	// lineA and lineB are the jittered rates as lines in the segment
+	// fraction: dimension d's rate (BaseCPI for dimBaseCPI) is
+	// lineA[d] + lineB[d]·frac. They hold for one (segment, σ, phase,
+	// clock): refreshJitter clears lineOK, and a phase or clock other
+	// than linePhase/lineF refreshes them.
+	linePhase *workload.Phase
+	lineF     float64
+	lineOK    bool
+	lineA     [numJitterDims]float64
+	lineB     [numJitterDims]float64
 }
 
 // Reset rebinds the core context to a fresh thread of the benchmark,
@@ -133,16 +128,33 @@ func (c *Core) Step(fGHz, dtS float64, lat *mem.Latencies, r *TickResult) {
 		c.phase, c.phaseEnd = c.phaseBound()
 	}
 	phase := c.phase
-	c.jitterMuls(phase.Noise)
-	rt := &c.rates
-	c.jitteredRates(phase, fGHz, rt)
-	baseCPI := phase.BaseCPI * c.mul[dimBaseCPI]
+	frac := c.segmentFrac(phase, fGHz)
+	a, b := &c.lineA, &c.lineB
+	uops := a[dimUops] + b[dimUops]*frac
+	fpu := a[dimFPU] + b[dimFPU]*frac
+	icFetch := a[dimICFetch] + b[dimICFetch]*frac
+	dcAccess := a[dimDCAccess] + b[dimDCAccess]*frac
+	l2Req := a[dimL2Req] + b[dimL2Req]*frac
+	branch := a[dimBranch] + b[dimBranch]*frac
+	mispred := a[dimMispred] + b[dimMispred]*frac
+	l2Miss := a[dimL2Miss] + b[dimL2Miss]*frac
+	// Physical floors/relations the jitter must not violate.
+	if uops < 1 {
+		uops = 1
+	}
+	if mispred > branch {
+		mispred = branch
+	}
+	if l2Miss > l2Req {
+		l2Miss = l2Req
+	}
+	baseCPI := a[dimBaseCPI] + b[dimBaseCPI]*frac
 	// Shared-L2 contention: an active sibling core stretches every L2
 	// request (the FX module's paired-core design).
-	baseCPI += rt.L2Req * lat.L2ContentionCycles
+	baseCPI += l2Req * lat.L2ContentionCycles
 
-	mispredCPI := rt.Mispred * arch.MisBranchPen
-	llNS := mem.LeadingLoadNSPerInst(rt.L2Miss, phase.L3MissRatio, phase.MLP, lat)
+	mispredCPI := mispred * arch.MisBranchPen
+	llNS := mem.LeadingLoadNSPerInst(l2Miss, phase.L3MissRatio, phase.MLP, lat)
 	mcpi := llNS * fGHz // ns/inst × GHz = cycles/inst
 	cpi := baseCPI + mispredCPI + mcpi
 
@@ -155,14 +167,14 @@ func (c *Core) Step(fGHz, dtS float64, lat *mem.Latencies, r *TickResult) {
 
 	coreStall := StallShare * (baseCPI - 1/arch.IssueWidth)
 	ev := &r.Events
-	ev.Set(arch.RetiredUOP, rt.Uops*inst)
-	ev.Set(arch.FPUPipeAssignment, rt.FPU*inst)
-	ev.Set(arch.InstructionCacheFetches, rt.ICFetch*inst)
-	ev.Set(arch.DataCacheAccesses, rt.DCAccess*inst)
-	ev.Set(arch.RequestToL2Cache, rt.L2Req*inst)
-	ev.Set(arch.RetiredBranches, rt.Branch*inst)
-	ev.Set(arch.RetiredMispredBranches, rt.Mispred*inst)
-	ev.Set(arch.L2CacheMisses, rt.L2Miss*inst)
+	ev.Set(arch.RetiredUOP, uops*inst)
+	ev.Set(arch.FPUPipeAssignment, fpu*inst)
+	ev.Set(arch.InstructionCacheFetches, icFetch*inst)
+	ev.Set(arch.DataCacheAccesses, dcAccess*inst)
+	ev.Set(arch.RequestToL2Cache, l2Req*inst)
+	ev.Set(arch.RetiredBranches, branch*inst)
+	ev.Set(arch.RetiredMispredBranches, mispred*inst)
+	ev.Set(arch.L2CacheMisses, l2Miss*inst)
 	ev.Set(arch.DispatchStalls, (mcpi+coreStall)*inst)
 	ev.Set(arch.CPUClocksNotHalted, cpi*inst)
 	ev.Set(arch.RetiredInstructions, inst)
@@ -171,11 +183,11 @@ func (c *Core) Step(fGHz, dtS float64, lat *mem.Latencies, r *TickResult) {
 	r.Instructions = inst
 	r.Cycles = cpi * inst
 	r.CPI = cpi
-	r.Prefetches = rt.Prefetch * inst
-	r.TLBWalks = rt.TLBWalk * inst
+	r.Prefetches = phase.PerInst.Prefetch * inst
+	r.TLBWalks = phase.PerInst.TLBWalk * inst
 	r.EPIScale = c.epiFor(phase)
-	r.L3Accesses = rt.L2Miss * inst
-	r.DRAMAccesses = rt.L2Miss * phase.L3MissRatio * inst
+	r.L3Accesses = l2Miss * inst
+	r.DRAMAccesses = l2Miss * phase.L3MissRatio * inst
 	r.Finished = c.finished
 }
 
@@ -239,81 +251,63 @@ const (
 	numJitterDims = dimBaseCPI + 1
 )
 
-// jitteredRates applies the jitter multipliers of the current Step
-// (c.mul) and the frequency sensitivities to the phase's per-instruction
-// rates, writing every field of out.
-func (c *Core) jitteredRates(p *workload.Phase, fGHz float64, out *workload.Rates) {
-	fm := &c.fsMul
-	if !c.fsOK || c.fsF != fGHz {
-		fs := &c.Bench.FreqSens
-		df := 0.0
-		if c.fTop > 0 {
-			df = fGHz/c.fTop - 1
-		}
-		for d := range fm {
-			fm[d] = 1 + fs[d]*df
-		}
-		c.fsF, c.fsOK = fGHz, true
+// segmentFrac returns the thread's fraction through its current jitter
+// segment and brings lineA/lineB up to date for it, the phase p and the
+// clock fGHz. With no jitter (σ ≤ 0) every knot is exp(0) = 1, the
+// fraction is 0 and the lines are the frequency-scaled rates.
+func (c *Core) segmentFrac(p *workload.Phase, fGHz float64) float64 {
+	seg, frac, sigma := int64(0), 0.0, 0.0
+	if p.Noise > 0 && c.segLen > 0 {
+		pos := c.Done / c.segLen
+		seg = int64(pos)
+		frac, sigma = pos-float64(seg), p.Noise
 	}
-	r := &p.PerInst
-	m := &c.mul
-	out.Uops = r.Uops * m[dimUops] * fm[dimUops]
-	out.FPU = r.FPU * m[dimFPU] * fm[dimFPU]
-	out.ICFetch = r.ICFetch * m[dimICFetch] * fm[dimICFetch]
-	out.DCAccess = r.DCAccess * m[dimDCAccess] * fm[dimDCAccess]
-	out.L2Req = r.L2Req * m[dimL2Req] * fm[dimL2Req]
-	out.Branch = r.Branch * m[dimBranch] * fm[dimBranch]
-	out.Mispred = r.Mispred * m[dimMispred] * fm[dimMispred]
-	out.L2Miss = r.L2Miss * m[dimL2Miss] * fm[dimL2Miss]
-	out.Prefetch = r.Prefetch
-	out.TLBWalk = r.TLBWalk
-	// Physical floors/relations the jitter must not violate.
-	if out.Uops < 1 {
-		out.Uops = 1
-	}
-	if out.Mispred > out.Branch {
-		out.Mispred = out.Branch
-	}
-	if out.L2Miss > out.L2Req {
-		out.L2Miss = out.L2Req
-	}
-}
-
-// jitterMuls fills c.mul with the smooth position-locked jitter
-// multiplier of every dimension. Each segment of segLen instructions has
-// a knot at either end carrying exp(σ·g), with g a Gaussian draw keyed by
-// (benchmark, dimension, knot index); inside the segment the multiplier
-// is the linear interpolation between its two knots. The position,
-// segment and fraction are computed once for all nine dimensions, and the
-// knots are cached on the core per (segment, σ) — a segment spans many
-// ticks, so the hashing and the exponentials amortize to near zero.
-//
-// At a knot the multiplier is exp(σ·g) exactly. Between knots it is the
-// chord of exp, which lies above exp(σ·g) interpolated in the exponent by
-// at most ≈ σ²·Δg²/8 relative, Δg being the draw difference across the
-// segment.
-func (c *Core) jitterMuls(sigma float64) {
-	if sigma <= 0 || c.segLen <= 0 {
-		for d := range c.mul {
-			c.mul[d] = 1
-		}
-		return
-	}
-	pos := c.Done / c.segLen
-	seg := int64(pos)
-	frac := pos - float64(seg)
 	if !c.jitOK || seg != c.jitSeg || sigma != c.jitSigma {
 		c.refreshJitter(seg, sigma)
 	}
-	for d := range c.mul {
-		c.mul[d] = c.jitM0[d]*(1-frac) + c.jitM1[d]*frac
+	if !c.lineOK || p != c.linePhase || fGHz != c.lineF {
+		c.refreshLines(p, fGHz)
 	}
+	return frac
+}
+
+// refreshLines recomputes lineA and lineB from the segment's knots, the
+// phase's per-instruction rates and the frequency-sensitivity factors
+// fs = 1 + FreqSens[d]·df at clock fGHz. Between two knots the jitter
+// multiplier is their chord, jitM0·(1−frac) + jitM1·frac, so a jittered
+// rate PerInst·fs·multiplier is the line
+//
+//	A + B·frac,  A = PerInst·fs·jitM0,  B = PerInst·fs·(jitM1 − jitM0)
+//
+// (BaseCPI has no frequency sensitivity). Prefetch and TLB-walk rates are
+// not jittered.
+func (c *Core) refreshLines(p *workload.Phase, fGHz float64) {
+	df := 0.0
+	if c.fTop > 0 {
+		df = fGHz/c.fTop - 1
+	}
+	r := &p.PerInst
+	perInst := [dimBaseCPI]float64{r.Uops, r.FPU, r.ICFetch, r.DCAccess, r.L2Req, r.Branch, r.Mispred, r.L2Miss}
+	for d, v := range perInst {
+		s := v * (1 + c.Bench.FreqSens[d]*df)
+		c.lineA[d] = s * c.jitM0[d]
+		c.lineB[d] = s * (c.jitM1[d] - c.jitM0[d])
+	}
+	c.lineA[dimBaseCPI] = p.BaseCPI * c.jitM0[dimBaseCPI]
+	c.lineB[dimBaseCPI] = p.BaseCPI * (c.jitM1[dimBaseCPI] - c.jitM0[dimBaseCPI])
+	c.linePhase, c.lineF, c.lineOK = p, fGHz, true
 }
 
 // refreshJitter recomputes the knots bounding the given segment at
-// jitter σ for every dimension. Advancing by exactly one segment at the
-// same σ — the common case — reuses the trailing knot as the new leading
-// one.
+// jitter σ for every dimension. Each segment of segLen instructions has
+// a knot at either end carrying exp(σ·g), with g a Gaussian draw keyed by
+// (benchmark, dimension, knot index); inside the segment the multiplier
+// is the chord between its two knots, which lies above exp(σ·g)
+// interpolated in the exponent by at most ≈ σ²·Δg²/8 relative, Δg being
+// the draw difference across the segment. A segment spans many ticks, so
+// the hashing and the exponentials amortize to near zero. Advancing by
+// exactly one segment at the same σ — the common case — reuses the
+// trailing knot as the new leading one.
 func (c *Core) refreshJitter(seg int64, sigma float64) {
 	if c.jitOK && seg == c.jitSeg+1 && sigma == c.jitSigma {
 		c.jitM0 = c.jitM1
@@ -326,6 +320,7 @@ func (c *Core) refreshJitter(seg int64, sigma float64) {
 		c.jitM1[d] = math.Exp(sigma * hashGauss(c.Bench.Name, d, seg+1))
 	}
 	c.jitSeg, c.jitSigma, c.jitOK = seg, sigma, true
+	c.lineOK = false
 }
 
 // epiFor memoises epiScale per phase: the phase pointer is stable for the

@@ -2,6 +2,7 @@ package uarch
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"ppep/internal/arch"
@@ -216,30 +217,38 @@ func TestJitterIsPositionLocked(t *testing.T) {
 	}
 }
 
-// TestJitterKnots pins the jitter model. At every segment knot the
-// multiplier is exp(σ·g) of that knot's Gaussian draw, bit for bit.
-// Between knots it is the linear interpolation of the two knot
-// multipliers — the chord of exp: never below exp(σ·g) interpolated
-// in the exponent, and above it by at most frac·(1−frac)/2·h²·e^h
-// relative, h = σ·|Δg| (≈ σ²Δg²/8 at mid-segment).
+// TestJitterKnots pins the jitter model through the rate lines of a
+// phase whose rates are all 1, so a line reads the multiplier itself. At
+// every segment knot the multiplier is exp(σ·g) of that knot's Gaussian
+// draw, bit for bit. Between knots it is the linear interpolation of the
+// two knot multipliers, to rounding — the chord of exp: never below
+// exp(σ·g) interpolated in the exponent, and above it by at most
+// frac·(1−frac)/2·h²·e^h relative, h = σ·|Δg| (≈ σ²Δg²/8 at mid-segment).
 func TestJitterKnots(t *testing.T) {
 	b := steadyBench()
 	b.Instructions = 200 << 20 // segLen = 2^20, so knot positions are exact
 	segLen := b.Instructions / 200
+	unit := workload.Phase{BaseCPI: 1, PerInst: workload.Rates{
+		Uops: 1, FPU: 1, ICFetch: 1, DCAccess: 1, L2Req: 1, Branch: 1, Mispred: 1, L2Miss: 1,
+	}}
 	check := func(c *Core, k int64, frac, sigma float64) {
 		t.Helper()
 		c.Done = (float64(k) + frac) * segLen
-		c.jitterMuls(sigma)
+		unit.Noise = sigma
+		if got := c.segmentFrac(&unit, 3.5); got != frac {
+			t.Fatalf("segment fraction %v, want %v", got, frac)
+		}
 		for d := 0; d < numJitterDims; d++ {
 			g0, g1 := hashGauss(b.Name, d, k), hashGauss(b.Name, d, k+1)
-			got := c.mul[d]
+			got := c.lineA[d] + c.lineB[d]*frac
 			if frac == 0 {
 				if want := math.Exp(sigma * g0); got != want {
 					t.Fatalf("σ=%v seg %d dim %d: knot multiplier %v, want exp(σ·g) = %v", sigma, k, d, got, want)
 				}
 				continue
 			}
-			if want := math.Exp(sigma*g0)*(1-frac) + math.Exp(sigma*g1)*frac; got != want {
+			want := math.Exp(sigma*g0)*(1-frac) + math.Exp(sigma*g1)*frac
+			if math.Abs(got-want) > 1e-15*want {
 				t.Fatalf("σ=%v seg %d+%v dim %d: multiplier %v, want the knot interpolation %v", sigma, k, frac, d, got, want)
 			}
 			inExp := math.Exp(sigma * (g0*(1-frac) + g1*frac))
@@ -351,10 +360,11 @@ func TestProgressMonotone(t *testing.T) {
 	}
 }
 
-// TestFreqSensMemoFollowsTheClock pins the frequency-factor memo: a core
-// whose clock moves mid-run must step exactly as a core that derives the
-// factors afresh at the new clock. Every event dimension carries a
-// sensitivity, so a stale factor shows in the event vector.
+// TestFreqSensMemoFollowsTheClock pins the rate-line memo, which holds
+// the frequency-sensitivity factors: a core whose clock moves mid-run
+// must step exactly as a core that derives the lines afresh at the new
+// clock. Every event dimension carries a sensitivity, so a stale factor
+// shows in the event vector.
 func TestFreqSensMemoFollowsTheClock(t *testing.T) {
 	b := steadyBench()
 	for d := range b.FreqSens {
@@ -363,10 +373,58 @@ func TestFreqSensMemoFollowsTheClock(t *testing.T) {
 	c := newCore(b, 3.5)
 	for _, f := range []float64{3.5, 1.4, 1.4, 2.9, 3.5} {
 		fresh := *c
-		fresh.fsOK = false
+		fresh.lineOK = false
 		got, want := step(c, f, 0.001, testLat), step(&fresh, f, 0.001, testLat)
 		if got != want {
 			t.Fatalf("at %v GHz the memoised step gave %+v, a fresh one %+v", f, got, want)
+		}
+	}
+}
+
+// TestRateLinesMatchInterpolation checks the rate lines against the
+// formula they replace, written out here: interpolate each dimension's
+// jitter multiplier between its segment knots, then scale the phase's
+// rate by it and by the frequency factor. Over random segments,
+// fractions, σ, clocks and phases, every jittered rate and BaseCPI
+// agrees within 1e-12 relative.
+func TestRateLinesMatchInterpolation(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	b := steadyBench()
+	for d := range b.FreqSens {
+		b.FreqSens[d] = 0.1 * (rng.Float64() - 0.5)
+	}
+	const fTop = 3.5
+	c := newCore(b, fTop)
+	segLen := b.Instructions / 200
+	for i := 0; i < 2000; i++ {
+		p := workload.Phase{BaseCPI: 0.3 + rng.Float64(), Noise: 0.5 * rng.Float64()}
+		r := &p.PerInst
+		rates := []*float64{&r.Uops, &r.FPU, &r.ICFetch, &r.DCAccess, &r.L2Req, &r.Branch, &r.Mispred, &r.L2Miss}
+		for _, x := range rates {
+			*x = 2 * rng.Float64()
+		}
+		seg := rng.Int63n(200)
+		frac := rng.Float64()
+		f := 1.4 + (fTop-1.4)*rng.Float64()
+		c.Done = (float64(seg) + frac) * segLen
+		got := c.segmentFrac(&p, f)
+		if pos := c.Done / segLen; got != pos-float64(int64(pos)) {
+			t.Fatalf("segment fraction %v at position %v", got, pos)
+		}
+		seg = int64(c.Done / segLen)
+		for d := 0; d < numJitterDims; d++ {
+			m0 := math.Exp(p.Noise * hashGauss(b.Name, d, seg))
+			m1 := math.Exp(p.Noise * hashGauss(b.Name, d, seg+1))
+			m := m0*(1-got) + m1*got
+			want := p.BaseCPI * m
+			if d < dimBaseCPI {
+				want = *rates[d] * m * (1 + b.FreqSens[d]*(f/fTop-1))
+			}
+			line := c.lineA[d] + c.lineB[d]*got
+			if math.Abs(line-want) > 1e-12*math.Abs(want) {
+				t.Fatalf("case %d dim %d (seg %d, frac %v, σ %v, %v GHz): line %v, interpolated %v",
+					i, d, seg, got, p.Noise, f, line, want)
+			}
 		}
 	}
 }

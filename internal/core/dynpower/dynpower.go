@@ -15,6 +15,7 @@ package dynpower
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ppep/internal/arch"
 	"ppep/internal/stats"
@@ -47,7 +48,12 @@ func (m *Model) scale(v units.Volts) float64 {
 // EstimateRates returns the dynamic power for chip-wide summed event
 // rates (events/second) with all cores at voltage v.
 func (m *Model) EstimateRates(rates [arch.NumPowerEvents]float64, v units.Volts) units.Watts {
-	s := m.scale(v)
+	return m.estimateScaled(&rates, m.scale(v))
+}
+
+// estimateScaled is EstimateRates with the voltage factor s = (V/V5)^α
+// already evaluated.
+func (m *Model) estimateScaled(rates *[arch.NumPowerEvents]float64, s float64) units.Watts {
 	var w float64
 	for i := 0; i < NumScaled; i++ {
 		w += s * float64(m.W[i]) * rates[i]
@@ -101,19 +107,35 @@ func Train(samples []Sample, vRef units.Volts) (*Model, error) {
 		m.W[i] = units.JoulesPerEvent(lin.Weights[i])
 	}
 
-	// Calibrate α on every sample not at the reference voltage.
+	// Calibrate α on every sample not at the reference voltage. Those
+	// samples share a handful of voltages, so each probe evaluates
+	// (V/V5)^α once per distinct voltage (volts[k]) and each sample reads
+	// its voltage's factor (at[i]).
 	var offRef []Sample
+	var volts []units.Volts
+	var at []int
 	for _, s := range samples {
 		if s.Voltage != vRef {
+			k := slices.Index(volts, s.Voltage)
+			if k < 0 {
+				k = len(volts)
+				volts = append(volts, s.Voltage)
+			}
 			offRef = append(offRef, s)
+			at = append(at, k)
 		}
 	}
 	if len(offRef) > 0 {
+		scales := make([]float64, len(volts))
 		loss := func(alpha float64) float64 {
 			m.Alpha = alpha
+			for k, v := range volts {
+				scales[k] = m.scale(v)
+			}
 			var sum float64
-			for _, s := range offRef {
-				d := float64(m.EstimateRates(s.Rates, s.Voltage) - s.DynW)
+			for i := range offRef {
+				s := &offRef[i]
+				d := float64(m.estimateScaled(&s.Rates, scales[at[i]]) - s.DynW)
 				sum += d * d
 			}
 			return sum

@@ -49,6 +49,22 @@ func TestTickZeroAlloc(t *testing.T) {
 			t.Errorf("idle tick allocates %.1f times per call, want 0", n)
 		}
 	})
+	t.Run("all-idle after work, boost", func(t *testing.T) {
+		// The chip idles after a thread ran, so every tick but the first
+		// of each sensor window reuses the swept idle breakdown.
+		cfg := DefaultFX8320Config()
+		cfg.IdealSensor = true
+		cfg.BoostEnabled = true
+		c := New(cfg)
+		if err := c.Bind(1, workload.BenchA(), false); err != nil {
+			t.Fatal(err)
+		}
+		c.TickN(30)
+		c.Unbind(1)
+		if n := testing.AllocsPerRun(200, func() { c.TickN(1) }); n != 0 || !c.idleOK {
+			t.Errorf("all-idle tick allocates %.1f times per call (breakdown reused: %v), want 0 and reused", n, c.idleOK)
+		}
+	})
 	t.Run("gated", func(t *testing.T) {
 		cfg := DefaultFX8320Config()
 		cfg.IdealSensor = true

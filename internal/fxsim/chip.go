@@ -165,6 +165,18 @@ type Chip struct {
 	// every tick, so the sweep neither copies nor zeroes either.
 	stepRes   uarch.TickResult
 	breakdown powertruth.Breakdown
+	// tickW, tickCoreW and tickNBW are the breakdown's total, core and NB
+	// sums, written by every sweep. idleOK marks the breakdown and the
+	// three sums as the next tick's too: an all-idle tick's breakdown
+	// depends only on cuOp, leakTemp, the gating state and the NB point,
+	// so a sweep of an all-idle tick sets it, and SetPState, SetNBPoint
+	// and the leakage refresh (each sensor window's first tick, SetTempK)
+	// clear it. The busy counts need no clear: a tick that starts with a
+	// busy core sweeps and clears it, and the tick a thread finishes in
+	// started busy, while a Bind that an Unbind undoes before the next
+	// tick leaves the idle inputs as they were.
+	tickW, tickCoreW, tickNBW units.Watts
+	idleOK                    bool
 
 	// ticks counts every tick run. It is atomic because EngineStats is
 	// read from HTTP handlers while the sampling goroutine ticks the chip.
@@ -308,6 +320,10 @@ func (c *Chip) Fork(sensorSeed int64) *Chip {
 		scratchLeak:  slices.Clone(c.scratchLeak),
 		stepRes:      c.stepRes,
 		breakdown:    c.breakdown,
+		tickW:        c.tickW,
+		tickCoreW:    c.tickCoreW,
+		tickNBW:      c.tickNBW,
+		idleOK:       c.idleOK,
 	}
 	for i, cf := range c.counters {
 		if cf != nil {
@@ -336,6 +352,7 @@ func (c *Chip) refreshNBCaches() {
 	c.nbLat = c.cfg.NB.LatencyParams()
 	c.nbDyn = c.cfg.Power.NBDynCoeffsAt(c.nbPoint.Voltage, c.nbPoint.Freq)
 	c.nbLeakVolt = c.cfg.Power.NBLeakVoltScale(c.nbPoint.Voltage)
+	c.idleOK = false
 }
 
 // Topology returns the platform topology.
@@ -383,6 +400,7 @@ func (c *Chip) SetPState(cu int, s arch.VFState) error {
 	c.cuPoints[cu] = c.cfg.Topology.VF.Point(s)
 	c.refreshSharedRail()
 	c.cuOpStale = true
+	c.idleOK = false
 	return nil
 }
 
@@ -642,7 +660,10 @@ func (m *cuOpCache) coreDynW(r *uarch.TickResult) units.Watts {
 
 // refreshLeakTemp evaluates the leakage temperature factor at the
 // package's current temperature.
-func (c *Chip) refreshLeakTemp() { c.leakTemp = c.cfg.Power.LeakTempScale(c.therm.TempK()) }
+func (c *Chip) refreshLeakTemp() {
+	c.leakTemp = c.cfg.Power.LeakTempScale(c.therm.TempK())
+	c.idleOK = false
+}
 
 // TickN advances the chip by n 1 ms steps. Each step runs every bound
 // thread, accumulates counters, computes true power, advances thermals,
@@ -659,8 +680,12 @@ func (c *Chip) TickN(n int) {
 	}
 }
 
-// tick is the per-tick path: the full per-core model sweep. Every
-// floating-point accumulation below is order-pinned by the golden
+// tick is the per-tick path. A tick that starts with a busy core, or the
+// first all-idle tick since an input of the idle breakdown changed, runs
+// the sweep; the all-idle ticks after it reuse the sweep's breakdown
+// (idleOK). Every tick then runs the same tail: thermal step, memory
+// utilization feedback, interval accumulation and the sensor sample.
+// Every floating-point accumulation below is order-pinned by the golden
 // fingerprints (golden_test.go); reordering one changes the traces.
 func (c *Chip) tick() {
 	if c.tickCount == 0 {
@@ -668,6 +693,44 @@ func (c *Chip) tick() {
 		// under (controllers change states at interval boundaries).
 		c.snapshotVF()
 	}
+	if c.tickIdx%int64(arch.PowerSamplePeriodMS) == 0 {
+		c.refreshLeakTemp()
+	}
+	dramPS := 0.0
+	if idle := c.busyCUs == 0; !idle || !c.idleOK {
+		dramPS = c.sweep()
+		c.idleOK = idle
+	}
+
+	totalW := c.tickW
+	c.therm.Step(totalW, TickS)
+	// Damped utilization feedback: raw per-tick utilization oscillates
+	// (high latency → low demand → low latency → ...); an EMA mirrors
+	// the averaging a real memory controller's queues perform.
+	utilX := c.cfg.NB.Utilization(dramPS)
+	c.lastUtil = 0.6*c.lastUtil + 0.4*utilX
+
+	// Interval accumulation.
+	c.trueSum += float64(totalW)
+	c.trueCoreSum += float64(c.tickCoreW)
+	c.trueNBSum += float64(c.tickNBW)
+	for i, w := range c.breakdown.CoreDynW {
+		c.coreDynSum[i] += w
+	}
+	c.tickCount++
+	c.tickIdx++
+	c.timeS += TickS
+	if c.tickIdx%int64(arch.PowerSamplePeriodMS) == 0 {
+		c.sensorSum += c.sensor.Sample(float64(totalW))
+		c.sensorN++
+	}
+	c.ticks.Add(1)
+}
+
+// sweep is the full per-core model sweep of one tick: it steps every busy
+// thread, feeds its counters, and fills the power breakdown and its sums
+// (tickW, tickCoreW, tickNBW). It returns the tick's DRAM request rate.
+func (c *Chip) sweep() (dramPS float64) {
 	lat := c.nbLat.Snapshot(c.lastUtil)
 	latSib := lat
 	latSib.L2ContentionCycles = mem.L2SiblingPenaltyCycles
@@ -709,7 +772,7 @@ func (c *Chip) tick() {
 			if c.counterFiles {
 				c.counters[i].Accumulate(&r.Events)
 			} else {
-				c.mux[i].Accumulate(&r.Events, TickS*1000)
+				c.mux[i].Accumulate(&r.Events)
 			}
 			nbAct.L3AccessPS += r.L3Accesses / TickS
 			nbAct.DRAMPS += r.DRAMAccesses / TickS
@@ -730,9 +793,6 @@ func (c *Chip) tick() {
 		}
 	}
 
-	if c.tickIdx%int64(arch.PowerSamplePeriodMS) == 0 {
-		c.refreshLeakTemp()
-	}
 	tempScale := c.leakTemp
 	for cu := range c.cuOp {
 		breakdown.CULeakW[cu] = c.cfg.Power.CULeakageWWith(c.cuOp[cu].leakVolt, tempScale, c.cuGated(cu))
@@ -749,30 +809,10 @@ func (c *Chip) tick() {
 	if anyAwake {
 		breakdown.HousekW = c.cfg.Power.HousekeepingDynW(c.cuOp[0].v, maxFreq, c.fTopGHz)
 	}
-
-	totalW := breakdown.TotalW()
-	c.therm.Step(totalW, TickS)
-	// Damped utilization feedback: raw per-tick utilization oscillates
-	// (high latency → low demand → low latency → ...); an EMA mirrors
-	// the averaging a real memory controller's queues perform.
-	utilX := c.cfg.NB.Utilization(nbAct.DRAMPS)
-	c.lastUtil = 0.6*c.lastUtil + 0.4*utilX
-
-	// Interval accumulation.
-	c.trueSum += float64(totalW)
-	c.trueCoreSum += float64(breakdown.CoreTotalW())
-	c.trueNBSum += float64(breakdown.NBTotalW())
-	for i, w := range breakdown.CoreDynW {
-		c.coreDynSum[i] += w
-	}
-	c.tickCount++
-	c.tickIdx++
-	c.timeS += TickS
-	if c.tickIdx%int64(arch.PowerSamplePeriodMS) == 0 {
-		c.sensorSum += c.sensor.Sample(float64(totalW))
-		c.sensorN++
-	}
-	c.ticks.Add(1)
+	c.tickW = breakdown.TotalW()
+	c.tickCoreW = breakdown.CoreTotalW()
+	c.tickNBW = breakdown.NBTotalW()
+	return nbAct.DRAMPS
 }
 
 // EnableCounterFiles attaches a register-level counter file to every core

@@ -143,4 +143,11 @@ func TestForkIsDeepCopy(t *testing.T) {
 	if a, b := parent.EngineStats(), twin.EngineStats(); a != b {
 		t.Errorf("tick counts %+v and %+v diverged", a, b)
 	}
+
+	// An all-idle chip reusing its swept breakdown forks with the reuse.
+	parent.UnbindAll()
+	parent.TickN(30)
+	if idle := parent.Fork(cfg.SensorSeed); !parent.idleOK || !reflect.DeepEqual(parent, idle) {
+		t.Errorf("fork of an all-idle chip (breakdown reused: %v) differs from the chip", parent.idleOK)
+	}
 }

@@ -1,6 +1,7 @@
 package fxsim
 
 import (
+	"slices"
 	"testing"
 
 	"ppep/internal/arch"
@@ -15,6 +16,13 @@ import (
 // tracecodec.SchemaVersion as well, or a warm cache keeps serving traces
 // of the old model.
 const goldenSchemaVersion = 3
+
+// goldenRun is one fixed-seed scenario and the fingerprint of its trace.
+type goldenRun struct {
+	name string
+	want uint64
+	run  func(t *testing.T) *trace.Trace
+}
 
 // The golden fingerprints below pin the simulator's determinism
 // guarantee: for a fixed SensorSeed, every optimization of the tick loop
@@ -31,11 +39,7 @@ const goldenSchemaVersion = 3
 // simulator physics, re-record it, bump tracecodec.SchemaVersion and
 // goldenSchemaVersion with it, and say so in the commit; a failure after
 // a performance-only change is a regression.
-var goldenCollect = []struct {
-	name string
-	want uint64
-	run  func(t *testing.T) *trace.Trace
-}{
+var goldenCollect = []goldenRun{
 	{
 		name: "shared-rail 433x4 @VF3",
 		want: 0x3ca5bc5829a4c237,
@@ -114,10 +118,142 @@ var goldenCollect = []struct {
 	},
 }
 
+// goldenIdle pins the all-idle tick's reuse of its power breakdown
+// (Chip.idleOK) against every input that may change it: boost, power
+// gating with the NB gated, a P-state, NB point or temperature set in the
+// middle of a sensor window, a thread finishing into idle mid-window, and
+// an Unbind, a Bind and a Fork mid-interval. The fingerprints were
+// recorded before the reuse existed, when every tick swept every core.
+// TestTickDrift's reference covers goldenCollect only, so these live in a
+// list of their own.
+var goldenIdle = []goldenRun{
+	{
+		name: "boost heatcool @VF5",
+		want: 0xe14ef03d3f1d5278,
+		run: func(t *testing.T) *trace.Trace {
+			cfg := DefaultFX8320Config()
+			cfg.BoostEnabled = true
+			cfg.SensorSeed = 19
+			tr, err := New(cfg).HeatCool(arch.VF5, 5, 12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr
+		},
+	},
+	{
+		name: "power-gated all-idle @VF3",
+		want: 0xf6713e5273d06638,
+		run: func(t *testing.T) *trace.Trace {
+			cfg := DefaultFX8320Config()
+			cfg.PowerGating = true
+			cfg.SensorSeed = 23
+			chip := New(cfg)
+			chip.SetTempK(330)
+			tr, err := chip.Cool(arch.VF3, 12)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tr
+		},
+	},
+	{
+		name: "idle mutators mid-window",
+		want: 0x4460697b0ae35286,
+		run: func(t *testing.T) *trace.Trace {
+			cfg := DefaultFX8320Config()
+			cfg.SensorSeed = 29
+			chip := New(cfg)
+			chip.SetTempK(328)
+			tr := &trace.Trace{Run: "idle-mutators"}
+			chip.TickN(7)
+			if err := chip.SetPState(1, arch.VF2); err != nil {
+				t.Fatal(err)
+			}
+			chip.TickN(6)
+			chip.SetNBPoint(arch.VFPoint{Voltage: 1.0875, Freq: 1.8})
+			chip.TickN(4)
+			chip.SetTempK(322)
+			chip.TickN(183)
+			tr.Intervals = append(tr.Intervals, readInterval(chip))
+			chip.TickN(45)
+			if err := chip.SetAllPStates(arch.VF1); err != nil {
+				t.Fatal(err)
+			}
+			chip.TickN(155)
+			tr.Intervals = append(tr.Intervals, readInterval(chip))
+			return tr
+		},
+	},
+	{
+		name: "finish mid-window into idle, boost and gating",
+		want: 0x4ef41e36fc789db5,
+		run: func(t *testing.T) *trace.Trace {
+			cfg := DefaultFX8320Config()
+			cfg.BoostEnabled = true
+			cfg.PowerGating = true
+			cfg.SensorSeed = 31
+			chip := New(cfg)
+			a, b := *workload.BenchA(), *workload.BenchA()
+			a.Instructions, b.Instructions = 8.5e9, 5e9
+			if err := chip.Bind(0, &a, false); err != nil {
+				t.Fatal(err)
+			}
+			if err := chip.Bind(2, &b, false); err != nil {
+				t.Fatal(err)
+			}
+			tr := &trace.Trace{Run: "finish-into-idle"}
+			for k := 0; k < 10; k++ {
+				chip.TickN(arch.DecisionIntervalMS)
+				tr.Intervals = append(tr.Intervals, readInterval(chip))
+			}
+			return tr
+		},
+	},
+	{
+		name: "unbind and fork mid-interval",
+		want: 0x60c523ce9cb322e0,
+		run: func(t *testing.T) *trace.Trace {
+			cfg := DefaultFX8320Config()
+			cfg.SensorSeed = 37
+			chip := New(cfg)
+			long := *workload.BenchA()
+			long.Instructions = 1e18
+			for _, core := range []int{0, 3} {
+				if err := chip.Bind(core, &long, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tr := &trace.Trace{Run: "unbind-fork"}
+			chip.TickN(57)
+			chip.Unbind(0)
+			chip.TickN(30)
+			chip.Unbind(3)
+			chip.TickN(21)
+			fork := chip.Fork(41)
+			fork.TickN(92)
+			tr.Intervals = append(tr.Intervals, readInterval(fork))
+			fork.TickN(60)
+			if err := fork.Bind(5, &long, false); err != nil {
+				t.Fatal(err)
+			}
+			fork.TickN(140)
+			tr.Intervals = append(tr.Intervals, readInterval(fork))
+			fork.Unbind(5)
+			fork.TickN(arch.DecisionIntervalMS)
+			tr.Intervals = append(tr.Intervals, readInterval(fork))
+			chip.TickN(92)
+			tr.Intervals = append(tr.Intervals, readInterval(chip))
+			return tr
+		},
+	},
+}
+
 // TestGoldenCollectEquivalence verifies that fixed-seed runs reproduce the
-// recorded interval fingerprints exactly (see goldenCollect).
+// recorded interval fingerprints exactly (see goldenCollect and
+// goldenIdle).
 func TestGoldenCollectEquivalence(t *testing.T) {
-	for _, tc := range goldenCollect {
+	for _, tc := range slices.Concat(goldenCollect, goldenIdle) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()

@@ -22,12 +22,13 @@ import (
 // (AMD family 15h has six).
 const CountersPerCore = 6
 
-// MuxWindowMS is the multiplexing rotation window in milliseconds.
+// MuxWindowMS is the multiplexing rotation window in milliseconds, which
+// is also its length in 1 ms simulation ticks.
 const MuxWindowMS = 20
 
-// Mux is the per-core multiplexed counter file. Feed it true per-tick
-// event increments with Accumulate; read an extrapolated interval with
-// ReadInterval. The zero value is a ready multiplexer with the group
+// Mux is the per-core multiplexed counter file. Feed it each 1 ms tick's
+// true event increments with Accumulate; read an extrapolated interval
+// with ReadInterval. The zero value is a ready multiplexer with the group
 // split GroupOf describes.
 type Mux struct {
 	// Disabled turns multiplexing off: all twelve events count all the
@@ -35,9 +36,9 @@ type Mux struct {
 	// cannot do this with six counters).
 	Disabled bool
 
-	counts  arch.EventVec // accumulated while live
-	liveMS  [2]float64    // ms each group has been live this interval
-	clockMS float64       // position within the mux rotation
+	counts    arch.EventVec // accumulated while live
+	liveTicks [2]int        // ticks (ms) each group has been live this interval
+	clock     int           // position within the mux rotation, in ticks
 }
 
 // GroupOf reports the mux group of the given event: group 0 counts
@@ -47,37 +48,36 @@ type Mux struct {
 // across both.
 func (m *Mux) GroupOf(id arch.EventID) int { return (int(id) - 1) / CountersPerCore }
 
-// Accumulate feeds the true event increments for a tick of dtMS
-// milliseconds. Only the live group's six contiguous events are recorded
-// (unless the mux is disabled). Ticks must not straddle a window
-// boundary; the standard 1 ms simulation tick divides the 20 ms window
-// evenly.
+// Accumulate feeds the true event increments of one 1 ms tick. Only the
+// live group's six contiguous events are recorded (unless the mux is
+// disabled); the rotation counts whole ticks, MuxWindowMS per window.
 //
 //ppep:inline
-func (m *Mux) Accumulate(inc *arch.EventVec, dtMS float64) {
-	live := int(m.clockMS/MuxWindowMS) % 2
+func (m *Mux) Accumulate(inc *arch.EventVec) {
+	live := m.clock / MuxWindowMS
 	for g := 0; g < 2; g++ {
 		if g == live || m.Disabled {
 			for i := g * CountersPerCore; i < (g+1)*CountersPerCore; i++ {
 				m.counts[i] += inc[i]
 			}
-			m.liveMS[g] += dtMS
+			m.liveTicks[g]++
 		}
 	}
-	m.clockMS += dtMS
-	if m.clockMS >= 2*MuxWindowMS {
-		m.clockMS -= 2 * MuxWindowMS
+	m.clock++
+	if m.clock == 2*MuxWindowMS {
+		m.clock = 0
 	}
 }
 
 // ReadInterval returns the extrapolated event counts since the last read
 // and resets the accumulation. intervalMS is the elapsed interval length;
-// each event is scaled by intervalMS / liveMS(group) to estimate the full
+// each event is scaled by intervalMS over its group's live ticks (ms) to
+// estimate the full
 // interval's count, as the msr-tools-based sampler does in the paper.
 func (m *Mux) ReadInterval(intervalMS float64) arch.EventVec {
 	var out arch.EventVec
 	for i := 0; i < arch.NumEvents; i++ {
-		live := m.liveMS[i/CountersPerCore]
+		live := float64(m.liveTicks[i/CountersPerCore])
 		if m.Disabled {
 			live = intervalMS
 		}
@@ -86,7 +86,7 @@ func (m *Mux) ReadInterval(intervalMS float64) arch.EventVec {
 		}
 	}
 	m.counts = arch.EventVec{}
-	m.liveMS = [2]float64{}
+	m.liveTicks = [2]int{}
 	return out
 }
 

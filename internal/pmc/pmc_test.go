@@ -44,7 +44,7 @@ func TestMuxSteadyWorkloadIsExact(t *testing.T) {
 	// counts exactly.
 	m := &Mux{}
 	for tick := 0; tick < 200; tick++ { // 200 × 1 ms
-		m.Accumulate(steadyVec(10), 1)
+		m.Accumulate(steadyVec(10))
 	}
 	got := m.ReadInterval(200)
 	for i, v := range got {
@@ -64,7 +64,7 @@ func TestMuxPhaseChangeError(t *testing.T) {
 		if tick < 20 { // burst only in the first window (group 0 live)
 			inc = steadyVec(100)
 		}
-		m.Accumulate(inc, 1)
+		m.Accumulate(inc)
 	}
 	got := m.ReadInterval(200)
 	// True count is 2000 per event. Group 0 saw the burst and
@@ -87,7 +87,7 @@ func TestMuxDisabledIsOracle(t *testing.T) {
 		if tick < 20 {
 			inc = steadyVec(100)
 		}
-		m.Accumulate(inc, 1)
+		m.Accumulate(inc)
 	}
 	got := m.ReadInterval(200)
 	for i, v := range got {
@@ -100,7 +100,7 @@ func TestMuxDisabledIsOracle(t *testing.T) {
 func TestMuxReadResets(t *testing.T) {
 	m := &Mux{}
 	for tick := 0; tick < 40; tick++ {
-		m.Accumulate(steadyVec(5), 1)
+		m.Accumulate(steadyVec(5))
 	}
 	m.ReadInterval(40)
 	got := m.ReadInterval(40)
@@ -116,12 +116,12 @@ func TestMuxRotationContinuesAcrossReads(t *testing.T) {
 	// middle of a window must not bias the next interval.
 	m := &Mux{}
 	for tick := 0; tick < 30; tick++ {
-		m.Accumulate(steadyVec(1), 1)
+		m.Accumulate(steadyVec(1))
 	}
 	m.ReadInterval(30)
 	// Now 10 ms into the group-1 window. Run a full balanced interval.
 	for tick := 0; tick < 200; tick++ {
-		m.Accumulate(steadyVec(1), 1)
+		m.Accumulate(steadyVec(1))
 	}
 	got := m.ReadInterval(200)
 	for i, v := range got {
@@ -201,7 +201,7 @@ func TestCounterFileWraps48Bits(t *testing.T) {
 
 func TestMuxRelativeErrorBoundedForSlowPhases(t *testing.T) {
 	// Phases slower than the window produce modest error; this guards
-	// the extrapolation arithmetic (liveMS bookkeeping) against drift.
+	// the extrapolation arithmetic (liveTicks bookkeeping) against drift.
 	m := &Mux{}
 	var truth float64
 	for tick := 0; tick < 1000; tick++ {
@@ -209,7 +209,7 @@ func TestMuxRelativeErrorBoundedForSlowPhases(t *testing.T) {
 		if (tick/200)%2 == 1 { // 200 ms phases
 			level = 20.0
 		}
-		m.Accumulate(steadyVec(level), 1)
+		m.Accumulate(steadyVec(level))
 		truth += level
 	}
 	got := m.ReadInterval(1000)

@@ -22,11 +22,13 @@ type Model struct {
 	AmbientK units.Kelvin
 
 	tempK units.Kelvin
-	// decay caches e^(−dt/τ) for the ratio decayX: the tick loop steps
-	// with one dt and a fixed τ, so Step recomputes the exponential only
-	// when the ratio changes. decay == 0 marks the cache empty (it also
-	// sends a ratio whose exponential underflows to 0 back to expNeg).
-	decayX, decay float64
+	// decay caches e^(−dt/τ) for the step decayDt and time constant
+	// decayTau: the tick loop steps with one dt and a fixed τ, so Step
+	// recomputes the ratio and its exponential only when either changes.
+	// decay == 0 marks the cache empty (it also sends a pair whose
+	// exponential underflows to 0 back to expNeg).
+	decayDt, decayTau units.Seconds
+	decay             float64
 }
 
 // DefaultFX8320 returns the thermal model used for the FX-8320 platform:
@@ -53,8 +55,8 @@ func (m *Model) Step(powerW units.Watts, dt units.Seconds) {
 	tss := m.AmbientK + m.RthKPerW.Times(powerW)
 	tau := m.RthKPerW.TimesHeatCap(m.CthJPerK)
 	// T(t+dt) = Tss + (T−Tss)·e^(−dt/τ)
-	if x := dt.Per(tau); x != m.decayX || m.decay == 0 {
-		m.decayX, m.decay = x, expNeg(x)
+	if dt != m.decayDt || tau != m.decayTau || m.decay == 0 {
+		m.decayDt, m.decayTau, m.decay = dt, tau, expNeg(dt.Per(tau))
 	}
 	m.tempK = tss + units.Kelvin(float64(m.tempK-tss)*m.decay)
 }

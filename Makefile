@@ -34,7 +34,7 @@ fmt-check:
 ci: fmt-check
 	$(GO) vet ./...
 	$(GO) run ./cmd/ppeplint
-	$(GO) test -race ./...
+	$(GO) test -race -count=1 ./...
 	$(MAKE) smoke
 	$(MAKE) smoke-cache
 	$(MAKE) loadgen-smoke

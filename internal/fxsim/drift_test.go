@@ -3,6 +3,7 @@ package fxsim
 import (
 	"compress/gzip"
 	"encoding/binary"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -31,6 +32,8 @@ type driftRow struct {
 // folded core power per operating point, and evaluated the leakage
 // temperature factor once per sensor window. It is a fixed reference:
 // re-recording it from a later simulator would hide the drift it bounds.
+// So the file must hold exactly one block per goldenCollect scenario: a
+// new scenario belongs in goldenIdle, which has no drift reference.
 func readDriftRef(t *testing.T) [][]driftRow {
 	t.Helper()
 	f, err := os.Open("testdata/tickdrift.bin.gz")
@@ -42,16 +45,25 @@ func readDriftRef(t *testing.T) [][]driftRow {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([][]driftRow, len(goldenCollect))
-	for i := range out {
+	var out [][]driftRow
+	for {
 		var n uint32
-		if err := binary.Read(zr, binary.LittleEndian, &n); err != nil {
-			t.Fatal(err)
+		err := binary.Read(zr, binary.LittleEndian, &n)
+		if err == io.EOF {
+			break
 		}
-		out[i] = make([]driftRow, n)
-		if err := binary.Read(zr, binary.LittleEndian, out[i]); err != nil {
-			t.Fatal(err)
+		if err != nil {
+			t.Fatalf("reference block %d: %v", len(out), err)
 		}
+		rows := make([]driftRow, n)
+		if err := binary.Read(zr, binary.LittleEndian, rows); err != nil {
+			t.Fatalf("reference block %d: %v", len(out), err)
+		}
+		out = append(out, rows)
+	}
+	if len(out) != len(goldenCollect) {
+		t.Fatalf("the drift reference holds %d blocks and goldenCollect has %d scenarios: "+
+			"the reference is fixed, so a new scenario belongs in goldenIdle", len(out), len(goldenCollect))
 	}
 	return out
 }

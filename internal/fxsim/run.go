@@ -5,7 +5,6 @@ import (
 
 	"ppep/internal/arch"
 	"ppep/internal/trace"
-	"ppep/internal/uarch"
 	"ppep/internal/units"
 	"ppep/internal/workload"
 )
@@ -108,19 +107,8 @@ func (c *Chip) Collect(r workload.Run, opts RunOpts) (*trace.Trace, error) {
 	c.UnbindAll()
 	// Align interval boundaries with run start.
 	c.ReadIntervalInto(new(trace.Interval))
-	used, err := c.PlaceRun(r, opts.Placement, opts.Restart)
-	if err != nil {
+	if _, err := c.PlaceRun(r, opts.Placement, opts.Restart); err != nil {
 		return nil, err
-	}
-	// Every thread crosses all its jitter segments, so each member's
-	// threads share its knot tables, resolved here, off the tick loop.
-	next := 0
-	for _, m := range r.Members {
-		knots := uarch.Knots(m.Bench)
-		for _, core := range used[next : next+m.Threads] {
-			c.threads[core].UseKnots(knots)
-		}
-		next += m.Threads
 	}
 
 	tr := &trace.Trace{Run: r.Name, Suite: r.Suite, Platform: c.cfg.Topology.Name}

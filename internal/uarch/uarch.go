@@ -21,8 +21,6 @@ package uarch
 
 import (
 	"math"
-	"slices"
-	"sync"
 
 	"ppep/internal/arch"
 	"ppep/internal/mem"
@@ -39,8 +37,7 @@ type Core struct {
 	Bench *workload.Benchmark
 	// Done is the count of retired instructions so far.
 	Done float64
-	// segLen is the instruction length of one jitter segment
-	// (Instructions/numSegments).
+	// segLen is the instruction length of one jitter segment.
 	segLen float64
 	// fTop is the platform's top frequency, the reference for the
 	// frequency-sensitivity terms.
@@ -75,36 +72,22 @@ type Core struct {
 	lineOK    bool
 	lineA     [numJitterDims]float64
 	lineB     [numJitterDims]float64
-
-	// knots are the benchmark's shared knot tables (UseKnots), one per
-	// distinct phase σ; nil for a thread that computes its knots itself.
-	knots []*KnotTable
 }
 
 // Reset rebinds the core context to a fresh thread of the benchmark,
 // reusing the existing allocation. The simulator's thread-restart path
 // runs inside the tick loop, which must stay allocation-free, so
-// restarts reset the core slot in place instead of replacing it. A
-// restart of the same benchmark keeps its knot tables.
+// restarts reset the core slot in place instead of replacing it.
 //
 //ppep:hotpath
 //ppep:inline
 func (c *Core) Reset(b *workload.Benchmark, fTopGHz float64) {
-	knots := c.knots
-	if b != c.Bench {
-		knots = nil
-	}
 	*c = Core{
 		Bench:  b,
-		segLen: b.Instructions / numSegments,
+		segLen: b.Instructions / 200,
 		fTop:   fTopGHz,
-		knots:  knots,
 	}
 }
-
-// UseKnots hands the thread its benchmark's shared knot tables (Knots).
-// Call it after Reset and before the first Step.
-func (c *Core) UseKnots(t []*KnotTable) { c.knots = t }
 
 // Finished reports whether the thread has retired all its instructions.
 //
@@ -165,7 +148,7 @@ func (c *Core) Step(fGHz, dtS float64, lat *mem.Latencies, r *TickResult) {
 	if l2Miss > l2Req {
 		l2Miss = l2Req
 	}
-	baseCPI := a[dimBaseCPI] + b[dimBaseCPI]*frac
+	baseCPI := max(a[dimBaseCPI]+b[dimBaseCPI]*frac, 1/arch.IssueWidth)
 	// Shared-L2 contention: an active sibling core stretches every L2
 	// request (the FX module's paired-core design).
 	baseCPI += l2Req * lat.L2ContentionCycles
@@ -316,8 +299,7 @@ func (c *Core) refreshLines(p *workload.Phase, fGHz float64) {
 }
 
 // refreshJitter recomputes the knots bounding the given segment at
-// jitter σ for every dimension, or copies them from the thread's knot
-// table for σ when it has one. Each segment of segLen instructions has
+// jitter σ for every dimension. Each segment of segLen instructions has
 // a knot at either end carrying exp(σ·g), with g a Gaussian draw keyed by
 // (benchmark, dimension, knot index); inside the segment the multiplier
 // is the chord between its two knots, which lies above exp(σ·g)
@@ -327,9 +309,7 @@ func (c *Core) refreshLines(p *workload.Phase, fGHz float64) {
 // exactly one segment at the same σ — the common case — reuses the
 // trailing knot as the new leading one.
 func (c *Core) refreshJitter(seg int64, sigma float64) {
-	if t := c.knotTable(sigma); t != nil && uint64(seg) <= numSegments {
-		c.jitM0, c.jitM1 = t.m[seg], t.m[seg+1]
-	} else if c.jitOK && seg == c.jitSeg+1 && sigma == c.jitSigma {
+	if c.jitOK && seg == c.jitSeg+1 && sigma == c.jitSigma {
 		c.jitM0 = c.jitM1
 	} else {
 		for d := range c.jitM0 {
@@ -341,76 +321,6 @@ func (c *Core) refreshJitter(seg int64, sigma float64) {
 	}
 	c.jitSeg, c.jitSigma, c.jitOK = seg, sigma, true
 	c.lineOK = false
-}
-
-// knotTable returns the thread's knot table for σ, or nil.
-func (c *Core) knotTable(sigma float64) *KnotTable {
-	for _, t := range c.knots {
-		if t.sigma == sigma {
-			return t
-		}
-	}
-	return nil
-}
-
-// numSegments is the number of jitter segments a thread's instructions
-// divide into: a run to completion crosses knots 0..numSegments.
-const numSegments = 200
-
-// KnotTable holds one benchmark's jitter knots at one σ: row k is
-// exp(σ·hashGauss(name, d, k)) for every dimension d, for every knot
-// 0..numSegments+1 a thread's segments can reach. A table is immutable
-// once built, so every thread of the benchmark, on any goroutine, reads
-// the same one.
-type KnotTable struct {
-	sigma float64
-	m     [numSegments + 2][numJitterDims]float64
-}
-
-// knotMemo is the process-wide table store, keyed by (benchmark name, σ):
-// the knots depend on nothing else, so what one caller fills no other
-// caller can tell from a table it would have built itself. It keeps every
-// table (14.2 KiB each) for the life of the process; a campaign resolves
-// one per benchmark and phase σ it runs.
-var knotMemo = struct {
-	sync.Mutex
-	m map[knotKey]*KnotTable
-}{m: map[knotKey]*KnotTable{}}
-
-type knotKey struct {
-	name  string
-	sigma float64
-}
-
-// Knots returns the knot tables of every distinct positive phase σ of the
-// benchmark, building the ones no earlier call built. It takes a
-// process-wide lock, so callers resolve the tables when they bind a
-// thread (Core.UseKnots), never from the tick loop. Worth it for threads
-// that run to completion and so cross all numSegments segments; a thread
-// that crosses a few computes its two knots per segment instead.
-func Knots(b *workload.Benchmark) []*KnotTable {
-	var ts []*KnotTable
-	knotMemo.Lock()
-	defer knotMemo.Unlock()
-	for i := range b.Phases {
-		sigma := b.Phases[i].Noise
-		if !(sigma > 0) || slices.ContainsFunc(ts, func(t *KnotTable) bool { return t.sigma == sigma }) {
-			continue
-		}
-		k := knotKey{b.Name, sigma}
-		t := knotMemo.m[k]
-		if t == nil {
-			t = &KnotTable{sigma: sigma}
-			for seg := range t.m {
-				for d := range t.m[seg] {
-					t.m[seg][d] = math.Exp(sigma * hashGauss(b.Name, d, int64(seg)))
-				}
-			}
-			knotMemo.m[k] = t
-		}
-		ts = append(ts, t)
-	}
-	return ts
 }
 
 // epiFor memoises epiScale per phase: the phase pointer is stable for the

@@ -1,12 +1,8 @@
 package uarch
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"slices"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"ppep/internal/arch"
@@ -430,109 +426,5 @@ func TestRateLinesMatchInterpolation(t *testing.T) {
 					i, d, seg, got, p.Noise, f, line, want)
 			}
 		}
-	}
-}
-
-// TestKnotTablesMatchHashGauss checks every shared knot table against
-// exp(σ·hashGauss) evaluated directly, for random benchmark names and σ
-// and at random knots, the last one a run can reach included. Knots must
-// return one table per distinct positive σ, and the same tables again.
-func TestKnotTablesMatchHashGauss(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for n := 0; n < 20; n++ {
-		name := make([]byte, 1+rng.Intn(12))
-		for i := range name {
-			name[i] = byte('a' + rng.Intn(26))
-		}
-		sigmas := []float64{rng.Float64() * 0.6, 0, rng.Float64() * 0.6}
-		b := &workload.Benchmark{Name: "knots-" + string(name)}
-		for _, s := range append(sigmas, sigmas[0]) {
-			b.Phases = append(b.Phases, workload.Phase{Weight: 1, Noise: s})
-		}
-		tabs := Knots(b)
-		if len(tabs) != 2 || tabs[0].sigma != sigmas[0] || tabs[1].sigma != sigmas[2] {
-			t.Fatalf("%s: tables for σ %v, want one per distinct positive σ of %v", b.Name, tabs, sigmas)
-		}
-		for k, tab := range tabs {
-			for _, seg := range []int64{0, rng.Int63n(numSegments), numSegments, numSegments + 1} {
-				for d := 0; d < numJitterDims; d++ {
-					if got, want := tab.m[seg][d], math.Exp(tab.sigma*hashGauss(b.Name, d, seg)); got != want {
-						t.Fatalf("%s σ=%v knot %d dim %d: table %v, exp(σ·hashGauss) %v", b.Name, tab.sigma, seg, d, got, want)
-					}
-				}
-			}
-			if again := Knots(b); again[k] != tab {
-				t.Fatalf("%s σ=%v: a second Knots call built a new table", b.Name, tab.sigma)
-			}
-		}
-	}
-}
-
-// TestKnotTablesMatchComputedKnots runs a multi-phase benchmark, its
-// phases at two σ and one noiseless, to completion on two cores, one
-// reading shared knot tables and one computing its knots, and requires
-// bit-identical ticks; a restart of the same benchmark keeps the tables
-// and a Reset to another drops them.
-func TestKnotTablesMatchComputedKnots(t *testing.T) {
-	b := *workload.SPECByNumber("481")
-	b.Name = "knots-481-mixed-sigma"
-	b.Instructions = 4e9
-	b.Phases = slices.Clone(b.Phases)
-	if len(b.Phases) < 3 {
-		t.Fatalf("481 has %d phases, the test needs 3", len(b.Phases))
-	}
-	b.Phases[1].Noise *= 2
-	b.Phases[2].Noise = 0
-	shared, own := newCore(&b, 3.5), newCore(&b, 3.5)
-	shared.UseKnots(Knots(&b))
-	if len(shared.knots) != 2 {
-		t.Fatalf("%d knot tables, want one for each of the two positive σ", len(shared.knots))
-	}
-	for _, f := range []float64{3.5, 1.4} {
-		for i := 0; !own.Finished(); i++ {
-			if got, want := step(shared, f, 0.001, testLat), step(own, f, 0.001, testLat); got != want {
-				t.Fatalf("%v GHz tick %d: with knot tables %+v, computed knots %+v", f, i, got, want)
-			}
-		}
-		if !shared.Finished() {
-			t.Fatal("the core with knot tables did not finish with the other")
-		}
-		shared.Reset(&b, 3.5)
-		own.Reset(&b, 3.5)
-		if len(shared.knots) == 0 {
-			t.Fatal("a restart of the same benchmark dropped its knot tables")
-		}
-	}
-	shared.Reset(steadyBench(), 3.5)
-	if shared.knots != nil {
-		t.Error("a Reset to another benchmark kept the old one's knot tables")
-	}
-}
-
-// concurrentResolves numbers TestKnotsConcurrentResolve's runs, so each
-// run of a -count=N loop resolves a name no earlier run built.
-var concurrentResolves atomic.Int64
-
-// TestKnotsConcurrentResolve resolves one (name, σ) not resolved before
-// from two goroutines at once: both must get the same table, and under
-// -race the build and the reads must not race.
-func TestKnotsConcurrentResolve(t *testing.T) {
-	name := fmt.Sprintf("knots-concurrent-%d", concurrentResolves.Add(1))
-	b := &workload.Benchmark{Name: name, Phases: []workload.Phase{{Weight: 1, Noise: 0.25}}}
-	var got [2][]*KnotTable
-	var wg sync.WaitGroup
-	for i := range got {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[i] = Knots(b)
-		}()
-	}
-	wg.Wait()
-	if len(got[0]) != 1 || len(got[1]) != 1 || got[0][0] != got[1][0] {
-		t.Fatalf("concurrent resolves returned %v and %v, want one shared table", got[0], got[1])
-	}
-	if m := got[1][0].m[3][2]; m != math.Exp(0.25*hashGauss(b.Name, 2, 3)) {
-		t.Errorf("concurrently built table reads %v at knot 3 dim 2", m)
 	}
 }

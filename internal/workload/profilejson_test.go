@@ -64,12 +64,16 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 
 func TestLoadProfileValidates(t *testing.T) {
 	cases := map[string]string{
-		"not json":      "{",
-		"unknown field": `{"name":"x","instructions":1,"bogus":true,"phases":[]}`,
-		"bad class":     `{"name":"x","class":"turbo","instructions":1,"phases":[]}`,
-		"no phases":     `{"name":"x","instructions":1,"phases":[]}`,
-		"invalid phase": `{"name":"x","instructions":1,"phases":[{"weight":1,"base_cpi":0.1,"mlp":1,"uops_per_inst":1.2}]}`,
-		"too many sens": `{"name":"x","instructions":1,"freq_sens":[0,0,0,0,0,0,0,0,0],"phases":[{"weight":1,"base_cpi":0.5,"mlp":1,"uops_per_inst":1.2}]}`,
+		"not json":       "{",
+		"unknown field":  `{"name":"x","instructions":1,"bogus":true,"phases":[]}`,
+		"bad class":      `{"name":"x","class":"turbo","instructions":1,"phases":[]}`,
+		"no phases":      `{"name":"x","instructions":1,"phases":[]}`,
+		"invalid phase":  `{"name":"x","instructions":1,"phases":[{"weight":1,"base_cpi":0.1,"mlp":1,"uops_per_inst":1.2}]}`,
+		"too many sens":  `{"name":"x","instructions":1,"freq_sens":[0,0,0,0,0,0,0,0,0],"phases":[{"weight":1,"base_cpi":0.5,"mlp":1,"uops_per_inst":1.2}]}`,
+		"sens of 1":      `{"name":"x","instructions":1,"freq_sens":[0,0,0,-1],"phases":[{"weight":1,"base_cpi":0.5,"mlp":1,"uops_per_inst":1.2}]}`,
+		"sens of 40":     `{"name":"x","instructions":1,"freq_sens":[40,0,0,0,0,0,0,0],"phases":[{"weight":1,"base_cpi":0.5,"mlp":1,"uops_per_inst":1.2}]}`,
+		"noise 800":      `{"name":"x","instructions":1,"phases":[{"weight":1,"base_cpi":0.5,"mlp":1,"uops_per_inst":1.2,"noise":800}]}`,
+		"negative noise": `{"name":"x","instructions":1,"phases":[{"weight":1,"base_cpi":0.5,"mlp":1,"uops_per_inst":1.2,"noise":-0.1}]}`,
 	}
 	for name, body := range cases {
 		if _, err := LoadProfile(strings.NewReader(body)); err == nil {

@@ -113,6 +113,10 @@ type Benchmark struct {
 	FreqSens [8]float64
 }
 
+// maxPerInst bounds BaseCPI and every per-instruction rate: far above any
+// program, far enough below overflow that every tick's counts are finite.
+const maxPerInst = 1000
+
 // Validate checks structural invariants of the profile.
 func (b *Benchmark) Validate() error {
 	if b.Name == "" {
@@ -124,19 +128,31 @@ func (b *Benchmark) Validate() error {
 	if len(b.Phases) == 0 {
 		return fmt.Errorf("workload %s: no phases", b.Name)
 	}
+	// |ε| < 1 keeps every rate factor 1 + ε·(f/fTop − 1) positive at
+	// every clock from 0 up to 2·fTop.
+	for i, e := range b.FreqSens {
+		if !(math.Abs(e) < 1) {
+			return fmt.Errorf("workload %s: freq_sens[%d] %.3f outside (-1,1)", b.Name, i, e)
+		}
+	}
 	total := 0.0
 	for i, p := range b.Phases {
 		if p.Weight <= 0 {
 			return fmt.Errorf("workload %s: phase %d non-positive weight", b.Name, i)
 		}
-		if p.BaseCPI < 0.25 {
-			return fmt.Errorf("workload %s: phase %d BaseCPI %.3f below 1/IssueWidth", b.Name, i, p.BaseCPI)
+		if !(p.BaseCPI >= 0.25 && p.BaseCPI <= maxPerInst) {
+			return fmt.Errorf("workload %s: phase %d BaseCPI %.3g outside [1/IssueWidth,%d]", b.Name, i, p.BaseCPI, maxPerInst)
 		}
 		if p.MLP < 1 {
 			return fmt.Errorf("workload %s: phase %d MLP %.3f < 1", b.Name, i, p.MLP)
 		}
 		if p.L3MissRatio < 0 || p.L3MissRatio > 1 {
 			return fmt.Errorf("workload %s: phase %d L3MissRatio %.3f outside [0,1]", b.Name, i, p.L3MissRatio)
+		}
+		// The jitter multiplier exp(σ·g), g ∈ [−3, 3], stays within
+		// [e⁻³, e³] for σ ≤ 1; a σ in the hundreds overflows it.
+		if !(p.Noise >= 0 && p.Noise <= 1) {
+			return fmt.Errorf("workload %s: phase %d noise %.3f outside [0,1]", b.Name, i, p.Noise)
 		}
 		r := p.PerInst
 		if r.Uops < 1 {
@@ -148,9 +164,9 @@ func (b *Benchmark) Validate() error {
 		if r.L2Miss > r.L2Req {
 			return fmt.Errorf("workload %s: phase %d more L2 misses than L2 requests", b.Name, i)
 		}
-		for _, v := range []float64{r.FPU, r.ICFetch, r.DCAccess, r.L2Req, r.Branch, r.Mispred, r.L2Miss, r.Prefetch, r.TLBWalk} {
-			if v < 0 {
-				return fmt.Errorf("workload %s: phase %d negative rate", b.Name, i)
+		for _, v := range []float64{r.Uops, r.FPU, r.ICFetch, r.DCAccess, r.L2Req, r.Branch, r.Mispred, r.L2Miss, r.Prefetch, r.TLBWalk} {
+			if !(v >= 0 && v <= maxPerInst) {
+				return fmt.Errorf("workload %s: phase %d rate %.3g outside [0,%d]", b.Name, i, v, maxPerInst)
 			}
 		}
 		total += p.Weight

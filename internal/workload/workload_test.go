@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -231,6 +232,12 @@ func TestValidateCatchesBadProfiles(t *testing.T) {
 		{"mispred > branch", func(b *Benchmark) { b.Phases[0].PerInst.Mispred = 0.5 }},
 		{"miss > req", func(b *Benchmark) { b.Phases[0].PerInst.L2Miss = 0.5 }},
 		{"negative rate", func(b *Benchmark) { b.Phases[0].PerInst.FPU = -1 }},
+		{"rate too high", func(b *Benchmark) { b.Phases[0].PerInst.Prefetch = 1e300 }},
+		{"NaN rate", func(b *Benchmark) { b.Phases[0].PerInst.Uops = math.NaN() }},
+		{"CPI too high", func(b *Benchmark) { b.Phases[0].BaseCPI = 1e300 }},
+		{"noise above 1", func(b *Benchmark) { b.Phases[0].Noise = 800 }},
+		{"NaN noise", func(b *Benchmark) { b.Phases[0].Noise = math.NaN() }},
+		{"freq sens of 1", func(b *Benchmark) { b.FreqSens[3] = 1 }},
 	}
 	for _, tc := range cases {
 		b := good()
